@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--poi", required=True, metavar="X,Y")
     p.add_argument("--adversarial", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("montecarlo", help="Monte Carlo campaign with report")

@@ -201,16 +201,12 @@ _TABLE_COLUMNS = (
 )
 
 
-def _cell(row: StatsRow, stat: str) -> float:
-    return getattr(row, stat if stat != "bound" else "bound")
-
-
 def bold_best(rows: Sequence[StatsRow]) -> set[tuple[str, str, str]]:
     """(algorithm, metric, stat) of the best (lowest) value per table
     column, mirroring the published bold highlighting."""
     best: set[tuple[str, str, str]] = set()
     for metric, stat in _TABLE_COLUMNS:
-        cells = [(r.algorithm, _cell(r, stat)) for r in rows
+        cells = [(r.algorithm, getattr(r, stat)) for r in rows
                  if r.metric == metric]
         if not cells:
             continue
@@ -246,7 +242,7 @@ def emit_report(rows: Sequence[StatsRow], output_dir: str | Path,
             line: list[str] = [alg]
             for metric, stat in _TABLE_COLUMNS:
                 row = by_key[(alg, metric)]
-                text = f"{_cell(row, stat):.4f}"
+                text = f"{getattr(row, stat):.4f}"
                 if (alg, metric, stat) in best:
                     text = f"**{text}**"
                 line.append(text)

@@ -45,9 +45,6 @@ class Point2:
     def dist(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     @staticmethod
     def polar(r: float, angle: float) -> "Point2":
         return Point2(r * math.cos(angle), r * math.sin(angle))
@@ -66,9 +63,6 @@ class Probe:
         # the probe must be relevant to the unit-disk search area
         if math.hypot(self.center.x, self.center.y) > 1.0 + self.rho + 1e-12:
             raise ValueError("probe disk does not intersect the unit disk")
-
-    def contains(self, p: Point2, tol: float = 0.0) -> bool:
-        return self.center.dist(p) <= self.rho + tol
 
 
 @dataclass(frozen=True)
@@ -455,35 +449,59 @@ def _cluster_cells(cells: np.ndarray) -> list[np.ndarray]:
     """Group cells into 8-neighbor connected components.
 
     Cells may have mixed sizes; adjacency is judged on the grid of the
-    coarsest cell so touching cells of different depths merge.
+    coarsest cell so touching cells of different depths merge.  Clusters
+    are ordered by area, largest first, ties by their first cell; each
+    lists its cells in input order.
     """
     grid = 2.0 * float(cells[:, 2].max())
-    ix = np.floor(cells[:, 0] / grid).astype(np.int64)
-    iy = np.floor(cells[:, 1] / grid).astype(np.int64)
-    index: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(zip(ix.tolist(), iy.tolist())):
-        index.setdefault(key, []).append(i)
-    seen = np.zeros(cells.shape[0], dtype=bool)
-    clusters = []
-    for start in range(cells.shape[0]):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            a, b = int(ix[i]), int(iy[i])
-            for da in (-1, 0, 1):
-                for db in (-1, 0, 1):
-                    for j in index.get((a + da, b + db), ()):
-                        if not seen[j]:
-                            seen[j] = True
-                            stack.append(j)
-        clusters.append(cells[np.array(members)])
+    ix = _dense_rank(np.floor(cells[:, 0] / grid))
+    iy = _dense_rank(np.floor(cells[:, 1] / grid))
+    # one integer key per grid bucket, with a free row on either side of
+    # the iy range so that neighbor keys never wrap into another column
+    width = int(iy.max()) + 3
+    keys, bucket = np.unique(ix * width + iy + 1, return_inverse=True)
+    # neighboring bucket pairs; the other four offsets are their mirrors
+    src, dst = [], []
+    for offset in (width - 1, width, width + 1, 1):
+        pos = np.minimum(np.searchsorted(keys, keys + offset), keys.size - 1)
+        hit = np.flatnonzero(keys[pos] == keys + offset)
+        src.append(hit)
+        dst.append(pos[hit])
+    src = np.concatenate(src)
+    dst = np.concatenate(dst)
+    # label propagation: hook each root onto the smallest root it meets
+    # along an edge, then compress every pointer chain to its root
+    root = np.arange(keys.size)
+    while True:
+        a, b = root[src], root[dst]
+        apart = a != b
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(a, b)[apart],
+                      np.minimum(a, b)[apart])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    label = root[bucket]
+    # clusters in order of their first cell, members in input order
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    groups = np.split(order, starts[1:])
+    groups.sort(key=lambda g: g[0])
+    clusters = [cells[g] for g in groups]
     clusters.sort(key=lambda c: -float(np.sum(c[:, 2] ** 2)))
     return clusters
+
+
+def _dense_rank(v: np.ndarray) -> np.ndarray:
+    """Small integer coordinates for grid indices: neighbors stay one
+    apart and any wider gap becomes two, so bucket keys cannot overflow
+    however sparse and fine the grid is."""
+    values, inverse = np.unique(v, return_inverse=True)
+    steps = np.minimum(np.diff(values), 2.0).astype(np.int64)
+    return np.concatenate(([0], np.cumsum(steps)))[inverse]
 
 
 def uncovered_hulls(report: CoverageReport) -> list[np.ndarray]:
@@ -494,23 +512,38 @@ def uncovered_hulls(report: CoverageReport) -> list[np.ndarray]:
     """
     if report.certified_covered or not report.uncovered_regions:
         return []
-    hulls = []
-    for cells in report.uncovered_regions:
-        h = cells[:, 2:3]
-        xy = cells[:, :2]
-        corners = np.concatenate([
-            xy + np.column_stack([sx * h, sy * h])
-            for sx in (-1, 1)
-            for sy in (-1, 1)
-        ])
-        hulls.append(_convex_hull(corners))
+    hulls = [_cells_hull(cells) for cells in report.uncovered_regions]
     hulls.sort(key=lambda p: -_polygon_area(p))
     return hulls
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; returns CCW vertices without repetition."""
-    pts = np.unique(points, axis=0)
+def _cells_hull(cells: np.ndarray) -> np.ndarray:
+    """Convex hull of the corners of square cells given as [x, y, half]."""
+    x, y, h = cells[:, 0], cells[:, 1], cells[:, 2]
+    # each cell puts a vertical edge from y - h to y + h at x - h and x + h
+    return _convex_hull(np.concatenate([x - h, x + h]),
+                        np.concatenate([y - h, y - h]),
+                        np.concatenate([y + h, y + h]))
+
+
+def _convex_hull(x: np.ndarray, low: np.ndarray,
+                 high: np.ndarray) -> np.ndarray:
+    """Convex hull of the vertical segments (x, low)-(x, high), a point
+    where low == high; CCW vertices without repetition.
+
+    Only the lowest and the highest point of each x column can be a
+    vertex, so Andrew's monotone chain walks at most two points per
+    column.
+    """
+    order = np.argsort(x)
+    x = x[order]
+    first = np.flatnonzero(np.diff(x, prepend=-np.inf))
+    low = np.minimum.reduceat(low[order], first)
+    high = np.maximum.reduceat(high[order], first)
+    ends = np.stack([np.column_stack([x[first], low]),
+                     np.column_stack([x[first], high])], axis=1)
+    pts = ends[np.column_stack([np.ones(first.size, dtype=bool),
+                                high > low])]
     if pts.shape[0] <= 2:
         return pts
 
@@ -518,16 +551,16 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
         out = []
         for p in seq:
             while len(out) >= 2:
-                u = out[-1] - out[-2]
-                v = p - out[-2]
-                if u[0] * v[1] - u[1] * v[0] > 0:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
                     break
                 out.pop()
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
+    seq = pts.tolist()
+    lower = half(seq)
+    upper = half(seq[::-1])
     return np.array(lower[:-1] + upper[:-1])
 
 

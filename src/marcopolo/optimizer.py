@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point2, Probe, certify_coverage, _convex_hull
+from .geometry import Point2, Probe, certify_coverage, _cells_hull
 from .placements import CertificationError, LayerPlacement, construct_layer
 from .verifier import probe_coefficient
 
@@ -40,6 +40,12 @@ _CELL_BUDGET = 2e5
 _FITNESS_CELL_BUDGET = 2e4
 _FITNESS_STOP_AREA = 1e-3
 _PENALTY = 100.0
+# probes a greedy-filled layer may reach
+_GREEDY_MAX_PROBES = 45
+# chord search: hull-point pairs per block, and elements of the
+# (candidates, cells) scoring temporaries
+_PAIR_BLOCK = 4096
+_SCORE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class OptimizerConfig:
     crossover_rate: float = 0.9
     seed: int = 0
     rho1_bounds: tuple[float, float] = (0.76, 0.80)
-    greedy_max_probes: int = 45
+    greedy_max_probes: int = _GREEDY_MAX_PROBES
 
     def __post_init__(self) -> None:
         if self.population < 8:
@@ -80,7 +86,12 @@ def _schedule_capacity(rho1: float, m: int) -> float:
 
 
 def _densify_hull(hull: np.ndarray, spacing: float, cap: int = 96) -> np.ndarray:
-    """Points along the hull boundary at most ``spacing`` apart (capped)."""
+    """Points along the hull boundary, at most ``spacing`` apart.
+
+    The spacing is widened to perimeter / cap, which aims at about ``cap``
+    points; the output is not capped, since every hull edge contributes
+    at least its start point.
+    """
     n = len(hull)
     perimeter = sum(math.hypot(*(hull[(i + 1) % n] - hull[i]))
                     for i in range(n))
@@ -97,34 +108,56 @@ def _densify_hull(hull: np.ndarray, spacing: float, cap: int = 96) -> np.ndarray
 def _best_chord_probe(regions: list[np.ndarray], r: float,
                       hull_cap: int = 96) -> tuple[float, float] | None:
     """Center of the radius-r circle through two points of the largest
-    region's hull that removes the most uncovered cell area, or None."""
-    cells = regions[0]
-    h = cells[:, 2:3]
-    corners = np.concatenate([cells[:, :2] + np.column_stack([sx * h, sy * h])
-                              for sx in (-1, 1) for sy in (-1, 1)])
-    pts = _densify_hull(_convex_hull(corners), r / 2.0, hull_cap)
+    region's hull that removes the most uncovered cell area, or None.
+
+    Candidates are the two centers of each hull-point pair (i, j), i < j,
+    taken in (i, j, +/-) order; the first one to beat the best score so
+    far by more than 1e-15 wins, so ties go to the earliest candidate.
+    """
+    pts = _densify_hull(_cells_hull(regions[0]), r / 2.0, hull_cap)
     score_cells = np.concatenate(regions)
     if len(score_cells) > 4000:
         score_cells = score_cells[::int(math.ceil(len(score_cells) / 4000))]
     weight = (2.0 * score_cells[:, 2]) ** 2
     sx, sy = score_cells[:, 0], score_cells[:, 1]
+
+    step = max(1, _SCORE_CHUNK // max(1, sx.size))
     best, best_score = None, 0.0
-    for i in range(len(pts)):
-        d2s = ((pts - pts[i]) ** 2).sum(axis=1)
-        for j in range(i + 1, len(pts)):
-            d2 = d2s[j]
-            if d2 > 4.0 * r * r or d2 < 1e-18:
-                continue
-            p, q = pts[i], pts[j]
-            mid = 0.5 * (p + q)
-            lift = math.sqrt(r * r - 0.25 * d2)
-            ux, uy = (q - p) / math.sqrt(d2)
-            for s in (1.0, -1.0):
-                cx, cy = mid[0] - s * lift * uy, mid[1] + s * lift * ux
-                removed = float(
-                    (weight * (((sx - cx) ** 2 + (sy - cy) ** 2) <= r * r)).sum())
-                if removed > best_score + 1e-15:
-                    best_score, best = removed, (cx, cy)
+    pair_i, pair_j = np.triu_indices(len(pts), 1)
+    for start in range(0, pair_i.size, _PAIR_BLOCK):
+        i = pair_i[start:start + _PAIR_BLOCK]
+        j = pair_j[start:start + _PAIR_BLOCK]
+        dx = pts[j, 0] - pts[i, 0]
+        dy = pts[j, 1] - pts[i, 1]
+        d2 = dx ** 2 + dy ** 2
+        ok = (d2 <= 4.0 * r * r) & (d2 >= 1e-18)
+        if not ok.any():
+            continue
+        i, j, dx, dy, d2 = i[ok], j[ok], dx[ok], dy[ok], d2[ok]
+        lift = np.sqrt(r * r - 0.25 * d2)
+        norm = np.sqrt(d2)
+        # rows are pairs, columns the two sides: raveling keeps scan order
+        side = np.array([1.0, -1.0]) * lift[:, None]
+        cx = ((0.5 * (pts[i, 0] + pts[j, 0]))[:, None]
+              - side * (dy / norm)[:, None]).ravel()
+        cy = ((0.5 * (pts[i, 1] + pts[j, 1]))[:, None]
+              + side * (dx / norm)[:, None]).ravel()
+        # the (candidates, cells) temporaries stay near _SCORE_CHUNK
+        # elements
+        scores = np.empty(cx.size)
+        for k in range(0, cx.size, step):
+            inside = ((sx - cx[k:k + step, None]) ** 2
+                      + (sy - cy[k:k + step, None]) ** 2) <= r * r
+            scores[k:k + step] = (weight * inside).sum(axis=1)
+        # every earlier score is at most best_score + 1e-15, so a winner
+        # beats best_score and each earlier score of its block: the
+        # sequential first-best scan need not visit anything else
+        prior = np.maximum.accumulate(
+            np.concatenate(([best_score], scores[:-1])))
+        for k in np.flatnonzero(scores > prior).tolist():
+            if scores[k] > best_score + 1e-15:
+                best_score = float(scores[k])
+                best = (float(cx[k]), float(cy[k]))
     return best
 
 
@@ -184,7 +217,7 @@ def greedy_fill(initial: LayerPlacement,
     if initial.rho1 is None:
         raise ValueError("greedy_fill needs a geometric-schedule placement")
     rho1 = initial.rho1
-    budget = max_probes if max_probes is not None else 45
+    budget = max_probes if max_probes is not None else _GREEDY_MAX_PROBES
     if certify_coverage(list(initial.probes), _FINAL_MIN_CELL).certified_covered:
         return LayerPlacement(initial.algorithm_id, tuple(initial.probes),
                               rho1, True, "disk")

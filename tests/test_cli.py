@@ -2,7 +2,14 @@
 acceptance suite; everything here is fast)."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import marcopolo
 
 from marcopolo.cli import main
 from marcopolo.placements import PlacementFile, save_placement
@@ -61,3 +68,13 @@ class TestMontecarlo:
         assert main(["montecarlo", "--n", "256", "--trials", "5",
                      "--algs", "9", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    # the package is NumPy-only; SciPy would add to every start-up
+    src = str(Path(marcopolo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, marcopolo.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

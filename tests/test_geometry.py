@@ -21,6 +21,7 @@ from marcopolo.geometry import (
     hex_lattice,
     uncovered_hulls,
 )
+from marcopolo.geometry import _cells_hull, _cluster_cells, _convex_hull
 from marcopolo.placements import construct_layer
 
 
@@ -224,3 +225,145 @@ class TestUncoveredHulls:
         report = certify_coverage(list(layer.probes), 2e-3)
         assert not report.certified_covered
         assert len(uncovered_hulls(report)) >= 1
+
+
+# ---------------------------------------------------------------------------
+# Array helpers checked against plain reference loops
+# ---------------------------------------------------------------------------
+
+def _reference_hull(points: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain over every distinct point."""
+    pts = np.unique(points, axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                u = out[-1] - out[-2]
+                v = p - out[-2]
+                if u[0] * v[1] - u[1] * v[0] > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    return np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+
+
+def _point_hull(points: np.ndarray) -> np.ndarray:
+    return _convex_hull(points[:, 0], points[:, 1], points[:, 1])
+
+
+def _reference_clusters(cells: np.ndarray) -> list[list[int]]:
+    """Row indices of each 8-neighbor component on the coarsest cell's
+    grid, found by depth-first search from each unvisited row in order,
+    ordered by area (stable, so ties keep first-row order)."""
+    grid = 2.0 * float(cells[:, 2].max())
+    keys = [(math.floor(x / grid), math.floor(y / grid))
+            for x, y in cells[:, :2].tolist()]
+    index: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        index.setdefault(key, []).append(i)
+    seen = [False] * len(keys)
+    groups = []
+    for start in range(len(keys)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, members = [start], []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            a, b = keys[i]
+            for da in (-1, 0, 1):
+                for db in (-1, 0, 1):
+                    for j in index.get((a + da, b + db), ()):
+                        if not seen[j]:
+                            seen[j] = True
+                            stack.append(j)
+        groups.append(sorted(members))
+    groups.sort(key=lambda g: -float(np.sum(cells[g, 2] ** 2)))
+    return groups
+
+
+def _random_cells(rng, count: int, levels=(5, 6, 7)) -> np.ndarray:
+    """Cells of mixed dyadic sizes snapped to their own grids inside a
+    small box, so neighbors touch and many corners are collinear."""
+    half = 2.0 ** -rng.choice(levels, count)
+    x = (np.floor(rng.uniform(-0.3, 0.3, count) / (2 * half)) + 0.5) * 2 * half
+    y = (np.floor(rng.uniform(-0.2, 0.2, count) / (2 * half)) + 0.5) * 2 * half
+    return np.column_stack([x, y, half])
+
+
+class TestConvexHull:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(int(rng.integers(3, 3000)), 2))
+        assert np.array_equal(_point_hull(pts), _reference_hull(pts))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cell_corners(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        cells = _random_cells(rng, int(rng.integers(1, 400)))
+        h = cells[:, 2:3]
+        corners = np.concatenate([
+            cells[:, :2] + np.column_stack([sx * h, sy * h])
+            for sx in (-1, 1) for sy in (-1, 1)])
+        assert np.array_equal(_cells_hull(cells), _reference_hull(corners))
+
+    def test_degenerate_inputs(self):
+        column = np.array([[0.0, 2.0], [0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        line = np.array([[float(i), 3.0 * i] for i in range(6)])
+        for pts in (column, line, column[:1], column[:2], column[:0]):
+            assert np.array_equal(_point_hull(pts), _reference_hull(pts))
+
+
+class TestClusterCells:
+    @staticmethod
+    def _check(cells: np.ndarray) -> None:
+        clusters = _cluster_cells(cells)
+        expected = _reference_clusters(cells)
+        assert len(clusters) == len(expected)
+        for got, rows in zip(clusters, expected):
+            assert np.array_equal(got, cells[rows])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_mixed_sizes(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        self._check(_random_cells(rng, int(rng.integers(1, 600))))
+
+    def test_scattered_single_cells(self):
+        rng = np.random.default_rng(9)
+        cells = np.column_stack([rng.uniform(-1, 1, (300, 2)),
+                                 np.full(300, 1e-3)])
+        self._check(cells)
+
+    def test_fine_grid_keys_do_not_collide(self):
+        # on a 2^-31 grid spanning the disk, raw 64-bit bucket keys
+        # ix * width + iy wrap around, and cells a and b, two units
+        # apart, would share a key
+        grid = 2.0 ** -31
+        half = grid / 2
+        a = [-1.0 + half, half, half]
+        b = [a[0] + (2 ** 32 - 2) * grid, half + 4 * grid, half]
+        rows = [[half, -1.0 + half, half], [half, 1.0 - half, half]]
+        cells = np.array([a, b] + rows)
+        self._check(cells)
+        assert len(_cluster_cells(cells)) == 4
+
+    @pytest.mark.parametrize("probes", [
+        list(construct_layer("ALG3", rho1=0.82).probes),
+        list(construct_layer("ALG4", rho1=0.8).probes)[:4],
+        [Probe(Point2(0.35, 0.0), 0.72), Probe(Point2(-0.55, 0.45), 0.5),
+         Probe(Point2(-0.55, -0.45), 0.5), Probe(Point2(-0.9, 0.0), 0.28)],
+    ])
+    def test_refined_reports(self, probes):
+        report = certify_coverage(probes, 2e-3, refine_uncovered=True)
+        assert not report.certified_covered
+        cells = np.concatenate(report.uncovered_regions)
+        self._check(cells)
+        # rows in a scrambled order form the same components
+        self._check(cells[np.random.default_rng(1).permutation(len(cells))])

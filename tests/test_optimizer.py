@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from marcopolo.geometry import Point2, Probe
+from marcopolo.geometry import Point2, Probe, _cells_hull
 from marcopolo.placements import (
     CertificationError,
     LayerPlacement,
@@ -21,6 +22,7 @@ from marcopolo.optimizer import (
     evolve_initial,
     greedy_fill,
 )
+from marcopolo.optimizer import _best_chord_probe, _densify_hull
 from marcopolo.verifier import probe_coefficient
 
 
@@ -102,3 +104,95 @@ class TestEvolveInitial:
         b = evolve_initial(config)
         assert a.probes == b.probes
         assert a.rho1 == b.rho1
+
+
+def _reference_chord_scores(regions, r, hull_cap=96):
+    """Every candidate center with its removed area, one candidate at a
+    time in (i, j, +/-) order over the hull-point pairs."""
+    pts = _densify_hull(_cells_hull(regions[0]), r / 2.0, hull_cap)
+    cells = np.concatenate(regions)
+    if len(cells) > 4000:
+        cells = cells[::int(math.ceil(len(cells) / 4000))]
+    weight = (2.0 * cells[:, 2]) ** 2
+    out = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            p, q = pts[i], pts[j]
+            d2 = ((q - p) ** 2).sum()
+            if d2 > 4.0 * r * r or d2 < 1e-18:
+                continue
+            mid = 0.5 * (p + q)
+            lift = math.sqrt(r * r - 0.25 * d2)
+            ux, uy = (q - p) / math.sqrt(d2)
+            for s in (1.0, -1.0):
+                cx, cy = mid[0] - s * lift * uy, mid[1] + s * lift * ux
+                inside = ((cells[:, 0] - cx) ** 2
+                          + (cells[:, 1] - cy) ** 2) <= r * r
+                out.append(((cx, cy), float((weight * inside).sum())))
+    return out
+
+
+def _reference_chord_probe(regions, r, hull_cap=96):
+    best, best_score = None, 0.0
+    for center, removed in _reference_chord_scores(regions, r, hull_cap):
+        if removed > best_score + 1e-15:
+            best_score, best = removed, center
+    return best
+
+
+def _blob(rng, count, x0, y0, half):
+    """Square cells of one size on a grid patch around (x0, y0)."""
+    ix = rng.integers(-12, 12, count)
+    iy = rng.integers(-8, 8, count)
+    return np.column_stack([x0 + (2 * ix + 1) * half, y0 + (2 * iy + 1) * half,
+                            np.full(count, half)])
+
+
+class TestBestChordProbe:
+    @pytest.mark.parametrize("seed,many", [(0, False), (1, False), (2, True),
+                                           (3, True)])
+    def test_random_regions(self, seed, many):
+        rng = np.random.default_rng(seed)
+        regions = [_blob(rng, 150, 0.1, -0.2, 2.0 ** -7),
+                   _blob(rng, 4500 if many else 60, 0.3, 0.1, 2.0 ** -8)]
+        assert (sum(map(len, regions)) > 4000) == many
+        # the smallest radius densifies the hull to over a hundred points,
+        # several thousand pairs
+        for r, cap in ((0.01, 96), (0.05, 96), (0.12, 32), (0.3, 96)):
+            expected = _reference_chord_probe(regions, r, cap)
+            got = _best_chord_probe(regions, r, cap)
+            assert expected is not None
+            assert got == expected
+
+    def test_tied_scores_keep_first_candidate(self):
+        # four equal cells well inside every candidate disk: each
+        # candidate removes the same area, so the first one must win
+        half = 2.0 ** -6
+        cells = np.array([[sx * half, sy * half, half]
+                          for sx in (-1, 1) for sy in (-1, 1)])
+        r = 0.2
+        scores = [score for _, score in _reference_chord_scores([cells], r)]
+        assert scores.count(max(scores)) > 1
+        assert _best_chord_probe([cells], r) == \
+            _reference_chord_probe([cells], r)
+
+    def test_near_tie_keeps_first_candidate(self):
+        # cells of weight 4e-16 make later candidates beat earlier ones by
+        # less than the 1e-15 margin, which must not displace them
+        rng = np.random.default_rng(1)
+        big = _blob(rng, 40, 0.0, 0.0, 2.0 ** -6)
+        tiny = np.column_stack([rng.uniform(-0.3, 0.3, (30, 2)),
+                                np.full(30, 1e-8)])
+        regions, r = [big, tiny], 0.15
+        scored = _reference_chord_scores(regions, r)
+        first_max = max(scored, key=lambda pair: pair[1])[0]
+        expected = _reference_chord_probe(regions, r)
+        assert expected != first_max
+        assert _best_chord_probe(regions, r) == expected
+
+    def test_no_candidate(self):
+        # candidates along the hull of one large cell never reach its
+        # center, so every score is zero and no center wins
+        cells = np.array([[0.0, 0.0, 0.5]])
+        assert _best_chord_probe([cells], 0.1) is None
+        assert _reference_chord_probe([cells], 0.1) is None
