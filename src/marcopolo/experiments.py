@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Point2
 from .placements import LayerPlacement, execution_layer, generate_layer, load_placement
 from .simulator import run_batch
 from .verifier import distance_bound, probe_coefficient, response_bound
@@ -23,7 +22,6 @@ from .verifier import distance_bound, probe_coefficient, response_bound
 __all__ = [
     "ExperimentConfig",
     "StatsRow",
-    "sample_poi",
     "monte_carlo",
     "emit_report",
     "run_experiment",
@@ -33,6 +31,7 @@ _KNOWN = tuple(f"ALG{i}" for i in range(1, 9))
 _METRICS = ("P", "D", "R")
 _TOL = 1e-9
 _HIST_BINS = 64
+_POI_BLOCK = 4096  # trials per spawned random stream
 
 
 @dataclass(frozen=True)
@@ -92,26 +91,22 @@ class StatsRow:
                 f"exceeds bound {self.bound} + slack {self.slack}")
 
 
-def sample_poi(rng: np.random.Generator, n: float) -> Point2:
-    """One POI position: uniform angle and uniform distance from the
-    center (the radial coordinate, not the area, is uniform)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    dist = rng.uniform(0.0, n)
-    return Point2(dist * math.cos(angle), dist * math.sin(angle))
-
-
 def _poi_array(seed: int, trials: int, n: float) -> np.ndarray:
-    """Per-trial POIs from splittable streams: trial i draws from the
-    generator spawned at key (i,), so serial and parallel runs agree."""
-    out = np.empty((trials, 2))
+    """Per-trial POIs, uniform in angle and in distance from the center
+    (the radial coordinate, not the area, is uniform).
+
+    Trials come in blocks of ``_POI_BLOCK``: block b draws all its rows
+    from the generator spawned at key (b,), even when fewer trials are
+    needed, so trial i's POI depends only on (seed, n, i) and serial and
+    parallel runs agree.
+    """
+    blocks = -(-trials // _POI_BLOCK)
     root = np.random.SeedSequence(entropy=seed)
-    for i, ss in enumerate(root.spawn(trials)):
-        p = sample_poi(np.random.default_rng(ss), n)
-        out[i, 0] = p.x
-        out[i, 1] = p.y
-    return out
+    u = np.concatenate([np.random.default_rng(ss).random((_POI_BLOCK, 2))
+                        for ss in root.spawn(blocks)])[:trials]
+    angle = 2.0 * math.pi * u[:, 0]
+    dist = n * u[:, 1]
+    return np.stack([dist * np.cos(angle), dist * np.sin(angle)], axis=1)
 
 
 def _placement_for(algorithm: str,
@@ -163,10 +158,10 @@ def monte_carlo(config: ExperimentConfig,
                 collect_samples: dict | None = None) -> list[StatsRow]:
     """Summary rows for every configured algorithm.
 
-    Each trial places one POI by ``sample_poi`` and runs the single-POI
-    search (vectorized); all algorithms see the same worlds.  Placements
-    must be certified.  When ``collect_samples`` is given, the raw
-    normalized per-trial arrays are stored into it keyed by
+    Each trial places one POI drawn by ``_poi_array`` and runs the
+    single-POI search (vectorized); all algorithms see the same worlds.
+    Placements must be certified.  When ``collect_samples`` is given, the
+    raw normalized per-trial arrays are stored into it keyed by
     (algorithm, metric), for histogram emission.
     """
     poi = _poi_array(config.seed, config.trials, config.n)

@@ -1,16 +1,18 @@
 """Search execution against hidden worlds.
 
 Implements the single-POI recursive descent (with last-probe omission and
-rotation of each layer toward the searcher), the response-limited
-hexagonal-family search, the memoryless find-all protocol with doubling
-re-probes, and a reference TSP value for competitive checks.
+rotation of each layer toward the searcher), the memoryless find-all
+protocol with doubling re-probes, a reference TSP value for competitive
+checks, and a vectorized batch of single-POI descents for Monte Carlo
+campaigns.  The response-limited hexagonal family runs through
+``run_single`` on a ``hexfam_layer``.
 
-Positions are absolute; each layer placement lives on the unit disk and is
-scaled/rotated into the current search area.
+Each layer placement lives on the unit disk and is scaled/rotated into the
+current search area.  ``run_single`` keeps positions absolute; ``run_batch``
+keeps each trial in its current area's frame, so it resolves large n.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +22,7 @@ from .geometry import Point2, Probe
 from .placements import LayerPlacement
 
 _EPS = 1e-9
+_BATCH_CHUNK = 4096  # POIs per slice of run_batch
 
 
 @dataclass
@@ -168,55 +171,6 @@ def run_single(placement: LayerPlacement, world: World,
 
 
 # ---------------------------------------------------------------------------
-# Response-limited hexagonal family
-# ---------------------------------------------------------------------------
-
-def run_hexfam(r_max: int, world: World,
-               layer: LayerPlacement | None = None) -> SearchTrace:
-    """Hexagonal-lattice search: probe every hexagon but the last per layer,
-    recurse into the hit (or omitted-last) circumscribed disk."""
-    from .placements import hexfam_layer
-
-    placement = layer or hexfam_layer(r_max, world.n)
-    state = SearchState(Point2(0.0, 0.0), world.n, Point2(0.0, 0.0))
-    trace = SearchTrace(path=[state.delta_pos])
-    target = _target_poi(world, state)
-    if target < 0:
-        raise ValueError("no active POI inside the search region")
-    poi = world.pois[target]
-
-    while state.area_radius > 1.0:
-        state.rotation = _rotation_toward(placement, state)
-        hit = -1
-        for k in range(placement.m - 1):
-            center, radius = _abs_probe(placement.probes[k], state)
-            trace.distance += math.hypot(center.x - state.delta_pos.x,
-                                         center.y - state.delta_pos.y)
-            state.delta_pos = center
-            trace.path.append(center)
-            trace.probes += 1
-            if math.hypot(poi.x - center.x, poi.y - center.y) <= radius + _EPS:
-                trace.responses += 1
-                hit = k
-                break
-        if hit < 0:
-            hit = placement.m - 1
-        center, radius = _abs_probe(placement.probes[hit], state)
-        state = SearchState(center, radius, state.delta_pos)
-        if math.hypot(poi.x - center.x, poi.y - center.y) > radius + _EPS:
-            raise RuntimeError("POI escaped the search area: geometry bug")
-
-    trace.distance += math.hypot(state.area_center.x - state.delta_pos.x,
-                                 state.area_center.y - state.delta_pos.y)
-    state.delta_pos = state.area_center
-    trace.path.append(state.delta_pos)
-    trace.success = math.hypot(poi.x - state.delta_pos.x,
-                               poi.y - state.delta_pos.y) <= 1.0 + _EPS
-    trace.found_poi = target if trace.success else -1
-    return trace
-
-
-# ---------------------------------------------------------------------------
 # Memoryless find-all
 # ---------------------------------------------------------------------------
 
@@ -359,63 +313,83 @@ def run_batch(placement: LayerPlacement, n: float,
 
     Equivalent to ``run_single`` per row of ``poi_xy`` (shape (t, 2));
     returns arrays P (probes), D (distance), R (responses), success, lost.
-    Probe centers are handled as complex numbers; all trials advance one
-    layer per iteration.
+    POIs are searched in slices of ``_BATCH_CHUNK`` rows.
     """
-    pz = np.array([complex(p.center.x, p.center.y) for p in placement.probes])
-    pr = np.array([p.rho for p in placement.probes])
-    m = placement.m
-    d1 = abs(pz[0])
-    poi = poi_xy[:, 0] + 1j * poi_xy[:, 1]
-    t = poi.shape[0]
+    z = np.array([complex(p.center.x, p.center.y) for p in placement.probes])
+    rho = np.array([p.rho for p in placement.probes])
+    t = poi_xy.shape[0]
+    out = {"P": np.zeros(t, dtype=np.int64), "D": np.zeros(t),
+           "R": np.zeros(t, dtype=np.int64),
+           "success": np.zeros(t, dtype=bool), "lost": np.zeros(t, dtype=bool)}
+    for lo in range(0, t, _BATCH_CHUNK):
+        chunk = poi_xy[lo:lo + _BATCH_CHUNK]
+        part = {k: v[lo:lo + _BATCH_CHUNK] for k, v in out.items()}
+        _descend(z, rho, float(n), chunk[:, 0] + 1j * chunk[:, 1], part)
+    return out
 
-    center = np.zeros(t, dtype=complex)
-    radius = np.full(t, float(n))
-    delta = np.zeros(t, dtype=complex)
-    P = np.zeros(t, dtype=np.int64)
-    D = np.zeros(t)
-    R = np.zeros(t, dtype=np.int64)
-    lost = np.zeros(t, dtype=bool)
 
-    active = radius > 1.0
-    while active.any():
-        idx = np.flatnonzero(active)
-        c0, r0, dl = center[idx], radius[idx], delta[idx]
-        off = dl - c0
-        if d1 < _EPS:
-            rot = np.ones(idx.size, dtype=complex)
-        else:
-            mag = np.abs(off)
-            safe = np.where(mag < _EPS, 1.0, mag)
-            rot = np.where(mag < _EPS, 1.0 + 0j,
-                           off / safe / (pz[0] / d1))
-        # first-hit index per trial (m-1 executed probes, else omitted)
-        hit = np.full(idx.size, m - 1, dtype=np.int64)
-        for k in range(m - 2, -1, -1):
-            centers_k = c0 + r0 * pz[k] * rot
-            inside = np.abs(poi[idx] - centers_k) <= r0 * pr[k] + _EPS
-            hit = np.where(inside, k, hit)
-        # travel legs: delta -> probe1 -> ... -> probe_{min(hit+1, m-1)}
-        pos = dl
-        legs = np.zeros(idx.size)
+def _descend(z: np.ndarray, rho: np.ndarray, n: float, poi: np.ndarray,
+             out: dict[str, np.ndarray]) -> None:
+    """``run_batch`` on one slice of POIs, writing into the views ``out``.
+
+    Each trial lives in the frame of its current search area, whose
+    center is 0 and radius 1: ``q`` is the POI and ``w`` the searcher in
+    that frame, ``s`` the area's absolute radius and ``o`` the frame's
+    absolute rotation.  A level turns the frame so the first probe faces
+    the searcher (``q <- q * turn``), then moves into the first probe
+    holding the POI: ``q <- (q - z[hit]) / rho[hit]``, ``s <- s *
+    rho[hit]``.  The tolerance is the absolute ``_EPS``, ``_EPS / s`` in
+    frame units.  Finished trials are written out and dropped.
+    """
+    m = z.size
+    d1 = abs(z[0])
+    # the first probe's direction; the frame turns it toward the searcher
+    face = z[0] / d1 if d1 >= _EPS else None
+    # the omitted last probe holds every POI the issued ones miss
+    reach = np.append(rho[:m - 1], np.inf)
+    # walk from the first issued probe to probe k
+    cum = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(z[:m - 1])))))
+    idx = np.arange(poi.size)
+    q = poi / n
+    w = np.zeros(poi.size, dtype=complex)
+    o = np.ones(poi.size, dtype=complex)
+    s = np.full(poi.size, n)
+    P = np.zeros(poi.size, dtype=np.int64)
+    D = np.zeros(poi.size)
+    R = np.zeros(poi.size, dtype=np.int64)
+    lost = np.zeros(poi.size, dtype=bool)
+
+    while True:
+        done = s <= 1.0
+        if done.any():
+            i = idx[done]
+            out["P"][i] = P[done]
+            out["R"][i] = R[done]
+            # the last leg walks to the final area's center
+            out["D"][i] = D[done] + s[done] * np.abs(w[done])
+            out["success"][i] = s[done] * np.abs(q[done]) <= 1.0 + _EPS
+            out["lost"][i] = lost[done]
+            keep = ~done
+            idx, q, w, o, s = idx[keep], q[keep], w[keep], o[keep], s[keep]
+            P, D, R, lost = P[keep], D[keep], R[keep], lost[keep]
+        if idx.size == 0:
+            return
+        if face is not None:
+            # a searcher at the area's center keeps absolute rotation 0
+            mag = np.abs(w)
+            centred = mag < _EPS / s
+            turn = np.where(centred, o,
+                            face * np.conj(w) / np.where(centred, 1.0, mag))
+            o = np.where(centred, 1.0 + 0j, o * np.conj(turn))
+            q = q * turn
+            w = w * turn
+        inside = np.abs(q[:, None] - z) <= reach + (_EPS / s)[:, None]
+        hit = inside.argmax(axis=1)
         stop = np.minimum(hit, m - 2)
-        for k in range(m - 1):
-            centers_k = c0 + r0 * pz[k] * rot
-            step = np.abs(centers_k - pos)
-            walk = stop >= k
-            legs += np.where(walk, step, 0.0)
-            pos = np.where(walk, centers_k, pos)
-        D[idx] += legs
-        delta[idx] = pos
-        P[idx] += stop + 1
-        R[idx] += (hit < m - 1).astype(np.int64)
-        new_center = c0 + r0 * pz[hit] * rot
-        new_radius = r0 * pr[hit]
-        lost[idx] |= np.abs(poi[idx] - new_center) > new_radius + _EPS
-        center[idx] = new_center
-        radius[idx] = new_radius
-        active = radius > 1.0
-
-    D += np.abs(center - delta)
-    success = np.abs(poi - center) <= 1.0 + _EPS
-    return {"P": P, "D": D, "R": R, "success": success, "lost": lost}
+        D += s * (np.abs(z[0] - w) + cum[stop])
+        P += stop + 1
+        R += hit < m - 1
+        w = (z[stop] - z[hit]) / rho[hit]
+        q = (q - z[hit]) / rho[hit]
+        s = s * rho[hit]
+        lost |= np.abs(q) > 1.0 + _EPS / s

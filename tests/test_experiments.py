@@ -2,19 +2,19 @@
 from __future__ import annotations
 
 import csv
-import math
 
 import numpy as np
 import pytest
 
 from marcopolo.experiments import (
+    _POI_BLOCK,
     ExperimentConfig,
     StatsRow,
     bold_best,
     emit_report,
     monte_carlo,
+    _poi_array,
     run_experiment,
-    sample_poi,
 )
 
 
@@ -58,27 +58,30 @@ class TestStatsRow:
                      stddev=0.0, bound=1.0)
 
 
-class TestSamplePoi:
+class TestPoiArray:
     def test_within_disk(self):
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            p = sample_poi(rng, 10.0)
-            assert math.hypot(p.x, p.y) <= 10.0 + 1e-12
+        poi = _poi_array(0, 5000, 10.0)
+        assert poi.shape == (5000, 2)
+        assert (np.hypot(poi[:, 0], poi[:, 1]) <= 10.0 + 1e-12).all()
 
     def test_radial_uniform_mean(self):
         # the radial coordinate is uniform, so its mean is n/2
-        rng = np.random.default_rng(1)
         n = 100.0
-        radii = np.empty(100_000)
-        for i in range(radii.size):
-            p = sample_poi(rng, n)
-            radii[i] = math.hypot(p.x, p.y)
+        poi = _poi_array(1, 100_000, n)
+        radii = np.hypot(poi[:, 0], poi[:, 1])
         assert radii.mean() == pytest.approx(n / 2.0, rel=0.01)
 
     def test_seed_reproducibility(self):
-        a = sample_poi(np.random.default_rng(42), 8.0)
-        b = sample_poi(np.random.default_rng(42), 8.0)
-        assert (a.x, a.y) == (b.x, b.y)
+        a = _poi_array(42, 300, 8.0)
+        assert np.array_equal(a, _poi_array(42, 300, 8.0))
+        assert not np.array_equal(a, _poi_array(43, 300, 8.0))
+
+    def test_prefix_stable(self):
+        # trial i's POI does not depend on the number of trials, also
+        # past the first block boundary
+        assert _POI_BLOCK < 5000
+        assert np.array_equal(_poi_array(7, 9000, 64.0)[:5000],
+                              _poi_array(7, 5000, 64.0))
 
 
 class TestMonteCarlo:

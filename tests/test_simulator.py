@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from marcopolo.geometry import Point2
-from marcopolo.placements import execution_layer, hexfam_layers
+from marcopolo.placements import execution_layer, hexfam_layer, hexfam_layers
 from marcopolo.simulator import (
+    _BATCH_CHUNK,
+    _EPS,
     SearchState,
     World,
     find_all,
     probe,
     run_batch,
-    run_hexfam,
     run_single,
     tsp_reference,
 )
@@ -107,7 +108,7 @@ class TestRunSingle:
         assert t1.path == t2.path
 
 
-class TestRunHexfam:
+class TestHexfamSearch:
     def test_response_budget(self):
         for r_max, n in ((1, 4.0), (2, 16.0), (3, 64.0)):
             rng = np.random.default_rng(r_max)
@@ -116,7 +117,7 @@ class TestRunHexfam:
                 dist = rng.uniform(0.0, n)
                 world = World(n, [Point2(dist * math.cos(angle),
                                          dist * math.sin(angle))])
-                trace = run_hexfam(r_max, world)
+                trace = run_single(hexfam_layer(r_max, n), world)
                 assert trace.success
                 assert trace.responses <= r_max
                 big_l = hexfam_layers(r_max, n)
@@ -222,3 +223,100 @@ class TestRunBatch:
         assert out["P"][0] == 0
         assert out["D"][0] == 0.0
         assert out["success"][0]
+
+    def test_matches_absolute_kernel(self, layers):
+        # more than two slices of POIs; rows sit on both sides of each
+        # slice boundary, and the origin plus points on probe circles
+        # (the searcher then restarts from an area's center) are included
+        n = 2.0 ** 20
+        t = 2 * _BATCH_CHUNK + 1500
+        rng = np.random.default_rng(11)
+        angle = rng.uniform(0.0, 2.0 * math.pi, t)
+        dist = rng.uniform(0.0, n, t)
+        poi = np.stack([dist * np.cos(angle), dist * np.sin(angle)], axis=1)
+        poi[0] = 0.0
+        poi[_BATCH_CHUNK - 1] = (0.5 * n, 0.0)
+        poi[_BATCH_CHUNK] = (0.0, -0.25 * n)
+        poi[2 * _BATCH_CHUNK] = (-n, 0.0)
+        for aid in ("ALG1", "ALG2", "ALG3", "ALG4", "ALG5", "ALG6"):
+            placement = execution_layer(layers[aid])
+            got = run_batch(placement, n, poi)
+            want = _absolute_run_batch(placement, n, poi)
+            for key in ("P", "R", "success", "lost"):
+                assert np.array_equal(got[key], want[key]), (aid, key)
+            assert got["D"] == pytest.approx(want["D"], rel=1e-12)
+
+    @pytest.mark.parametrize("log2_n", [50, 52])
+    def test_large_n_keeps_the_poi(self, layers, log2_n):
+        # absolute coordinates lost hundreds of these POIs at 2^52
+        n = 2.0 ** log2_n
+        rng = np.random.default_rng(log2_n)
+        angle = rng.uniform(0.0, 2.0 * math.pi, 20_000)
+        dist = rng.uniform(0.0, n, 20_000)
+        poi = np.stack([dist * np.cos(angle), dist * np.sin(angle)], axis=1)
+        for aid in ("ALG1", "ALG2", "ALG3", "ALG5", "ALG6"):
+            out = run_batch(execution_layer(layers[aid]), n, poi)
+            assert not out["lost"].any(), aid
+            assert out["success"].all(), aid
+
+
+def _absolute_run_batch(placement, n, poi_xy):
+    """The batch kernel as it was in absolute coordinates, kept as the
+    reference for ``run_batch``."""
+    pz = np.array([complex(p.center.x, p.center.y) for p in placement.probes])
+    pr = np.array([p.rho for p in placement.probes])
+    m = placement.m
+    d1 = abs(pz[0])
+    poi = poi_xy[:, 0] + 1j * poi_xy[:, 1]
+    t = poi.shape[0]
+
+    center = np.zeros(t, dtype=complex)
+    radius = np.full(t, float(n))
+    delta = np.zeros(t, dtype=complex)
+    P = np.zeros(t, dtype=np.int64)
+    D = np.zeros(t)
+    R = np.zeros(t, dtype=np.int64)
+    lost = np.zeros(t, dtype=bool)
+
+    active = radius > 1.0
+    while active.any():
+        idx = np.flatnonzero(active)
+        c0, r0, dl = center[idx], radius[idx], delta[idx]
+        off = dl - c0
+        if d1 < _EPS:
+            rot = np.ones(idx.size, dtype=complex)
+        else:
+            mag = np.abs(off)
+            safe = np.where(mag < _EPS, 1.0, mag)
+            rot = np.where(mag < _EPS, 1.0 + 0j,
+                           off / safe / (pz[0] / d1))
+        # first-hit index per trial (m-1 executed probes, else omitted)
+        hit = np.full(idx.size, m - 1, dtype=np.int64)
+        for k in range(m - 2, -1, -1):
+            centers_k = c0 + r0 * pz[k] * rot
+            inside = np.abs(poi[idx] - centers_k) <= r0 * pr[k] + _EPS
+            hit = np.where(inside, k, hit)
+        # travel legs: delta -> probe1 -> ... -> probe_{min(hit+1, m-1)}
+        pos = dl
+        legs = np.zeros(idx.size)
+        stop = np.minimum(hit, m - 2)
+        for k in range(m - 1):
+            centers_k = c0 + r0 * pz[k] * rot
+            step = np.abs(centers_k - pos)
+            walk = stop >= k
+            legs += np.where(walk, step, 0.0)
+            pos = np.where(walk, centers_k, pos)
+        D[idx] += legs
+        delta[idx] = pos
+        P[idx] += stop + 1
+        R[idx] += (hit < m - 1).astype(np.int64)
+        new_center = c0 + r0 * pz[hit] * rot
+        new_radius = r0 * pr[hit]
+        lost[idx] |= np.abs(poi[idx] - new_center) > new_radius + _EPS
+        center[idx] = new_center
+        radius[idx] = new_radius
+        active = radius > 1.0
+
+    D += np.abs(center - delta)
+    success = np.abs(poi - center) <= 1.0 + _EPS
+    return {"P": P, "D": D, "R": R, "success": success, "lost": lost}
