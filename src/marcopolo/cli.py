@@ -8,10 +8,11 @@ ALG7/ALG8 layer and save it), ``simulate`` (one single-POI search), and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import experiments, optimizer, placements, simulator, verifier
-from .geometry import Point2
+from .geometry import Point2, certify_coverage
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -25,6 +26,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"distance coeff:  {report.b_distance:.4f}")
     print(f"response coeff:  {report.c_responses:.4f}")
     print(f"worst probes:    {report.worst_probe_index}")
+    if not layer.certified and layer.coverage == "disk":
+        arcs = certify_coverage(layer.probes).uncovered_arcs
+        print(f"uncovered arcs:  {len(arcs)} (degrees counterclockwise "
+              f"about each circle's center)")
+        for circle, start, end in arcs:
+            name = "unit circle" if circle < 0 else f"probe {circle + 1}"
+            print(f"  {name:<12} {math.degrees(start):8.3f} .. "
+                  f"{math.degrees(end):8.3f}")
     if verifier.last_probes_overlap(layer):
         print("warning: final probes overlap; travel shortcut is optimistic")
     return 0

@@ -3,9 +3,10 @@
 Everything here works in the "unit-disk frame": the current search area is
 the closed disk of radius 1 centered at the origin, and probe radii are
 proportional (0 < rho <= 1).  The module provides hexagonal lattices and
-their circumscribed probes, chord and balanced probe placement math, and a
-conservative quadtree certifier that proves coverage of the unit disk by a
-union of probe disks.
+their circumscribed probes, chord and balanced probe placement math, and
+the coverage certifier: an exact probe-circle arc test decides whether a
+union of probe disks covers the unit disk, and a quadtree maps the
+uncovered cells when a caller needs to see the gaps.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ __all__ = [
 # Ring-1 neighbor angles for a flat-top hexagonal lattice (centers at
 # distance sqrt(3)*side), counterclockwise starting at 30 degrees.
 _RING_ANGLES = [math.radians(30 + 60 * i) for i in range(6)]
+
+# boundary tolerance of the coverage certifier: probe disks count as
+# dilated by this much, so that probes meeting tangentially still certify
+_TOL = 1e-9
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -98,16 +104,26 @@ class Hexagon:
 @dataclass
 class CoverageReport:
     certified_covered: bool
+    # decide mode measures no area: an uncovered placement reports pi,
+    # the area of the whole disk
     uncovered_area_upper_bound: float
-    # one (n, 3) array [x, y, half_side] of uncovered cells per cluster,
-    # largest cluster first
+    # refine mode: one (n, 3) array [x, y, half_side] of uncovered cells
+    # per cluster, largest cluster first
     uncovered_regions: list
+    # refine mode: smallest cell side visited; decide mode visits no cells
+    # and reports 0.0
     min_cell_size_reached: float
+    # decide mode: (circle, start, end) per uncovered arc, counterclockwise
+    # angles in radians about the circle's center with 0 <= start < 2*pi
+    # and start < end; circle -1 is the unit circle and k the circle of
+    # probe k dilated by the 1e-9 tolerance
+    uncovered_arcs: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.certified_covered:
             assert self.uncovered_area_upper_bound == 0.0
             assert not self.uncovered_regions
+            assert not self.uncovered_arcs
 
 
 def hex_lattice(layers: int, r: float) -> list[Hexagon]:
@@ -190,84 +206,74 @@ def _probe_arrays(probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def certify_coverage(placement, min_cell: float = 1e-4,
-                     stop_on_uncovered: bool = False,
                      refine_uncovered: bool = False) -> CoverageReport:
-    """Conservative quadtree proof that the probes cover the closed unit disk.
+    """Whether the probes cover the closed unit disk, and where they do not.
 
-    The disk is split into a core disk of radius 1 - delta (quadtree) and
-    the remaining boundary annulus (exact 1-D angular-interval analysis:
-    a radial segment lies inside a convex probe disk iff both endpoints
-    do).  The split lets placements whose probe circles meet the region
-    boundary with vanishing margin -- the hexagonal lattices do -- certify
-    at finite resolution.  A square cell of the core is certified when it
-    lies wholly outside the core disk or wholly inside a single probe disk
-    (farthest corner within the radius).  Cells that cannot be certified
-    are subdivided until their side drops below ``min_cell``; any
-    survivors are reported as uncovered.  The check
-    is sound up to a fixed 1e-9 boundary tolerance (closed probe disks that
-    meet the region tangentially, as in the hexagonal lattices, still
-    certify) but incomplete.
+    Decide mode (the default) is exact up to the fixed 1e-9 tolerance: it
+    certifies iff the probe disks, each dilated by 1e-9, cover the closed
+    unit disk.  By the criterion of Huang and Tseng (WSNA 2003), closed
+    disks cover a convex region iff they cover its boundary and, for each
+    disk, the other disks cover the arc of its circle that lies inside the
+    region; ``_uncovered_arcs`` tests exactly that, so closed probe disks
+    that meet tangentially, as in the hexagonal lattices, still certify.
+    Identical probes do not count as covering each other's circles.  The
+    report lists the uncovered arcs; decide mode ignores ``min_cell``.
+
+    With ``refine_uncovered`` a conservative quadtree maps the gaps
+    instead.  The disk is split into a core disk of radius 1 - delta and
+    the remaining boundary annulus (exact 1-D angular-interval analysis: a
+    radial segment lies inside a convex probe disk iff both endpoints do).
+    A square cell of the core is certified when it lies wholly outside the
+    core disk or wholly inside a single dilated probe disk (farthest corner
+    within the radius).  Cells that cannot be certified are subdivided
+    until their side drops below ``min_cell``; the survivors, clustered,
+    are the report's uncovered regions.  This mode is sound but
+    incomplete: it may leave thin covered slivers unresolved.
 
     ``placement`` is either a sequence of probes or an object with a
-    ``probes`` attribute.  With ``stop_on_uncovered`` the subdivision is
-    abandoned as soon as coverage is disproved at this resolution, which is
-    cheaper inside bisection loops (the report then carries a partial
-    uncovered set).
+    ``probes`` attribute.
     """
     probes = getattr(placement, "probes", placement)
     if len(probes) == 0:
         raise ValueError("empty placement")
+    px, py, pr = _probe_arrays(probes)
+    if not refine_uncovered:
+        arcs = _uncovered_arcs(px, py, pr)
+        if not arcs:
+            return CoverageReport(True, 0.0, [], 0.0)
+        return CoverageReport(False, math.pi, [], 0.0, arcs)
     if min_cell <= 0:
         raise ValueError("min_cell must be positive")
-    px, py, pr = _probe_arrays(probes)
-    pr2 = (pr + 1e-9) ** 2
+    pr2 = (pr + _TOL) ** 2
 
     # a probe containing the whole unit disk certifies everything at once
     if np.any(np.hypot(px, py) + 1.0 <= pr + 1e-12):
         return CoverageReport(True, 0.0, [], 2.0)
 
     # boundary annulus 1 - delta < |z| <= 1, certified by exact arc
-    # intervals; the quadtree below covers the core disk |z| <= 1 - delta.
-    # The wide annulus lets tangent probe circles certify; refine_uncovered
-    # callers need gap extents at the working resolution instead
-    factor = 4.0 if refine_uncovered else 200.0
-    delta = min(1e-2, max(1e-4, factor * min_cell))
-    gaps = _annulus_gaps(px, py, pr, delta)
+    # intervals, at the working resolution so that gap extents are seen;
+    # the quadtree below covers the core disk |z| <= 1 - delta
+    delta = min(1e-2, max(1e-4, 4.0 * min_cell))
+    # chain of delta-sized flagged cells along each uncovered arc, merged
+    # with the core quadtree result below
     gap_cells: list[np.ndarray] = []
-    if gaps:
-        if not refine_uncovered:
-            cells = np.array([[math.cos(0.5 * (a + b)) * (1.0 - 0.5 * delta),
-                               math.sin(0.5 * (a + b)) * (1.0 - 0.5 * delta),
-                               0.5 * delta] for a, b in gaps])
-            area = float(sum((b - a) for a, b in gaps)) * delta
-            return CoverageReport(False, area, [cells[i:i + 1] for i in
-                                                range(len(cells))], delta)
-        # chain of delta-sized flagged cells along each uncovered arc,
-        # merged with the core quadtree result below
-        for a, b in gaps:
-            steps = max(1, int(math.ceil((b - a) * (1.0 - 0.5 * delta)
-                                         / delta)))
-            ang = a + (b - a) * (np.arange(steps) + 0.5) / steps
-            gap_cells.append(np.column_stack([
-                np.cos(ang) * (1.0 - 0.5 * delta),
-                np.sin(ang) * (1.0 - 0.5 * delta),
-                np.full(steps, 0.5 * delta),
-                np.ones(steps),
-            ]))
+    for a, b in _annulus_gaps(px, py, pr, delta):
+        steps = max(1, int(math.ceil((b - a) * (1.0 - 0.5 * delta)
+                                     / delta)))
+        ang = a + (b - a) * (np.arange(steps) + 0.5) / steps
+        gap_cells.append(np.column_stack([
+            np.cos(ang) * (1.0 - 0.5 * delta),
+            np.sin(ang) * (1.0 - 0.5 * delta),
+            np.full(steps, 0.5 * delta),
+            np.ones(steps),
+        ]))
     r_core = 1.0 - delta
-
-    # cells whose center point is provably uncovered stop refining at this
-    # coarser floor; only genuinely ambiguous cells (probe/disk boundaries)
-    # descend to min_cell, keeping the frontier near-one-dimensional
-    # refine_uncovered descends provably-uncovered cells all the way to
-    # min_cell so callers measuring gap extents see true sizes
-    bad_floor = min_cell if refine_uncovered else max(min_cell, 2.0 ** -7)
 
     cx = np.array([0.0])
     cy = np.array([0.0])
     half = 1.0  # all cells at one subdivision level share their size
     min_side_seen = 2.0
-    unc: list[np.ndarray] = []  # (n, 3) blocks of [x, y, half]
+    unc: list[np.ndarray] = []  # (n, 4) blocks of [x, y, half, bad]
 
     while cx.size:
         side = 2.0 * half
@@ -298,13 +304,10 @@ def certify_coverage(placement, min_cell: float = 1e-4,
             if not bad.any():
                 break
             bad &= (ox - px[j]) ** 2 + (oy - py[j]) ** 2 > pr2[j]
-        if bad.any() and stop_on_uncovered:
-            pts = np.column_stack([ox[bad], oy[bad],
-                                   np.full(int(bad.sum()), half)])
-            area = float(open_idx.size) * side * side
-            return CoverageReport(False, area, [pts], min_side_seen)
+        # provably uncovered cells stop refining at min_cell, like the
+        # merely unresolved ones, so callers measuring gaps see true sizes
         at_floor = side / 2.0 < min_cell
-        park = bad & (side <= bad_floor)
+        park = bad & (side <= min_cell)
         if at_floor:
             park = np.ones(ox.size, dtype=bool)
         if park.any():
@@ -334,6 +337,113 @@ def certify_coverage(placement, min_cell: float = 1e-4,
     area = float(sum(np.sum((2.0 * c[:, 2]) ** 2) for c in clusters))
     return CoverageReport(False, area, [c[:, :3] for c in clusters],
                           min_side_seen)
+
+
+def _uncovered_arcs(px: np.ndarray, py: np.ndarray, pr: np.ndarray,
+                    probe_circles: bool = True
+                    ) -> list[tuple[int, float, float]]:
+    """Arcs that break the Huang-Tseng coverage criterion for the probe
+    disks dilated by the 1e-9 tolerance, as (circle, start, end) in the
+    convention of ``CoverageReport.uncovered_arcs``; empty iff they cover
+    the closed unit disk.
+
+    All m + 1 circles go through one pass: row 0 is the unit circle, which
+    the probe disks must cover, and row k + 1 the dilated circle of probe
+    k, which the other probe disks must cover inside the open unit disk.
+    Without ``probe_circles`` only the unit circle is checked.
+    """
+    r = pr + _TOL
+    if not probe_circles:
+        center, half = _covered_arcs(np.zeros(1), np.zeros(1), np.ones(1),
+                                     px, py, r)
+    else:
+        cx = np.concatenate(([0.0], px))
+        cy = np.concatenate(([0.0], py))
+        cr = np.concatenate(([1.0], r))
+        # the last column is the unit disk itself
+        center, half = _covered_arcs(cx, cy, cr, np.append(px, 0.0),
+                                     np.append(py, 0.0), np.append(r, 1.0))
+        # a probe covers neither its own circle nor an identical probe's
+        same = (px == cx[:, None]) & (py == cy[:, None]) & (r == cr[:, None])
+        same[0] = False
+        half[:, :-1][same] = 0.0
+        # the part of a probe circle outside the open unit disk needs no
+        # cover: the complement of the arc the unit disk covers, which is
+        # empty for the unit circle
+        half[:, -1] = math.pi - half[:, -1]
+        center[:, -1] += math.pi
+    row, col = np.nonzero(half > 0.0)
+    h = half[row, col]
+    circle, start, end = _circle_gaps(
+        row, (center[row, col] - h) % _TWO_PI, 2.0 * h, half.shape[0])
+    begin = start % _TWO_PI
+    return sorted((c - 1, a0, a0 + (b - a)) for c, a0, a, b in
+                  zip(circle.tolist(), begin.tolist(), start.tolist(),
+                      end.tolist()))
+
+
+def _covered_arcs(cx: np.ndarray, cy: np.ndarray, cr: np.ndarray,
+                  px: np.ndarray, py: np.ndarray,
+                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The arc of each circle (cx, cy, cr) that each closed disk
+    (px, py, r) covers, as (circles, disks) arrays of the arc's center
+    angle and half-width; a half-width of 0 means no arc, pi the whole
+    circle."""
+    dx = px - cx[:, None]
+    dy = py - cy[:, None]
+    d = np.hypot(dx, dy)
+    rc = cr[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_half = (rc * rc + d * d - r * r) / (2.0 * rc * d)
+    half = np.arccos(np.maximum(np.minimum(cos_half, 1.0), -1.0))
+    half[d + rc <= r] = math.pi
+    return np.arctan2(dy, dx), half
+
+
+def _circle_gaps(circle: np.ndarray, start: np.ndarray, length: np.ndarray,
+                 n_circles: int) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+    """Uncovered parts of circles 0 .. n_circles - 1, given closed arcs.
+
+    Arc k covers the angles start[k] .. start[k] + length[k] of circle
+    circle[k], with 0 <= start <= 2*pi and 0 <= length <= 2*pi.  Returns
+    the open gaps as arrays (circle, from, to), ordered by circle and,
+    within a circle, counterclockwise from its first arc start, so the
+    last gap of a circle may end past 2*pi; a circle without arcs is one
+    gap (c, 0, 2*pi).
+
+    One sort by (circle, start) and one running maximum do the whole
+    merge: offsetting circle c by c * 8*pi keeps the ends of earlier
+    circles below the starts of later ones.  An arc that ends past 2*pi
+    also covers its circle's first angles again, up to its end - 2*pi.
+    """
+    bare = np.flatnonzero(np.bincount(circle, minlength=n_circles) == 0)
+    if circle.size == 0:
+        return bare, np.zeros(bare.size), np.full(bare.size, _TWO_PI)
+    order = np.lexsort((start, circle))
+    c = circle[order]
+    s = start[order]
+    span = length[order]
+    offset = c * (4.0 * _TWO_PI)
+    reach = np.maximum.accumulate(offset + s + span) - offset
+    new = np.ones(c.size, dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    own = np.cumsum(new) - 1  # position of each arc's circle in ``first``
+    top = np.maximum.reduceat(reach, first)
+    before = np.concatenate(([-np.inf], reach[:-1]))
+    np.maximum(before, top[own] - _TWO_PI, out=before)
+    # a circle with a whole-circle arc has no gap, rounding aside
+    open_circle = np.maximum.reduceat(span, first) < _TWO_PI
+    inner = (s > before) & ~new & open_circle[own]
+    closing = (top < s[first] + _TWO_PI) & open_circle
+    gap_c = np.concatenate([c[inner], c[first][closing], bare])
+    gap_a = np.concatenate([before[inner], top[closing],
+                            np.zeros(bare.size)])
+    gap_b = np.concatenate([s[inner], s[first][closing] + _TWO_PI,
+                            np.full(bare.size, _TWO_PI)])
+    by_circle = np.argsort(gap_c, kind="stable")
+    return gap_c[by_circle], gap_a[by_circle], gap_b[by_circle]
 
 
 def _junction_certified(cluster: np.ndarray, px: np.ndarray, py: np.ndarray,
@@ -366,7 +476,7 @@ def _junction_certified(cluster: np.ndarray, px: np.ndarray, py: np.ndarray,
                 if math.hypot(vx - z0x, vy - z0y) > 4.0 * reach + 1e-6:
                     continue
                 dv = np.hypot(px - vx, py - vy)
-                on = np.abs(dv - pr) <= 1e-9
+                on = np.abs(dv - pr) <= _TOL
                 if int(on.sum()) < 2:
                     continue
                 angles = np.sort(np.arctan2(vy - py[on], vx - px[on]))
@@ -402,12 +512,13 @@ def _annulus_gaps(px: np.ndarray, py: np.ndarray, pr: np.ndarray,
                   delta: float) -> list[tuple[float, float]]:
     """Angular intervals of the annulus 1 - delta < |z| <= 1 not certified
     covered.  A probe covers the full radial segment at angle theta iff it
-    contains both segment endpoints (probe disks are convex)."""
-    two_pi = 2.0 * math.pi
-    intervals: list[tuple[float, float]] = []  # (start, length)
+    contains both segment endpoints (probe disks are convex).  Scalar math
+    keeps the refine-mode gap cells bit-stable: NumPy's vectorized arccos
+    and arctan2 may round differently from ``math``."""
+    starts, lengths = [], []
     for x, y, r in zip(px, py, pr):
         d = math.hypot(x, y)
-        r_tol = r + 1e-9
+        r_tol = r + _TOL
         half = math.pi
         for t in (1.0 - delta, 1.0):
             if d + t <= r_tol:
@@ -420,29 +531,13 @@ def _annulus_gaps(px: np.ndarray, py: np.ndarray, pr: np.ndarray,
                 half = -1.0
                 break
             half = min(half, math.acos(max(-1.0, c)))
-        if half < 0.0:
-            continue
-        if half >= math.pi:
-            return []
-        intervals.append(((math.atan2(y, x) - half) % two_pi, 2.0 * half))
-    if not intervals:
-        return [(0.0, two_pi)]
-    intervals.sort()
-    # walk the circle from the first interval start, recording gaps
-    start0, length0 = intervals[0]
-    reach = start0 + length0
-    gaps: list[tuple[float, float]] = []
-    for a, ln in intervals[1:] + [(s + two_pi, ln) for s, ln in intervals]:
-        if a >= start0 + two_pi:
-            break
-        if a > reach:
-            gaps.append((reach, a))
-        reach = max(reach, a + ln)
-        if reach >= start0 + two_pi:
-            break
-    if reach < start0 + two_pi:
-        gaps.append((reach, start0 + two_pi))
-    return gaps
+        if half >= 0.0:
+            starts.append((math.atan2(y, x) - half) % _TWO_PI)
+            lengths.append(2.0 * half)
+    _, a, b = _circle_gaps(np.zeros(len(starts), dtype=np.int64),
+                           np.array(starts, dtype=float),
+                           np.array(lengths, dtype=float), 1)
+    return list(zip(a.tolist(), b.tolist()))
 
 
 def _cluster_cells(cells: np.ndarray) -> list[np.ndarray]:

@@ -27,6 +27,8 @@ from .geometry import (
     chord_probe,
     hex_lattice,
     circumscribe,
+    _probe_arrays,
+    _uncovered_arcs,
 )
 
 SCHEMA_VERSION = 1
@@ -106,59 +108,11 @@ class LayerPlacement:
 # Perimeter (boundary arc) certification
 # ---------------------------------------------------------------------------
 
-def _boundary_arc(probe: Probe) -> tuple[float, float] | None:
-    """Closed arc of the unit circle covered by ``probe`` as
-    (center angle, half-width), or None if the probe misses the boundary."""
-    d = math.hypot(probe.center.x, probe.center.y)
-    if d + probe.rho < 1.0:
-        return None
-    if d <= probe.rho - 1.0:  # probe contains the whole unit circle
-        return (0.0, math.pi)
-    if d == 0.0:
-        return None
-    cos_half = (1.0 + d * d - probe.rho ** 2) / (2.0 * d)
-    if cos_half > 1.0:
-        return None
-    half = math.acos(max(-1.0, cos_half))
-    return (math.atan2(probe.center.y, probe.center.x), half)
-
-
 def perimeter_covered(probes: Sequence[Probe]) -> bool:
-    """Exact test that the union of probes covers the unit circle boundary."""
-    arcs = []
-    for probe in probes:
-        arc = _boundary_arc(probe)
-        if arc is None:
-            continue
-        center, half = arc
-        if half >= math.pi:
-            return True
-        arcs.append(((center - half) % (2 * math.pi), 2 * half))
-    if not arcs:
-        return False
-    arcs.sort()
-    # Merge on the circle: walk intervals, tracking coverage from the start
-    # of the first interval all the way around.
-    start, length = arcs[0]
-    reach = start + length
-    for a, ln in arcs[1:]:
-        if a > reach:
-            return False
-        reach = max(reach, a + ln)
-    return reach >= start + 2 * math.pi - 1e-15 or _wraps(arcs, start, reach)
-
-
-def _wraps(arcs: list[tuple[float, float]], start: float, reach: float) -> bool:
-    """Check the residual gap (reach .. start + 2pi) against wrapped arcs."""
-    target = start + 2 * math.pi
-    for a, ln in arcs:
-        a += 2 * math.pi
-        if a > reach:
-            return False
-        reach = max(reach, a + ln)
-        if reach >= target:
-            return True
-    return False
+    """Exact test that the union of probes, each dilated by the 1e-9
+    tolerance, covers the unit circle boundary: the unit-circle half of
+    the coverage certifier."""
+    return not _uncovered_arcs(*_probe_arrays(probes), probe_circles=False)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +279,6 @@ _CONSTRUCTIONS: dict[str, Callable[[], tuple[tuple[Probe, ...], float | None, st
     "ALG6": lambda: (_alg6_probes(ALG6_RHO1), ALG6_RHO1, "disk"),
 }
 
-# min_cell needed to certify each disk-covering construction; ALG6's
-# junction margins are thin and require the finest tier.
-_CERT_MIN_CELL = {"ALG6": 1e-6}
-
 
 def construct_layer(algorithm_id: str, rho1: float | None = None) -> LayerPlacement:
     """Build a layer placement without certification (used by searches)."""
@@ -362,8 +312,7 @@ def generate_layer(algorithm_id: str) -> LayerPlacement:
     if layer.coverage == "perimeter":
         ok = perimeter_covered(layer.probes)
     else:
-        min_cell = _CERT_MIN_CELL.get(algorithm_id, 1e-6)
-        ok = certify_coverage(list(layer.probes), min_cell).certified_covered
+        ok = certify_coverage(layer.probes).certified_covered
     if not ok:
         raise CertificationError(f"{algorithm_id} placement failed certification")
     return LayerPlacement(layer.algorithm_id, layer.probes, layer.rho1,
@@ -577,7 +526,7 @@ def load_placement(path: str | Path,
     if pf.coverage == "perimeter":
         ok = perimeter_covered(pf.probes)
     else:
-        ok = certify_coverage(list(pf.probes), 1e-6).certified_covered
+        ok = certify_coverage(pf.probes).certified_covered
     if not ok and not allow_uncertified:
         raise CertificationError(f"placement {path} failed certification")
     return pf.to_layer(certified=ok)

@@ -50,14 +50,19 @@ def probe_coefficient(placement) -> float:
     still shrinks by rho_m: c = max(max_{k<m} k/(-log2 rho_k),
     (m-1)/(-log2 rho_m)).
     """
-    probes = _probes_of(placement)
+    return max(_probe_rates(_probes_of(placement)))
+
+
+def _probe_rates(probes: Sequence[Probe]) -> list[float]:
+    """Probes paid per halving of the area when the search ends at probe
+    k = 1..m; the last entry is the all-negative case."""
     rhos = [p.rho for p in probes]
     if any(r >= 1.0 for r in rhos):
         raise ValueError("probe of radius 1 gives an infinite coefficient")
     m = len(rhos)
     rates = [k / -math.log2(rhos[k - 1]) for k in range(1, m)]
     rates.append((m - 1) / -math.log2(rhos[m - 1]))
-    return max(rates)
+    return rates
 
 
 def _worst_index(values: Sequence[float]) -> int:
@@ -73,19 +78,24 @@ def distance_bound(placement) -> float:
     The shortcut assumes the last two probes do not overlap significantly;
     ``last_probes_overlap`` flags placements violating it.
     """
-    probes = _probes_of(placement)
+    return max(_distance_rates(_probes_of(placement)))
+
+
+def _distance_rates(probes: Sequence[Probe]) -> list[float]:
+    """Travel paid per unit of remaining radius when the search ends at
+    probe k = 1..m: the accumulated leg over 1 - rho_k."""
     d1 = math.hypot(probes[0].center.x, probes[0].center.y)
     cum = 0.0
     cx = cy = 0.0
-    best = 0.0
+    rates = []
     for i, p in enumerate(probes):
         if p.rho >= 1.0:
             raise ValueError("probe of radius 1 gives an unbounded distance")
         cum += math.hypot(p.center.x - cx, p.center.y - cy)
         d_k = cum - 2.0 * d1 * p.rho if i == len(probes) - 1 else cum
-        best = max(best, d_k / (1.0 - p.rho))
+        rates.append(d_k / (1.0 - p.rho))
         cx, cy = p.center.x, p.center.y
-    return best
+    return rates
 
 
 def last_probes_overlap(placement) -> bool:
@@ -108,19 +118,9 @@ def response_bound(placement) -> float:
 
 def bounds_report(placement) -> BoundsReport:
     probes = _probes_of(placement)
+    p_rates = _probe_rates(probes)
+    d_rates = _distance_rates(probes)
     rhos = [p.rho for p in probes]
-    m = len(rhos)
-    p_rates = [k / -math.log2(rhos[k - 1]) for k in range(1, m)]
-    p_rates.append((m - 1) / -math.log2(rhos[m - 1]))
-    d1 = math.hypot(probes[0].center.x, probes[0].center.y)
-    cum = 0.0
-    cx = cy = 0.0
-    d_rates = []
-    for i, p in enumerate(probes):
-        cum += math.hypot(p.center.x - cx, p.center.y - cy)
-        d_k = cum - 2.0 * d1 * p.rho if i == m - 1 else cum
-        d_rates.append(d_k / (1.0 - p.rho))
-        cx, cy = p.center.x, p.center.y
     return BoundsReport(
         c_probes=max(p_rates),
         b_distance=max(d_rates),
@@ -128,7 +128,7 @@ def bounds_report(placement) -> BoundsReport:
         worst_probe_index={
             "probes": _worst_index(p_rates),
             "distance": _worst_index(d_rates),
-            "responses": int(max(range(m), key=lambda i: rhos[i])) + 1,
+            "responses": _worst_index(rhos),
         },
     )
 
@@ -164,7 +164,6 @@ def minimal_rho1(scheme: str, tol: float = _BISECT_TOL) -> float:
         predicate: Callable[[float], bool] = _perimeter_schedule_covers
         lo, hi = 0.5, 0.999
     elif scheme in ("ALG3", "ALG4", "ALG5", "ALG6"):
-        min_cell = 1e-5 if scheme == "ALG6" else 1e-4
 
         def predicate(rho1: float) -> bool:
             try:
@@ -173,8 +172,7 @@ def minimal_rho1(scheme: str, tol: float = _BISECT_TOL) -> float:
                 return False
             if layer.coverage == "perimeter":
                 return _placements.perimeter_covered(layer.probes)
-            return certify_coverage(list(layer.probes), min_cell,
-                                    stop_on_uncovered=True).certified_covered
+            return certify_coverage(layer.probes).certified_covered
 
         lo, hi = 0.5, 0.99
     else:

@@ -1,6 +1,7 @@
-"""Shared fixtures: certified layer placements are expensive to build
-(coverage certification at min_cell 1e-6), so they are generated once per
-session and shared across test modules."""
+"""Shared fixtures: the certified layer placements of the six generated
+algorithms (each certified by the exact arc test of
+``geometry.certify_coverage``), built once per session and shared across
+test modules, and the golden placements directory."""
 from __future__ import annotations
 
 from pathlib import Path

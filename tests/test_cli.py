@@ -12,7 +12,11 @@ import pytest
 import marcopolo
 
 from marcopolo.cli import main
-from marcopolo.placements import PlacementFile, save_placement
+from marcopolo.placements import (
+    PlacementFile,
+    construct_layer,
+    save_placement,
+)
 
 
 @pytest.fixture()
@@ -29,6 +33,25 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "ALG3" in out
         assert "4.08" in out
+
+    def test_uncovered_arcs_listed(self, tmp_path, capsys):
+        # ALG3 below its minimal base leaves arcs uncovered
+        path = tmp_path / "alg3_082.json"
+        save_placement(PlacementFile.from_layer(
+            construct_layer("ALG3", rho1=0.82)), path)
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "certified:       False (disk)" in out
+        lines = out.splitlines()
+        head = next(i for i, line in enumerate(lines)
+                    if line.startswith("uncovered arcs:"))
+        count = int(lines[head].split()[2])
+        rows = [line.split() for line in lines[head + 1:]]
+        assert count == len(rows) > 0
+        assert rows[0][:2] == ["unit", "circle"]
+        for row in rows:
+            start, end = float(row[-3]), float(row[-1])
+            assert 0.0 <= start < 360.0 and start < end <= start + 360.0
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json")]) == 1

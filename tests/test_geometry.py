@@ -1,12 +1,14 @@
 """Geometric primitives: lattices, chord and balanced probes, and the
-conservative coverage certifier."""
+coverage certifier: the exact arc test of decide mode, checked against the
+refine-mode quadtree and dense sampling, and the quadtree itself."""
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from marcopolo.geometry import (
@@ -21,8 +23,15 @@ from marcopolo.geometry import (
     hex_lattice,
     uncovered_hulls,
 )
-from marcopolo.geometry import _cells_hull, _cluster_cells, _convex_hull
-from marcopolo.placements import construct_layer
+from marcopolo.geometry import (
+    _cells_hull,
+    _circle_gaps,
+    _cluster_cells,
+    _convex_hull,
+)
+from marcopolo.placements import PlacementFile, construct_layer, hexfam_layer
+
+PLACEMENTS_DIR = Path(__file__).resolve().parent.parent / "placements"
 
 
 def _hex_contains(hexes, pts: np.ndarray) -> np.ndarray:
@@ -170,13 +179,17 @@ class TestCertifyCoverage:
 
     def test_alg3_scheme_fails_below_minimum(self):
         layer = construct_layer("ALG3", rho1=0.82)
-        report = certify_coverage(list(layer.probes), 1e-3)
+        report = certify_coverage(list(layer.probes), 1e-3,
+                                  refine_uncovered=True)
         assert not report.certified_covered
         assert report.uncovered_area_upper_bound > 0.0
-        # the gaps sit near the perimeter
-        for cluster in report.uncovered_regions:
-            radii = np.hypot(cluster[:, 0], cluster[:, 1])
-            assert radii.max() > 0.9
+        # a gap reaches the perimeter, where the unit circle is uncovered;
+        # refine mode also maps the interior gap between the chords
+        reach = [np.hypot(c[:, 0], c[:, 1]).max()
+                 for c in report.uncovered_regions]
+        assert max(reach) > 0.9
+        arcs = certify_coverage(layer.probes).uncovered_arcs
+        assert arcs[0][0] == -1
 
     def test_report_invariants(self):
         with pytest.raises(AssertionError):
@@ -197,6 +210,174 @@ class TestCertifyCoverage:
             assert covered.all(), f"{aid} left uncovered samples"
 
 
+class TestArcCertifier:
+    """Decide mode: the exact probe-circle arc criterion."""
+
+    def test_coincident_probes_leave_their_gap(self):
+        # ALG4 covers the unit circle but leaves interior pinholes; an
+        # identical copy of each probe must not cover its twin's circle
+        probes = list(construct_layer("ALG4").probes)
+        single = certify_coverage(probes)
+        double = certify_coverage(probes + probes)
+        assert not single.certified_covered
+        assert not double.certified_covered
+        m = len(probes)
+        twins = sorted((c % m, a, b) for c, a, b in double.uncovered_arcs)
+        expected = sorted(2 * single.uncovered_arcs)
+        assert [c for c, _, _ in twins] == [c for c, _, _ in expected]
+        assert np.allclose([arc[1:] for arc in twins],
+                           [arc[1:] for arc in expected], rtol=0.0,
+                           atol=1e-12)
+
+    @pytest.mark.parametrize("aid", ["ALG1", "ALG2"])
+    def test_tangent_hexagonal_lattices_certify(self, aid):
+        # the lattice circles meet exactly at hexagon vertices, some of
+        # them on the unit circle
+        report = certify_coverage(construct_layer(aid).probes)
+        assert report.certified_covered
+        assert report.uncovered_arcs == []
+
+    @pytest.mark.parametrize("r_max, n", [(10, 2 ** 10), (5, 2 ** 10),
+                                          (3, 2 ** 10)])
+    def test_deeper_hexagonal_lattices_certify(self, r_max, n):
+        assert certify_coverage(hexfam_layer(r_max, n).probes) \
+            .certified_covered
+
+    def test_probe_at_origin(self):
+        report = certify_coverage([Probe(Point2(0.0, 0.0), 0.6)])
+        assert report.uncovered_arcs == [(-1, 0.0, 2.0 * math.pi),
+                                         (0, 0.0, 2.0 * math.pi)]
+        ring = [circumscribe(h) for h in hex_lattice(2, 1.0)]
+        assert math.hypot(ring[-1].center.x, ring[-1].center.y) == 0.0
+        assert certify_coverage(ring).certified_covered
+        assert not certify_coverage(ring[:-1]).certified_covered
+
+    def test_probe_circle_outside_the_disk(self):
+        # a dilated circle wholly outside the unit disk needs no cover
+        big = Probe(Point2(0.0, 0.0), 1.0)
+        report = certify_coverage([big, Probe(Point2(0.5, 0.0), 0.3)])
+        assert report.certified_covered
+        # a disk touching the unit disk from outside: only its dilated
+        # sliver inside the disk must be covered, which ALG3 does
+        touching = Probe(Point2(1.5, 0.0), 0.5)
+        alg3 = list(construct_layer("ALG3").probes)
+        assert certify_coverage(alg3 + [touching]).certified_covered
+        report = certify_coverage([Probe(Point2(0.0, 0.0), 0.6), touching])
+        assert [c for c, _, _ in report.uncovered_arcs] == [-1, 0, 1]
+        _, start, end = report.uncovered_arcs[2]
+        assert start < math.pi < end and end - start < 1e-3
+
+    def test_decide_mode_ignores_min_cell(self):
+        probes = construct_layer("ALG3", rho1=0.8438).probes
+        reports = [certify_coverage(probes, mc) for mc in (1e-2, 1e-6, 0.0)]
+        assert all(r.uncovered_arcs == reports[0].uncovered_arcs
+                   for r in reports)
+        assert not reports[0].certified_covered
+
+
+class TestCircleGaps:
+    def test_wrapped_arc_covers_the_start(self):
+        # the last arc runs past 2*pi and covers the gap after the first
+        start = np.array([0.1, 0.3, 0.7])
+        end = np.array([0.2, 0.8, 6.6])
+        c, a, b = _circle_gaps(np.zeros(3, dtype=np.int64), start,
+                               end - start, 1)
+        assert c.size == 0
+
+    def test_gaps_per_circle(self):
+        circle = np.array([2, 0, 0, 2])
+        start = np.array([1.0, 0.5, 3.0, 0.0])
+        length = np.array([2.0 * math.pi, 1.0, 1.0, 0.5])
+        c, a, b = _circle_gaps(circle, start, length, 3)
+        assert c.tolist() == [0, 0, 1]
+        assert a.tolist() == [1.5, 4.0, 0.0]
+        assert b.tolist() == [3.0, 0.5 + 2.0 * math.pi, 2.0 * math.pi]
+
+
+def _golden_probes() -> list[tuple]:
+    return [PlacementFile.from_json(p.read_text()).probes
+            for p in sorted(PLACEMENTS_DIR.glob("alg*.json"))]
+
+
+_FIXED = [construct_layer("ALG3", 0.8438).probes,
+          construct_layer("ALG3", 0.8440).probes,
+          construct_layer("ALG6", 0.8135).probes]
+
+
+@st.composite
+def _oracle_placements(draw):
+    """Fuzzed golden layers, random placements (some with duplicated
+    probes), and the schedules just below and above ALG3's base."""
+    kind = draw(st.sampled_from(["fixed", "fuzz", "random"]))
+    if kind == "fixed":
+        return list(draw(st.sampled_from(_FIXED)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "fuzz":
+        probes = draw(st.sampled_from(_golden_probes()))
+        sigma = 10.0 ** draw(st.floats(-9.0, -2.0))
+        noise = rng.standard_normal((len(probes), 2)) * sigma
+        try:
+            return [Probe(Point2(p.center.x + dx, p.center.y + dy), p.rho)
+                    for p, (dx, dy) in zip(probes, noise)]
+        except ValueError:
+            assume(False)
+    m = draw(st.integers(1, 10))
+    r = np.sqrt(rng.uniform(0.0, 1.0, m))
+    a = rng.uniform(0.0, 2.0 * math.pi, m)
+    probes = [Probe(Point2(ri * math.cos(ai), ri * math.sin(ai)), rho)
+              for ri, ai, rho in zip(r, a, rng.uniform(0.15, 0.9, m))]
+    if draw(st.booleans()):
+        probes += [probes[i] for i in rng.integers(0, m, m)]
+    return probes
+
+
+def _covered(probes, pts: np.ndarray, tol: float) -> np.ndarray:
+    covered = np.zeros(len(pts), dtype=bool)
+    for p in probes:
+        covered |= np.hypot(pts[:, 0] - p.center.x,
+                            pts[:, 1] - p.center.y) <= p.rho + tol
+    return covered
+
+
+class TestArcCertifierOracle:
+    @given(_oracle_placements())
+    @settings(max_examples=120, deadline=None)
+    def test_against_quadtree_sampling_and_witnesses(self, probes):
+        report = certify_coverage(probes)
+        # the quadtree is sound: what it certifies is covered.  Its cells
+        # grow as (gap area) / min_cell^2, so only small gaps are refined
+        # down to the finer resolution
+        for min_cell in (2e-3, 1e-4):
+            refined = certify_coverage(probes, min_cell,
+                                       refine_uncovered=True)
+            if refined.certified_covered:
+                assert report.certified_covered
+            if refined.uncovered_area_upper_bound > 1e-3:
+                break
+        if report.certified_covered:
+            rng = np.random.default_rng(len(probes))
+            r = np.sqrt(rng.uniform(0.0, 1.0, 20_000))
+            a = rng.uniform(0.0, 2.0 * math.pi, 24_000)
+            pts = np.column_stack([np.append(r, np.ones(4000)) * np.cos(a),
+                                   np.append(r, np.ones(4000)) * np.sin(a)])
+            assert _covered(probes, pts, 1e-9).all()
+        # each uncovered arc's midpoint gives a point of the disk that no
+        # probe covers: just inside the unit circle, or on the dilated
+        # circle, just outside the probe circle
+        for circle, start, end in report.uncovered_arcs:
+            assert 0.0 <= start < 2.0 * math.pi and start < end
+            mid = 0.5 * (start + end)
+            if circle < 0:
+                x, y = (1.0 - 5e-10) * math.cos(mid), \
+                    (1.0 - 5e-10) * math.sin(mid)
+            else:
+                p = probes[circle]
+                x = p.center.x + (p.rho + 1e-9) * math.cos(mid)
+                y = p.center.y + (p.rho + 1e-9) * math.sin(mid)
+            assert math.hypot(x, y) <= 1.0 + 1e-15
+            assert not _covered(probes, np.array([[x, y]]), 0.0).any()
+
+
 class TestUncoveredHulls:
     def test_covered_report_empty(self):
         report = certify_coverage([Probe(Point2(0.0, 0.0), 1.0)], 1e-3)
@@ -207,7 +388,7 @@ class TestUncoveredHulls:
                   Probe(Point2(-0.55, 0.45), 0.5),
                   Probe(Point2(-0.55, -0.45), 0.5),
                   Probe(Point2(-0.9, 0.0), 0.28)]
-        report = certify_coverage(probes, 1e-3)
+        report = certify_coverage(probes, 1e-3, refine_uncovered=True)
         assert not report.certified_covered
         hulls = uncovered_hulls(report)
         assert len(hulls) >= 2
@@ -222,7 +403,8 @@ class TestUncoveredHulls:
 
     def test_alg4_interior_gap(self):
         layer = construct_layer("ALG4", rho1=0.8)
-        report = certify_coverage(list(layer.probes), 2e-3)
+        report = certify_coverage(list(layer.probes), 2e-3,
+                                  refine_uncovered=True)
         assert not report.certified_covered
         assert len(uncovered_hulls(report)) >= 1
 

@@ -7,7 +7,11 @@ import math
 import pytest
 
 from marcopolo.geometry import Point2, Probe
-from marcopolo.placements import construct_layer, execution_layer
+from marcopolo.placements import (
+    construct_layer,
+    execution_layer,
+    load_placement,
+)
 from marcopolo.verifier import (
     BoundsReport,
     bounds_report,
@@ -103,6 +107,17 @@ class TestBoundsReport:
                 response_bound(layer), abs=1e-12)
             for idx in report.worst_probe_index.values():
                 assert 1 <= idx <= layer.m
+
+    def test_matches_separate_functions_on_golden_files(self,
+                                                         placements_dir):
+        paths = sorted(placements_dir.glob("alg*.json"))
+        assert len(paths) == 8
+        for path in paths:
+            layer = load_placement(path)
+            report = bounds_report(layer)
+            assert report.c_probes == probe_coefficient(layer)
+            assert report.b_distance == distance_bound(layer)
+            assert report.c_responses == response_bound(layer)
 
     def test_invalid_report_rejected(self):
         with pytest.raises(ValueError):
