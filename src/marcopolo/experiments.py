@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .placements import LayerPlacement, execution_layer, generate_layer, load_placement
-from .simulator import run_batch
+from .simulator import _check_resolvable, run_batch
 from .verifier import distance_bound, probe_coefficient, response_bound
 
 __all__ = [
@@ -49,6 +49,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        _check_resolvable(self.n)
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not self.algorithms:

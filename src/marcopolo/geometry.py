@@ -26,7 +26,6 @@ __all__ = [
     "chord_probe",
     "balanced_probe_center",
     "certify_coverage",
-    "uncovered_hulls",
 ]
 
 # Ring-1 neighbor angles for a flat-top hexagonal lattice (centers at
@@ -37,6 +36,8 @@ _RING_ANGLES = [math.radians(30 + 60 * i) for i in range(6)]
 # dilated by this much, so that probes meeting tangentially still certify
 _TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
+# elements of a (probes, cells) comparison block of the refine quadtree
+_QUAD_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,34 @@ def certify_coverage(placement, min_cell: float = 1e-4,
             np.ones(steps),
         ]))
     r_core = 1.0 - delta
+    unc, min_side_seen = _core_cells(px, py, pr2, r_core, min_cell)
+    unc.extend(gap_cells)
+    if not unc:
+        return CoverageReport(True, 0.0, [], min_side_seen)
 
+    cells = np.concatenate(unc)
+    # clusters of merely-unresolved cells (no provably uncovered point) can
+    # still be certified when they sit at an exact probe-circle junction
+    clusters = [c for c in _cluster_cells(cells)
+                if c[:, 3].any() or not _junction_certified(c, px, py, pr)]
+    if not clusters:
+        return CoverageReport(True, 0.0, [], min_side_seen)
+    area = float(sum(np.sum((2.0 * c[:, 2]) ** 2) for c in clusters))
+    return CoverageReport(False, area, [c[:, :3] for c in clusters],
+                          min_side_seen)
+
+
+def _core_cells(px: np.ndarray, py: np.ndarray, pr2: np.ndarray,
+                r_core: float, min_cell: float
+                ) -> tuple[list[np.ndarray], float]:
+    """The refine-mode quadtree over the core disk |z| <= r_core.
+
+    Returns (n, 4) blocks [x, y, half, bad] of the cells that are neither
+    wholly outside the core disk nor wholly inside one probe disk of
+    squared radius pr2, refined until their side drops below ``min_cell``
+    (``bad`` cells, whose center is provably uncovered, stop at min_cell),
+    and the smallest cell side visited.
+    """
     cx = np.array([0.0])
     cy = np.array([0.0])
     half = 1.0  # all cells at one subdivision level share their size
@@ -282,28 +310,17 @@ def certify_coverage(placement, min_cell: float = 1e-4,
         nx = np.maximum(np.abs(cx) - half, 0.0)
         ny = np.maximum(np.abs(cy) - half, 0.0)
         alive = nx * nx + ny * ny <= r_core * r_core
-        # covered: wholly inside some single probe disk
-        covered = np.zeros(cx.size, dtype=bool)
-        for j in range(px.size):
-            todo = alive & ~covered
-            if not todo.any():
-                break
-            fx = np.abs(cx[todo] - px[j]) + half
-            fy = np.abs(cy[todo] - py[j]) + half
-            sub = fx * fx + fy * fy <= pr2[j]
-            idx = np.flatnonzero(todo)
-            covered[idx[sub]] = True
-        open_idx = np.flatnonzero(alive & ~covered)
+        # open: not wholly inside any single probe disk
+        open_idx = np.flatnonzero(alive)
+        open_idx = open_idx[~_inside_any(cx[open_idx], cy[open_idx], half,
+                                         px, py, pr2)]
         if open_idx.size == 0:
             break
         ox, oy = cx[open_idx], cy[open_idx]
         # exact disproof: a cell center inside the core disk but outside
         # every probe disk is a genuine uncovered point
-        bad = ox * ox + oy * oy <= r_core * r_core
-        for j in range(px.size):
-            if not bad.any():
-                break
-            bad &= (ox - px[j]) ** 2 + (oy - py[j]) ** 2 > pr2[j]
+        bad = ((ox * ox + oy * oy <= r_core * r_core)
+               & ~_inside_any(ox, oy, 0.0, px, py, pr2))
         # provably uncovered cells stop refining at min_cell, like the
         # merely unresolved ones, so callers measuring gaps see true sizes
         at_floor = side / 2.0 < min_cell
@@ -322,21 +339,24 @@ def certify_coverage(placement, min_cell: float = 1e-4,
         n_open = cx.size
         cx = np.repeat(cx, 4) + np.tile([-half, -half, half, half], n_open)
         cy = np.repeat(cy, 4) + np.tile([-half, half, -half, half], n_open)
+    return unc, min_side_seen
 
-    unc.extend(gap_cells)
-    if not unc:
-        return CoverageReport(True, 0.0, [], min_side_seen)
 
-    cells = np.concatenate(unc)
-    # clusters of merely-unresolved cells (no provably uncovered point) can
-    # still be certified when they sit at an exact probe-circle junction
-    clusters = [c for c in _cluster_cells(cells)
-                if c[:, 3].any() or not _junction_certified(c, px, py, pr)]
-    if not clusters:
-        return CoverageReport(True, 0.0, [], min_side_seen)
-    area = float(sum(np.sum((2.0 * c[:, 2]) ** 2) for c in clusters))
-    return CoverageReport(False, area, [c[:, :3] for c in clusters],
-                          min_side_seen)
+def _inside_any(cx: np.ndarray, cy: np.ndarray, half: float,
+                px: np.ndarray, py: np.ndarray, pr2: np.ndarray) -> np.ndarray:
+    """Whether each square cell (cx, cy) of half-side ``half`` lies wholly
+    inside some closed disk (px, py) of squared radius pr2: its farthest
+    corner is within the radius; half = 0 tests the points (cx, cy).  The
+    (disks, cells) comparisons run in blocks of about _QUAD_CHUNK."""
+    out = np.empty(cx.size, dtype=bool)
+    cols = max(1, _QUAD_CHUNK // px.size)
+    # disks along the first axis: reducing over it is an elementwise OR
+    # of cell rows, fast also for a handful of disks
+    for k in range(0, cx.size, cols):
+        fx = np.abs(cx[k:k + cols] - px[:, None]) + half
+        fy = np.abs(cy[k:k + cols] - py[:, None]) + half
+        out[k:k + cols] = (fx * fx + fy * fy <= pr2[:, None]).any(axis=0)
+    return out
 
 
 def _uncovered_arcs(px: np.ndarray, py: np.ndarray, pr: np.ndarray,
@@ -599,19 +619,6 @@ def _dense_rank(v: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(steps)))[inverse]
 
 
-def uncovered_hulls(report: CoverageReport) -> list[np.ndarray]:
-    """Convex hull polygon per uncovered cluster, largest area first.
-
-    Each hull is an (n, 2) array of counterclockwise vertices built from the
-    cell corners, so the hull conservatively contains the whole cluster.
-    """
-    if report.certified_covered or not report.uncovered_regions:
-        return []
-    hulls = [_cells_hull(cells) for cells in report.uncovered_regions]
-    hulls.sort(key=lambda p: -_polygon_area(p))
-    return hulls
-
-
 def _cells_hull(cells: np.ndarray) -> np.ndarray:
     """Convex hull of the corners of square cells given as [x, y, half]."""
     x, y, h = cells[:, 0], cells[:, 1], cells[:, 2]
@@ -657,10 +664,3 @@ def _convex_hull(x: np.ndarray, low: np.ndarray,
     lower = half(seq)
     upper = half(seq[::-1])
     return np.array(lower[:-1] + upper[:-1])
-
-
-def _polygon_area(poly: np.ndarray) -> float:
-    if poly.shape[0] < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))

@@ -113,6 +113,19 @@ def _best_chord_probe(regions: list[np.ndarray], r: float,
     Candidates are the two centers of each hull-point pair (i, j), i < j,
     taken in (i, j, +/-) order; the first one to beat the best score so
     far by more than 1e-15 wins, so ties go to the earliest candidate.
+    A score is the row sum, in cell order, of the weights of the cells
+    inside the candidate's closed disk.
+
+    Most cells lie far from any one candidate, so each candidate is first
+    scored only against the cells near it: candidates are grouped in
+    square tiles of side r/2, and a tile's candidates against the cells
+    in the box of their centers widened by r plus a margin, which holds
+    every cell the exact test accepts.  Such a pruned score adds the same
+    weights as the row sum in another order, so it may differ from it in
+    the last bits.  Only the contenders, whose pruned score comes within
+    a rounding guard of every earlier one, can beat all earlier
+    candidates on row sums; they alone are scored with row sums and
+    scanned, which picks the same winner as scanning every row sum.
     """
     pts = _densify_hull(_cells_hull(regions[0]), r / 2.0, hull_cap)
     score_cells = np.concatenate(regions)
@@ -120,8 +133,19 @@ def _best_chord_probe(regions: list[np.ndarray], r: float,
         score_cells = score_cells[::int(math.ceil(len(score_cells) / 4000))]
     weight = (2.0 * score_cells[:, 2]) ** 2
     sx, sy = score_cells[:, 0], score_cells[:, 1]
+    by_x = np.argsort(sx, kind="stable")
+    bx, by, bw = sx[by_x], sy[by_x], weight[by_x]
+    # a cell the exact test accepts lies within r of the center, up to
+    # rounding far below this margin
+    reach = r + 1e-9
+    # each sum of the same N weights lies within (N - 1) * 2**-53 * W of
+    # their exact sum (W the total weight), so a pruned score and its row
+    # sum differ by less than N * 2**-52 * W, and a candidate that beats
+    # every earlier row sum has a pruned score above every earlier pruned
+    # score minus twice that
+    guard = 2.0 * sx.size * 2.0 ** -52 * float(weight.sum())
+    tile = 0.5 * r
 
-    step = max(1, _SCORE_CHUNK // max(1, sx.size))
     best, best_score = None, 0.0
     pair_i, pair_j = np.triu_indices(len(pts), 1)
     for start in range(0, pair_i.size, _PAIR_BLOCK):
@@ -142,23 +166,51 @@ def _best_chord_probe(regions: list[np.ndarray], r: float,
               - side * (dy / norm)[:, None]).ravel()
         cy = ((0.5 * (pts[i, 1] + pts[j, 1]))[:, None]
               + side * (dx / norm)[:, None]).ravel()
-        # the (candidates, cells) temporaries stay near _SCORE_CHUNK
-        # elements
+        tx = np.floor(cx / tile)
+        ty = np.floor(cy / tile)
+        order = np.lexsort((ty, tx))
+        cut = np.flatnonzero((np.diff(tx[order]) != 0)
+                             | (np.diff(ty[order]) != 0)) + 1
         scores = np.empty(cx.size)
-        for k in range(0, cx.size, step):
-            inside = ((sx - cx[k:k + step, None]) ** 2
-                      + (sy - cy[k:k + step, None]) ** 2) <= r * r
-            scores[k:k + step] = (weight * inside).sum(axis=1)
-        # every earlier score is at most best_score + 1e-15, so a winner
-        # beats best_score and each earlier score of its block: the
-        # sequential first-best scan need not visit anything else
+        for group in np.split(order, cut):
+            gx, gy = cx[group], cy[group]
+            lo, hi = np.searchsorted(bx, (gx.min() - reach,
+                                          gx.max() + reach))
+            near = (by[lo:hi] >= gy.min() - reach) \
+                & (by[lo:hi] <= gy.max() + reach)
+            scores[group] = _removed_area(bx[lo:hi][near], by[lo:hi][near],
+                                          bw[lo:hi][near], gx, gy, r)
+        # a winner removes some area and beats every earlier candidate
         prior = np.maximum.accumulate(
             np.concatenate(([best_score], scores[:-1])))
-        for k in np.flatnonzero(scores > prior).tolist():
-            if scores[k] > best_score + 1e-15:
-                best_score = float(scores[k])
-                best = (float(cx[k]), float(cy[k]))
+        contenders = np.flatnonzero((scores > prior - guard) & (scores > 0.0))
+        exact = _removed_area(sx, sy, weight, cx[contenders],
+                              cy[contenders], r)
+        # every earlier row sum is at most best_score + 1e-15, so a winner
+        # beats best_score and each earlier contender's row sum: the
+        # sequential first-best scan need not visit anything else
+        prior = np.maximum.accumulate(
+            np.concatenate(([best_score], exact[:-1])))
+        for k in np.flatnonzero(exact > prior).tolist():
+            if exact[k] > best_score + 1e-15:
+                best_score = float(exact[k])
+                c = contenders[k]
+                best = (float(cx[c]), float(cy[c]))
     return best
+
+
+def _removed_area(sx: np.ndarray, sy: np.ndarray, weight: np.ndarray,
+                  cx: np.ndarray, cy: np.ndarray, r: float) -> np.ndarray:
+    """Per closed disk (cx, cy, r), the row sum of the weights of the
+    cells (sx, sy) inside it; the (disks, cells) temporaries stay near
+    _SCORE_CHUNK elements."""
+    out = np.empty(cx.size)
+    rows = max(1, _SCORE_CHUNK // max(1, sx.size))
+    for k in range(0, cx.size, rows):
+        inside = ((sx - cx[k:k + rows, None]) ** 2
+                  + (sy - cy[k:k + rows, None]) ** 2) <= r * r
+        out[k:k + rows] = (weight * inside).sum(axis=1)
+    return out
 
 
 def _greedy_core(probes: list[Probe], rho1: float, max_probes: int,

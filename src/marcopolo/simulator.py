@@ -23,6 +23,9 @@ from .placements import LayerPlacement
 
 _EPS = 1e-9
 _BATCH_CHUNK = 4096  # POIs per slice of run_batch
+# largest search radius: above 2**52 adjacent float64 values lie more than
+# 1 apart, the unit localization radius
+_MAX_N = 2.0 ** 52
 
 
 @dataclass
@@ -34,6 +37,7 @@ class World:
     active: list[bool] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        _check_resolvable(self.n)
         if self.n < 1:
             raise ValueError("search radius must be at least 1")
         if not self.active:
@@ -43,6 +47,13 @@ class World:
         if all(math.hypot(p.x, p.y) > self.n + _EPS
                for p, a in zip(self.pois, self.active) if a):
             raise ValueError("no active POI inside the search region")
+
+
+def _check_resolvable(n: float) -> None:
+    """Reject a search radius float64 cannot resolve to unit distances."""
+    if not math.isfinite(n) or n > _MAX_N:
+        raise ValueError(f"search radius {n} is not finite or exceeds "
+                         f"2**52, beyond unit float64 resolution")
 
 
 @dataclass

@@ -25,6 +25,14 @@ class TestExperimentConfig:
         assert config.trials == 100_000
         assert config.algorithms == tuple(f"ALG{i}" for i in range(1, 7))
 
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"), 2.0 ** 53])
+    def test_rejects_unresolvable_n(self, n):
+        with pytest.raises(ValueError, match="not finite or exceeds 2"):
+            ExperimentConfig(n=n)
+
+    def test_accepts_largest_resolvable_n(self):
+        assert ExperimentConfig(n=2.0 ** 52).n == 2.0 ** 52
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)

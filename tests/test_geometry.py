@@ -21,8 +21,8 @@ from marcopolo.geometry import (
     chord_probe,
     circumscribe,
     hex_lattice,
-    uncovered_hulls,
 )
+from marcopolo import geometry
 from marcopolo.geometry import (
     _cells_hull,
     _circle_gaps,
@@ -378,10 +378,16 @@ class TestArcCertifierOracle:
             assert not _covered(probes, np.array([[x, y]]), 0.0).any()
 
 
-class TestUncoveredHulls:
+class TestUncoveredRegions:
+    """The report's uncovered regions: one array of cells per gap
+    cluster, largest cell area first."""
+
     def test_covered_report_empty(self):
-        report = certify_coverage([Probe(Point2(0.0, 0.0), 1.0)], 1e-3)
-        assert uncovered_hulls(report) == []
+        for refine in (False, True):
+            report = certify_coverage([Probe(Point2(0.0, 0.0), 1.0)], 1e-3,
+                                      refine_uncovered=refine)
+            assert report.certified_covered
+            assert report.uncovered_regions == []
 
     def test_two_gaps_ordered_by_area(self):
         probes = [Probe(Point2(0.35, 0.0), 0.72),
@@ -390,15 +396,9 @@ class TestUncoveredHulls:
                   Probe(Point2(-0.9, 0.0), 0.28)]
         report = certify_coverage(probes, 1e-3, refine_uncovered=True)
         assert not report.certified_covered
-        hulls = uncovered_hulls(report)
-        assert len(hulls) >= 2
-
-        def hull_area(poly):
-            x, y = poly[:, 0], poly[:, 1]
-            return 0.5 * abs(np.dot(x, np.roll(y, -1))
-                             - np.dot(y, np.roll(x, -1)))
-
-        areas = [hull_area(h) for h in hulls]
+        assert len(report.uncovered_regions) >= 2
+        areas = [float(np.sum((2.0 * c[:, 2]) ** 2))
+                 for c in report.uncovered_regions]
         assert areas == sorted(areas, reverse=True)
 
     def test_alg4_interior_gap(self):
@@ -406,7 +406,7 @@ class TestUncoveredHulls:
         report = certify_coverage(list(layer.probes), 2e-3,
                                   refine_uncovered=True)
         assert not report.certified_covered
-        assert len(uncovered_hulls(report)) >= 1
+        assert len(report.uncovered_regions) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -549,3 +549,95 @@ class TestClusterCells:
         self._check(cells)
         # rows in a scrambled order form the same components
         self._check(cells[np.random.default_rng(1).permutation(len(cells))])
+
+
+def _reference_core_cells(px, py, pr2, r_core, min_cell):
+    """The refine-mode quadtree testing its cells one probe at a time."""
+    cx = np.array([0.0])
+    cy = np.array([0.0])
+    half = 1.0
+    min_side_seen = 2.0
+    unc = []
+    while cx.size:
+        side = 2.0 * half
+        min_side_seen = min(min_side_seen, side)
+        nx = np.maximum(np.abs(cx) - half, 0.0)
+        ny = np.maximum(np.abs(cy) - half, 0.0)
+        alive = nx * nx + ny * ny <= r_core * r_core
+        covered = np.zeros(cx.size, dtype=bool)
+        for j in range(px.size):
+            todo = alive & ~covered
+            if not todo.any():
+                break
+            fx = np.abs(cx[todo] - px[j]) + half
+            fy = np.abs(cy[todo] - py[j]) + half
+            sub = fx * fx + fy * fy <= pr2[j]
+            idx = np.flatnonzero(todo)
+            covered[idx[sub]] = True
+        open_idx = np.flatnonzero(alive & ~covered)
+        if open_idx.size == 0:
+            break
+        ox, oy = cx[open_idx], cy[open_idx]
+        bad = ox * ox + oy * oy <= r_core * r_core
+        for j in range(px.size):
+            if not bad.any():
+                break
+            bad &= (ox - px[j]) ** 2 + (oy - py[j]) ** 2 > pr2[j]
+        at_floor = side / 2.0 < min_cell
+        park = bad & (side <= min_cell)
+        if at_floor:
+            park = np.ones(ox.size, dtype=bool)
+        if park.any():
+            unc.append(np.column_stack([ox[park], oy[park],
+                                        np.full(int(park.sum()), half),
+                                        bad[park].astype(float)]))
+        keep = ~park
+        if at_floor or not keep.any():
+            break
+        cx, cy = ox[keep], oy[keep]
+        half /= 2.0
+        n_open = cx.size
+        cx = np.repeat(cx, 4) + np.tile([-half, -half, half, half], n_open)
+        cy = np.repeat(cy, 4) + np.tile([-half, half, -half, half], n_open)
+    return unc, min_side_seen
+
+
+def _fuzzed_golden(seed: int, sigma: float) -> list[Probe]:
+    """Golden layer seed % 8 with N(0, sigma^2) noise on its centers."""
+    rng = np.random.default_rng(seed)
+    probes = _golden_probes()[seed % 8]
+    noise = rng.standard_normal((len(probes), 2)) * sigma
+    return [Probe(Point2(p.center.x + dx, p.center.y + dy), p.rho)
+            for p, (dx, dy) in zip(probes, noise)]
+
+
+class TestQuadtreeBlocks:
+    """Refine mode tests each level's cells against all probes in
+    (probes, cells) blocks; its reports equal those of the quadtree that
+    tests one probe at a time, for golden layers (the lattices certify
+    only through their exact junctions), fuzzed ones and ALG4 at 0.8."""
+
+    @pytest.mark.parametrize("probes, min_cell", [
+        (list(construct_layer("ALG4", rho1=0.8).probes), 2e-3),
+        (list(construct_layer("ALG4", rho1=0.8).probes), 1e-3),
+    ] + [(_fuzzed_golden(seed, sigma), 2e-3)
+         for seed in range(8) for sigma in (0.0, 1e-6, 1e-4)])
+    def test_matches_per_probe_loop(self, probes, min_cell, monkeypatch):
+        report = certify_coverage(probes, min_cell, refine_uncovered=True)
+        # blocks of a few cells each cross many block boundaries
+        monkeypatch.setattr(geometry, "_QUAD_CHUNK", 100)
+        small_blocks = certify_coverage(probes, min_cell,
+                                        refine_uncovered=True)
+        monkeypatch.setattr(geometry, "_core_cells", _reference_core_cells)
+        expected = certify_coverage(probes, min_cell, refine_uncovered=True)
+        for got in (report, small_blocks):
+            assert got.certified_covered == expected.certified_covered
+            assert got.uncovered_area_upper_bound == \
+                expected.uncovered_area_upper_bound
+            assert got.min_cell_size_reached == \
+                expected.min_cell_size_reached
+            assert len(got.uncovered_regions) == \
+                len(expected.uncovered_regions)
+            for cells, want in zip(got.uncovered_regions,
+                                   expected.uncovered_regions):
+                assert np.array_equal(cells, want)

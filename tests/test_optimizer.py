@@ -190,6 +190,84 @@ class TestBestChordProbe:
         assert expected != first_max
         assert _best_chord_probe(regions, r) == expected
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dyadic_and_annulus_cells(self, seed):
+        # refine-mode annulus cells have non-dyadic half-sides such as
+        # 0.002, so sums over them round differently in another order
+        rng = np.random.default_rng(10 + seed)
+        angle = np.sort(rng.uniform(-0.6, 0.6, 400))
+        ring = np.column_stack([np.cos(angle) * 0.998, np.sin(angle) * 0.998,
+                                np.full(angle.size, 0.002)])
+        regions = [np.concatenate([_blob(rng, 150, 0.85, 0.0, 2.0 ** -7),
+                                   ring]),
+                   _blob(rng, 80, 0.6, 0.3, 2.0 ** -8)]
+        for r, cap in ((0.03, 96), (0.1, 32), (0.25, 96)):
+            expected = _reference_chord_probe(regions, r, cap)
+            assert expected is not None
+            assert _best_chord_probe(regions, r, cap) == expected
+
+    def test_cells_at_distance_r(self):
+        # the hull of one small cell gives a dozen candidates, each of
+        # which removes that cell; a heavy cell at distance r from one
+        # candidate, on an edge of its bounding box and inside no other
+        # disk, makes that candidate win unless a prune drops the cell
+        base = np.array([[0.0, 0.0, 1e-3]])
+        r = 0.12
+        centers = [c for c, _ in _reference_chord_scores([base], r)]
+        boundary = 0
+        for k, (cx, cy) in enumerate(centers):
+            for ex, ey in ((r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)):
+                sx, sy = cx + ex, cy + ey
+                inside = [(sx - ox) ** 2 + (sy - oy) ** 2 <= r * r
+                          for ox, oy in centers]
+                if not inside[k] or sum(inside) > 1:
+                    continue
+                boundary += 1
+                regions = [base, np.array([[sx, sy, 0.01]])]
+                assert _reference_chord_probe(regions, r) == (cx, cy)
+                assert _best_chord_probe(regions, r) == (cx, cy)
+        assert boundary >= 4
+
+    def test_rescore_decides_between_rounded_sums(self):
+        # a pruned score sums the same weights as the row sum but in
+        # order of x (for fewer than 8 cells NumPy sums sequentially);
+        # here that order makes a scan over pruned scores pick another
+        # winner than the row sums do, and so does a scan over the row
+        # sums of only those candidates whose pruned score beats every
+        # earlier one: the contenders need the rounding guard
+        rng = np.random.default_rng(17396)
+        big = np.column_stack([rng.uniform(-0.05, 0.05, (3, 2)),
+                               rng.uniform(0.005, 0.02, 3)])
+        half = math.sqrt(1e-15) / 2.0 * (1.0 + rng.uniform(-3e-3, 3e-3, 4))
+        tiny = np.column_stack([rng.uniform(-0.08, 0.08, (4, 2)), half])
+        regions, r = [big, tiny], 0.06
+        cells = np.concatenate(regions)
+        weight = (2.0 * cells[:, 2]) ** 2
+        by_x = np.argsort(cells[:, 0], kind="stable")
+        row_sums, x_sums = [], []
+        for (cx, cy), removed in _reference_chord_scores(regions, r):
+            inside = ((cells[:, 0] - cx) ** 2
+                      + (cells[:, 1] - cy) ** 2) <= r * r
+            row_sums.append(removed)
+            x_sums.append(float((weight * inside)[by_x].sum()))
+        assert row_sums != x_sums
+
+        def first_best(scores):
+            best, best_score = None, 0.0
+            for k, score in enumerate(scores):
+                if score > best_score + 1e-15:
+                    best, best_score = k, score
+            return best
+
+        winner = first_best(row_sums)
+        assert first_best(x_sums) != winner
+        records = np.flatnonzero(np.array(x_sums) > np.maximum.accumulate(
+            [0.0] + x_sums[:-1]))
+        assert first_best([row_sums[k] if k in records else 0.0
+                           for k in range(len(row_sums))]) != winner
+        assert _best_chord_probe(regions, r) == \
+            _reference_chord_probe(regions, r)
+
     def test_no_candidate(self):
         # candidates along the hull of one large cell never reach its
         # center, so every score is zero and no center wins

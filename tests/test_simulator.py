@@ -39,6 +39,15 @@ class TestWorld:
         with pytest.raises(ValueError):
             World(4.0, [Point2(9.0, 0.0)])
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.0 ** 53])
+    def test_rejects_unresolvable_radius(self, n):
+        # above 2**52 float64 cannot resolve unit distances
+        with pytest.raises(ValueError, match="not finite or exceeds 2"):
+            World(n, [Point2(1.0, 0.0)])
+
+    def test_accepts_largest_resolvable_radius(self):
+        assert World(2.0 ** 52, [Point2(1.0, 0.0)]).n == 2.0 ** 52
+
     def test_probe_semantics(self):
         world = World(8.0, [Point2(3.0, 0.0)])
         assert probe(world, Point2(0.0, 0.0), 3.0)  # boundary counts
