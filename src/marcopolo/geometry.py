@@ -294,8 +294,8 @@ def _core_cells(px: np.ndarray, py: np.ndarray, pr2: np.ndarray,
     Returns (n, 4) blocks [x, y, half, bad] of the cells that are neither
     wholly outside the core disk nor wholly inside one probe disk of
     squared radius pr2, refined until their side drops below ``min_cell``
-    (``bad`` cells, whose center is provably uncovered, stop at min_cell),
-    and the smallest cell side visited.
+    (``bad`` marks the cells whose center is provably uncovered), and the
+    smallest cell side visited.
     """
     cx = np.array([0.0])
     cy = np.array([0.0])
@@ -323,18 +323,11 @@ def _core_cells(px: np.ndarray, py: np.ndarray, pr2: np.ndarray,
                & ~_inside_any(ox, oy, 0.0, px, py, pr2))
         # provably uncovered cells stop refining at min_cell, like the
         # merely unresolved ones, so callers measuring gaps see true sizes
-        at_floor = side / 2.0 < min_cell
-        park = bad & (side <= min_cell)
-        if at_floor:
-            park = np.ones(ox.size, dtype=bool)
-        if park.any():
-            unc.append(np.column_stack([ox[park], oy[park],
-                                        np.full(int(park.sum()), half),
-                                        bad[park].astype(float)]))
-        keep = ~park
-        if at_floor or not keep.any():
+        if side / 2.0 < min_cell:
+            unc.append(np.column_stack([ox, oy, np.full(ox.size, half),
+                                        bad.astype(float)]))
             break
-        cx, cy = ox[keep], oy[keep]
+        cx, cy = ox, oy
         half /= 2.0
         n_open = cx.size
         cx = np.repeat(cx, 4) + np.tile([-half, -half, half, half], n_open)

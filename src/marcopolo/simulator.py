@@ -7,18 +7,24 @@ checks, and a vectorized batch of single-POI descents for Monte Carlo
 campaigns.  The response-limited hexagonal family runs through
 ``run_single`` on a ``hexfam_layer``.
 
-Each layer placement lives on the unit disk and is scaled/rotated into the
-current search area.  ``run_single`` keeps positions absolute; ``run_batch``
-keeps each trial in its current area's frame, so it resolves large n.
+Each layer placement lives on the unit disk.  Both kernels, ``run_single``
+and ``run_batch``, keep a search in the frame of its current area: the
+area scaled to the unit disk and turned so the first probe faces the
+searcher.  Positions stay relative to the area, so float64 resolves them
+up to n = 2**52.  The kernels read the same per-layer constants
+(``_frame``) and round alike, so they agree trial for trial.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Point2, Probe
+from .geometry import Point2
 from .placements import LayerPlacement
 
 _EPS = 1e-9
@@ -61,7 +67,6 @@ class SearchState:
     area_center: Point2
     area_radius: float
     delta_pos: Point2
-    rotation: float = 0.0
 
 
 @dataclass
@@ -69,7 +74,7 @@ class SearchTrace:
     probes: int = 0
     distance: float = 0.0
     responses: int = 0
-    path: list[Point2] = field(default_factory=list)
+    end: Point2 = Point2(0.0, 0.0)  # the searcher's final position
     success: bool = False
     found_poi: int = -1
     containment_lost: bool = False
@@ -83,22 +88,53 @@ def probe(world: World, center: Point2, d: float) -> bool:
                for p, a in zip(world.pois, world.active))
 
 
-def _rotation_toward(placement: LayerPlacement, state: SearchState) -> float:
-    """Rotation angle placing the first probe center nearest the searcher."""
-    first = placement.probes[0].center
-    d1 = math.hypot(first.x, first.y)
-    dx = state.delta_pos.x - state.area_center.x
-    dy = state.delta_pos.y - state.area_center.y
-    if d1 < _EPS or math.hypot(dx, dy) < _EPS:
-        return 0.0
-    return math.atan2(dy, dx) - math.atan2(first.y, first.x)
+class _Frame(NamedTuple):
+    """Per-layer constants of the frame-relative descent.
+
+    A level ends in probe k, the first issued probe that holds the POI, or
+    the omitted last probe when none does; the next area is that probe's
+    disk.  ``mag``, ``turn`` and ``leg`` describe the searcher as the next
+    level finds it, indexed by k; their last entry, m, describes a searcher
+    at the area's center.  Both kernels read the same values, so they round
+    alike: ``run_single`` as Python lists, which are cheaper to index one
+    probe at a time, and ``run_batch`` as NumPy arrays.
+    """
+
+    z: Sequence[complex]  # probe centers
+    rho: Sequence[float]  # probe radii
+    reach: Sequence[float]  # rho, with inf for the omitted last probe
+    cum: Sequence[float]  # walk from the first issued probe to probe k
+    face: complex | None  # the first probe's direction; None if centred
+    mag: Sequence[float]  # the searcher's distance from the area's center
+    turn: Sequence[complex]  # the frame turn that faces the first probe
+    leg: Sequence[float]  # the turned searcher's walk to the first probe
 
 
-def _abs_probe(p: Probe, state: SearchState) -> tuple[Point2, float]:
-    c, s = math.cos(state.rotation), math.sin(state.rotation)
-    x = state.area_center.x + state.area_radius * (c * p.center.x - s * p.center.y)
-    y = state.area_center.y + state.area_radius * (s * p.center.x + c * p.center.y)
-    return Point2(x, y), state.area_radius * p.rho
+def _facing(face: complex | None, z0: complex,
+            w: complex) -> tuple[float, complex, float]:
+    """``(mag, turn, leg)`` of a searcher at ``w`` in an area's frame."""
+    mag = math.sqrt(w.real * w.real + w.imag * w.imag)
+    if face is None or mag == 0.0:
+        return mag, 1.0 + 0j, abs(z0 - w)
+    turn = face * w.conjugate() * (1.0 / mag)
+    return mag, turn, abs(z0 - w * turn)
+
+
+def _frame(placement: LayerPlacement) -> _Frame:
+    """The ``_Frame`` of a layer, as Python lists."""
+    z = [complex(p.center.x, p.center.y) for p in placement.probes]
+    rho = [p.rho for p in placement.probes]
+    m = len(z)
+    reach = rho[:m - 1] + [math.inf]
+    cum = [0.0, *accumulate(abs(b - a) for a, b in zip(z, z[1:m - 1]))]
+    d1 = abs(z[0])
+    face = z[0] * (1.0 / d1) if d1 >= _EPS else None
+    # a level leaves the searcher at its last issued probe, z[min(k, m-2)];
+    # NumPy divides a complex by a real through the reciprocal, so we do too
+    exits = [(z[min(k, m - 2)] - z[k]) * (1.0 / rho[k]) for k in range(m)]
+    facing = [_facing(face, z[0], w) for w in exits + [0j]]
+    mag, turn, leg = map(list, zip(*facing))
+    return _Frame(z, rho, reach, cum, face, mag, turn, leg)
 
 
 def _target_poi(world: World, state: SearchState) -> int:
@@ -121,7 +157,8 @@ def run_single(placement: LayerPlacement, world: World,
     between probe centers); on the first positive response the search
     recurses into that probe's disk, otherwise into the omitted last
     probe's disk without visiting its center.  Each layer is rotated so
-    its first probe center faces the searcher's current position.
+    its first probe center faces the searcher's current position.  The
+    searcher ends at the last area's center, ``SearchTrace.end``.
 
     ``adversarial`` replaces the world's responses with the deterministic
     worst case (the POI is always found in the last executed probe).
@@ -129,54 +166,73 @@ def run_single(placement: LayerPlacement, world: World,
     that only certify perimeter coverage may lose containment through an
     interior gap, which is reported via ``containment_lost`` instead.
     """
+    return _run_single(placement, _frame(placement), world, start,
+                       adversarial)
+
+
+def _run_single(placement: LayerPlacement, frame: _Frame, world: World,
+                start: SearchState | None, adversarial: bool) -> SearchTrace:
+    """``run_single`` on the ``_frame`` of ``placement``.
+
+    The search lives in the frame of its current area, as in
+    ``_descend``: ``q`` is the POI in that frame, ``s`` the area's
+    absolute radius, ``o`` the frame's absolute rotation and ``c`` the
+    area's absolute center, which only ``SearchTrace.end`` reads.
+    """
+    z, rho, reach, cum, face, mags, turns, legs = frame
+    m = len(z)
     state = start or SearchState(Point2(0.0, 0.0), world.n, Point2(0.0, 0.0))
-    trace = SearchTrace(path=[state.delta_pos])
     target = _target_poi(world, state)
     if target < 0 and not adversarial:
         raise ValueError("no active POI inside the start area")
-
-    while state.area_radius > 1.0:
-        state.rotation = _rotation_toward(placement, state)
-        m = placement.m
-        hit = -1
-        for k in range(m - 1):
-            center, radius = _abs_probe(placement.probes[k], state)
-            trace.distance += math.hypot(center.x - state.delta_pos.x,
-                                         center.y - state.delta_pos.y)
-            state.delta_pos = center
-            trace.path.append(center)
-            trace.probes += 1
-            if adversarial:
-                positive = k == m - 2
-            else:
-                p = world.pois[target]
-                positive = math.hypot(p.x - center.x, p.y - center.y) \
-                    <= radius + _EPS
-            if positive:
-                trace.responses += 1
-                hit = k
-                break
-        if hit < 0:
-            hit = m - 1  # omitted probe: inferred, not issued, no response
-        center, radius = _abs_probe(placement.probes[hit], state)
-        state = SearchState(center, radius, state.delta_pos)
-        if not adversarial:
-            p = world.pois[target]
-            if math.hypot(p.x - center.x, p.y - center.y) > radius + _EPS:
-                if placement.coverage == "perimeter":
-                    trace.containment_lost = True
-                else:
-                    raise RuntimeError(
-                        "POI escaped the search area: geometry bug")
-
-    trace.distance += math.hypot(state.area_center.x - state.delta_pos.x,
-                                 state.area_center.y - state.delta_pos.y)
-    state.delta_pos = state.area_center
-    trace.path.append(state.delta_pos)
-    if not adversarial:
+    s = state.area_radius
+    c = complex(state.area_center.x, state.area_center.y)
+    inv = 1.0 / s  # divide as NumPy does, see _frame
+    q = 0j
+    if target >= 0:
         p = world.pois[target]
-        trace.success = math.hypot(p.x - state.delta_pos.x,
-                                   p.y - state.delta_pos.y) <= 1.0 + _EPS
+        q = (complex(p.x, p.y) - c) * inv
+    mag, turn, leg = _facing(
+        face, z[0], (complex(state.delta_pos.x, state.delta_pos.y) - c) * inv)
+    o = 1.0 + 0j
+    last = m - 2  # the last issued probe
+    probes = responses = 0
+    distance = 0.0
+    lost = False
+
+    while s > 1.0:
+        if face is not None:
+            if mag < _EPS / s:
+                # a searcher at the area's center keeps absolute rotation 0
+                turn, o = o, 1.0 + 0j
+            else:
+                o = o * turn.conjugate()
+            q = q * turn
+        if adversarial:
+            hit = last
+        else:
+            tol = _EPS / s
+            hit = 0
+            while abs(q - z[hit]) > reach[hit] + tol:
+                hit += 1
+        stop = hit if hit < last else last
+        distance += s * (leg + cum[stop])
+        probes += stop + 1
+        responses += hit <= last
+        c += s * o * z[hit]
+        q = (q - z[hit]) * (1.0 / rho[hit])
+        s = s * rho[hit]
+        mag, turn, leg = mags[hit], turns[hit], legs[hit]
+        if not adversarial and abs(q) > 1.0 + _EPS / s:
+            if placement.coverage != "perimeter":
+                raise RuntimeError("POI escaped the search area: geometry bug")
+            lost = True
+
+    # the last leg walks to the final area's center
+    trace = SearchTrace(probes, distance + s * mag, responses,
+                        end=Point2(c.real, c.imag), containment_lost=lost)
+    if not adversarial:
+        trace.success = s * abs(q) <= 1.0 + _EPS
         trace.found_poi = target if trace.success else -1
     return trace
 
@@ -207,13 +263,14 @@ def find_all(placement: LayerPlacement, world: World) -> FindAllResult:
     at least 2n is negative, a final radius-2n probe at the original origin
     confirms no active POI remains; these probes are counted separately.
     """
+    frame = _frame(placement)
     work = World(world.n, list(world.pois), list(world.active))
-    trace0 = run_single(placement, work)
+    trace0 = _run_single(placement, frame, work, None, False)
     if not trace0.success:
         raise RuntimeError("initial single-POI search failed")
     result = FindAllResult(trace0.probes, trace0.distance, 0, [], [trace0],
                            [trace0.found_poi])
-    delta = trace0.path[-1]
+    delta = trace0.end
     while True:
         work.active[result.found[-1]] = False
         radius = 2.0
@@ -236,15 +293,15 @@ def find_all(placement: LayerPlacement, world: World) -> FindAllResult:
             return result
         result.p_tot += 1  # the positive doubling probe
         result.gaps.append(radius)
-        trace = run_single(placement, work,
-                           SearchState(delta, radius, delta))
+        trace = _run_single(placement, frame, work,
+                            SearchState(delta, radius, delta), False)
         if not trace.success:
             raise RuntimeError("follow-up single-POI search failed")
         result.p_tot += trace.probes
         result.d_tot += trace.distance
         result.traces.append(trace)
         result.found.append(trace.found_poi)
-        delta = trace.path[-1]
+        delta = trace.end
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +383,8 @@ def run_batch(placement: LayerPlacement, n: float,
     returns arrays P (probes), D (distance), R (responses), success, lost.
     POIs are searched in slices of ``_BATCH_CHUNK`` rows.
     """
-    z = np.array([complex(p.center.x, p.center.y) for p in placement.probes])
-    rho = np.array([p.rho for p in placement.probes])
+    frame = _Frame(*(np.array(v) if isinstance(v, list) else v
+                     for v in _frame(placement)))
     t = poi_xy.shape[0]
     out = {"P": np.zeros(t, dtype=np.int64), "D": np.zeros(t),
            "R": np.zeros(t, dtype=np.int64),
@@ -335,34 +392,29 @@ def run_batch(placement: LayerPlacement, n: float,
     for lo in range(0, t, _BATCH_CHUNK):
         chunk = poi_xy[lo:lo + _BATCH_CHUNK]
         part = {k: v[lo:lo + _BATCH_CHUNK] for k, v in out.items()}
-        _descend(z, rho, float(n), chunk[:, 0] + 1j * chunk[:, 1], part)
+        _descend(frame, float(n), chunk[:, 0] + 1j * chunk[:, 1], part)
     return out
 
 
-def _descend(z: np.ndarray, rho: np.ndarray, n: float, poi: np.ndarray,
+def _descend(frame: _Frame, n: float, poi: np.ndarray,
              out: dict[str, np.ndarray]) -> None:
     """``run_batch`` on one slice of POIs, writing into the views ``out``.
 
     Each trial lives in the frame of its current search area, whose
-    center is 0 and radius 1: ``q`` is the POI and ``w`` the searcher in
-    that frame, ``s`` the area's absolute radius and ``o`` the frame's
-    absolute rotation.  A level turns the frame so the first probe faces
-    the searcher (``q <- q * turn``), then moves into the first probe
-    holding the POI: ``q <- (q - z[hit]) / rho[hit]``, ``s <- s *
-    rho[hit]``.  The tolerance is the absolute ``_EPS``, ``_EPS / s`` in
-    frame units.  Finished trials are written out and dropped.
+    center is 0 and radius 1: ``q`` is the POI in that frame, ``s`` the
+    area's absolute radius, ``o`` the frame's absolute rotation and ``at``
+    the ``frame`` entry that describes the searcher.  A level turns the
+    frame so the first probe faces the searcher (``q <- q * turn``), then
+    moves into the first probe holding the POI: ``q <- (q - z[hit]) /
+    rho[hit]``, ``s <- s * rho[hit]``.  The tolerance is the absolute
+    ``_EPS``, ``_EPS / s`` in frame units.  Finished trials are written
+    out and dropped.
     """
+    z, rho, reach, cum, face, mags, turns, legs = frame
     m = z.size
-    d1 = abs(z[0])
-    # the first probe's direction; the frame turns it toward the searcher
-    face = z[0] / d1 if d1 >= _EPS else None
-    # the omitted last probe holds every POI the issued ones miss
-    reach = np.append(rho[:m - 1], np.inf)
-    # walk from the first issued probe to probe k
-    cum = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(z[:m - 1])))))
     idx = np.arange(poi.size)
     q = poi / n
-    w = np.zeros(poi.size, dtype=complex)
+    at = np.full(poi.size, m)  # the searcher starts at the area's center
     o = np.ones(poi.size, dtype=complex)
     s = np.full(poi.size, n)
     P = np.zeros(poi.size, dtype=np.int64)
@@ -377,30 +429,37 @@ def _descend(z: np.ndarray, rho: np.ndarray, n: float, poi: np.ndarray,
             out["P"][i] = P[done]
             out["R"][i] = R[done]
             # the last leg walks to the final area's center
-            out["D"][i] = D[done] + s[done] * np.abs(w[done])
+            out["D"][i] = D[done] + s[done] * mags[at[done]]
             out["success"][i] = s[done] * np.abs(q[done]) <= 1.0 + _EPS
             out["lost"][i] = lost[done]
             keep = ~done
-            idx, q, w, o, s = idx[keep], q[keep], w[keep], o[keep], s[keep]
+            idx, q, at, o, s = idx[keep], q[keep], at[keep], o[keep], s[keep]
             P, D, R, lost = P[keep], D[keep], R[keep], lost[keep]
         if idx.size == 0:
             return
         if face is not None:
             # a searcher at the area's center keeps absolute rotation 0
-            mag = np.abs(w)
-            centred = mag < _EPS / s
-            turn = np.where(centred, o,
-                            face * np.conj(w) / np.where(centred, 1.0, mag))
-            o = np.where(centred, 1.0 + 0j, o * np.conj(turn))
-            q = q * turn
-            w = w * turn
+            centred = mags[at] < _EPS / s
+            turn = np.where(centred, o, turns[at])
+            o = np.where(centred, 1.0 + 0j, _cmul(o, np.conj(turn)))
+            q = _cmul(q, turn)
         inside = np.abs(q[:, None] - z) <= reach + (_EPS / s)[:, None]
         hit = inside.argmax(axis=1)
         stop = np.minimum(hit, m - 2)
-        D += s * (np.abs(z[0] - w) + cum[stop])
+        D += s * (legs[at] + cum[stop])
         P += stop + 1
         R += hit < m - 1
-        w = (z[stop] - z[hit]) / rho[hit]
+        at = hit
         q = (q - z[hit]) / rho[hit]
         s = s * rho[hit]
         lost |= np.abs(q) > 1.0 + _EPS / s
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` rounded as Python's complex product rounds it.  NumPy's
+    own complex product may fuse a multiply into the add; written out, the
+    frame turns of ``_descend`` and ``_run_single`` round alike."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out

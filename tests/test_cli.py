@@ -73,6 +73,15 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "success:    True" in out
 
+    def test_largest_resolvable_radius(self, alg3_file, capsys):
+        # n = 2^52; in absolute coordinates this search raised "POI escaped
+        # the search area"
+        assert main(["simulate", "--placement", str(alg3_file),
+                     "--n", "4503599627370496",
+                     "--poi", "1530989364606032,2115026113840132"]) == 0
+        out = capsys.readouterr().out
+        assert "success:    True" in out
+
     def test_poi_outside_region(self, alg3_file, capsys):
         assert main(["simulate", "--placement", str(alg3_file),
                      "--n", "4", "--poi", "100,200"]) == 1

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from marcopolo.geometry import Point2
-from marcopolo.placements import execution_layer, hexfam_layer, hexfam_layers
+from marcopolo.placements import (
+    execution_layer,
+    hexfam_layer,
+    hexfam_layers,
+    load_placement,
+)
 from marcopolo.simulator import (
     _BATCH_CHUNK,
     _EPS,
@@ -55,6 +60,11 @@ class TestWorld:
         assert probe(world, Point2(3.0, 4.0), 4.0)
         with pytest.raises(ValueError):
             probe(world, Point2(0.0, 0.0), 0.0)
+
+
+JUNCTION_DEFECT = pytest.mark.xfail(
+    strict=True, raises=RuntimeError,
+    reason="ROADMAP item 3: the absolute tolerance loses junction POIs")
 
 
 class TestRunSingle:
@@ -108,13 +118,36 @@ class TestRunSingle:
         assert trace.responses == trace.probes // (placement.m - 1)
 
     def test_deterministic(self, layers):
-        world = World(2.0 ** 8, [Point2(37.5, -101.25)])
+        n = 2.0 ** 8
+        world = World(n, [Point2(37.5, -101.25)])
         placement = execution_layer(layers["ALG5"])
         t1 = run_single(placement, world)
         t2 = run_single(placement, world)
         assert (t1.probes, t1.distance, t1.responses) == \
             (t2.probes, t2.distance, t2.responses)
-        assert t1.path == t2.path
+        assert t1.end == t2.end
+        # the searcher ends at the last level's area center
+        want = _absolute_run_batch(placement, n, np.array([[37.5, -101.25]]))
+        assert t1.probes == want["P"][0]
+        assert t1.end.x == pytest.approx(want["center"][0].real, abs=1e-9 * n)
+        assert t1.end.y == pytest.approx(want["center"][0].imag, abs=1e-9 * n)
+
+    @pytest.mark.parametrize("log2_n", [
+        20,
+        pytest.param(30, marks=JUNCTION_DEFECT),
+        pytest.param(40, marks=JUNCTION_DEFECT),
+    ])
+    def test_junction_poi(self, placements_dir, log2_n):
+        # (n/2, 0) lies where ALG2's probes touch.  The absolute tolerance
+        # _EPS is _EPS / s in an area of radius s, below float64 resolution
+        # once s passes about 1e7, so from n = 2^30 the POI falls outside
+        # both touching probes and the search raises "POI escaped the
+        # search area"
+        placement = execution_layer(load_placement(placements_dir
+                                                   / "alg2.json"))
+        n = 2.0 ** log2_n
+        trace = run_single(placement, World(n, [Point2(n / 2.0, 0.0)]))
+        assert trace.success
 
 
 class TestHexfamSearch:
@@ -159,6 +192,24 @@ class TestFindAll:
         per_search = sum(t.probes for t in result.traces)
         doubling = sum(int(math.log2(g)) for g in result.gaps)
         assert result.p_tot == per_search + doubling
+
+    @pytest.mark.parametrize("log2_n", [50, 52])
+    def test_large_n_finds_every_poi(self, placements_dir, log2_n):
+        # in absolute coordinates the search lost random POIs here
+        n = 2.0 ** log2_n
+        rng = np.random.default_rng(log2_n)
+        for aid in GOLDEN_DISK:
+            placement = execution_layer(load_placement(placements_dir
+                                                       / f"{aid}.json"))
+            for _ in range(40):
+                k = int(rng.integers(1, 9))
+                angle = rng.uniform(0.0, 2.0 * math.pi, k)
+                dist = rng.uniform(1.0, n, k)
+                world = World(n, [Point2(r * math.cos(a), r * math.sin(a))
+                                  for a, r in zip(angle, dist)])
+                result = find_all(placement, world)
+                assert result.all_found, aid
+                assert sorted(result.found) == list(range(k)), aid
 
     def test_distance_is_sum_of_traces(self, layers):
         world = World(2.0 ** 5, [Point2(4.0, 3.0), Point2(-7.0, 1.0),
@@ -226,6 +277,35 @@ class TestRunBatch:
                 assert out["R"][i] == trace.responses
                 assert out["D"][i] == pytest.approx(trace.distance, abs=1e-6)
 
+    @pytest.mark.parametrize("log2_n", [10, 12, 20, 30, 40, 48, 52])
+    def test_agrees_with_run_single(self, placements_dir, log2_n):
+        # both kernels round alike, so they agree trial for trial up to
+        # 2^52; at 2^12 and 2^20 the origin and points on probe circles,
+        # where the searcher restarts from an area's center, are included
+        n = 2.0 ** log2_n
+        rng = np.random.default_rng(log2_n)
+        angle = rng.uniform(0.0, 2.0 * math.pi, 150)
+        dist = rng.uniform(0.0, n, 150)
+        random_poi = np.stack([dist * np.cos(angle), dist * np.sin(angle)],
+                              axis=1)
+        for aid in GOLDEN:
+            placement = execution_layer(load_placement(placements_dir
+                                                       / f"{aid}.json"))
+            poi = random_poi
+            if log2_n in (12, 20):
+                poi = np.concatenate([poi, _circle_points(placement, n)])
+            out = run_batch(placement, n, poi)
+            for i in range(poi.shape[0]):
+                trace = run_single(placement,
+                                   World(n, [Point2(poi[i, 0], poi[i, 1])]))
+                where = (aid, i)
+                assert out["P"][i] == trace.probes, where
+                assert out["R"][i] == trace.responses, where
+                assert out["success"][i] == trace.success, where
+                assert out["lost"][i] == trace.containment_lost, where
+                assert out["D"][i] == pytest.approx(trace.distance,
+                                                    rel=1e-12), where
+
     def test_trivial_radius(self, layers):
         poi = np.array([[0.2, 0.1]])
         out = run_batch(execution_layer(layers["ALG1"]), 1.0, poi)
@@ -267,6 +347,23 @@ class TestRunBatch:
             out = run_batch(execution_layer(layers[aid]), n, poi)
             assert not out["lost"].any(), aid
             assert out["success"].all(), aid
+
+
+GOLDEN = ("alg1", "alg2", "alg3", "alg4", "alg5", "alg6", "alg7", "alg8")
+GOLDEN_DISK = ("alg1", "alg2", "alg3", "alg5", "alg6", "alg7", "alg8")
+
+
+def _circle_points(placement, n):
+    """The origin, and points of each probe circle scaled to radius n that
+    lie in the search region."""
+    pts = [(0.0, 0.0), (0.5 * n, 0.0), (0.0, -0.25 * n), (-n, 0.0)]
+    for p in placement.probes:
+        for a in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+            x = n * (p.center.x + p.rho * math.cos(a))
+            y = n * (p.center.y + p.rho * math.sin(a))
+            if math.hypot(x, y) <= n:
+                pts.append((x, y))
+    return np.array(pts)
 
 
 def _absolute_run_batch(placement, n, poi_xy):
@@ -328,4 +425,5 @@ def _absolute_run_batch(placement, n, poi_xy):
 
     D += np.abs(center - delta)
     success = np.abs(poi - center) <= 1.0 + _EPS
-    return {"P": P, "D": D, "R": R, "success": success, "lost": lost}
+    return {"P": P, "D": D, "R": R, "success": success, "lost": lost,
+            "center": center}
