@@ -9,6 +9,7 @@ filler.  Both return certified layer placements.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ _FITNESS_STOP_AREA = 1e-3
 _PENALTY = 100.0
 # probes a greedy-filled layer may reach
 _GREEDY_MAX_PROBES = 45
-# chord search: hull-point pairs per block, and elements of the
-# (candidates, cells) scoring temporaries
+# chord search: hull-point pairs per block, and elements of each of the
+# two (candidates, cells) scoring buffers
 _PAIR_BLOCK = 4096
 _SCORE_CHUNK = 1 << 16
 
@@ -121,11 +122,21 @@ def _best_chord_probe(regions: list[np.ndarray], r: float,
     square tiles of side r/2, and a tile's candidates against the cells
     in the box of their centers widened by r plus a margin, which holds
     every cell the exact test accepts.  Such a pruned score adds the same
-    weights as the row sum in another order, so it may differ from it in
-    the last bits.  Only the contenders, whose pruned score comes within
-    a rounding guard of every earlier one, can beat all earlier
-    candidates on row sums; they alone are scored with row sums and
-    scanned, which picks the same winner as scanning every row sum.
+    weights as the row sum in any order, so it may differ from it in the
+    last bits.  Only the contenders, whose pruned score comes within a
+    rounding guard of every earlier one, can beat all earlier candidates
+    on row sums; they alone are scored with row sums and scanned, which
+    picks the same winner as scanning every row sum.
+
+    A tile's bound, the sum of its near-cell weights, caps every row sum
+    in it, so within a block of pairs the tiles are scored in descending
+    order of bound, and a candidate is skipped when its tile's bound
+    plus the guard does not exceed the best score of earlier blocks, or
+    the pruned score of a candidate before it in scan order, minus the
+    guard.  Its row sum then lies below that earlier row sum, so it
+    never beats the running best and the scan need not visit it.  A
+    witness from later in scan order would not do: a later candidate
+    beats an earlier one only by more than 1e-15.
     """
     pts = _densify_hull(_cells_hull(regions[0]), r / 2.0, hull_cap)
     score_cells = np.concatenate(regions)
@@ -145,6 +156,7 @@ def _best_chord_probe(regions: list[np.ndarray], r: float,
     # score minus twice that
     guard = 2.0 * sx.size * 2.0 ** -52 * float(weight.sum())
     tile = 0.5 * r
+    buf = tuple(np.empty(max(_SCORE_CHUNK, sx.size)) for _ in range(2))
 
     best, best_score = None, 0.0
     pair_i, pair_j = np.triu_indices(len(pts), 1)
@@ -171,21 +183,44 @@ def _best_chord_probe(regions: list[np.ndarray], r: float,
         order = np.lexsort((ty, tx))
         cut = np.flatnonzero((np.diff(tx[order]) != 0)
                              | (np.diff(ty[order]) != 0)) + 1
-        scores = np.empty(cx.size)
-        for group in np.split(order, cut):
+        groups = np.split(order, cut)
+        spans = []
+        bound = np.empty(len(groups))
+        for t, group in enumerate(groups):
             gx, gy = cx[group], cy[group]
             lo, hi = np.searchsorted(bx, (gx.min() - reach,
                                           gx.max() + reach))
             near = (by[lo:hi] >= gy.min() - reach) \
                 & (by[lo:hi] <= gy.max() + reach)
-            scores[group] = _removed_area(bx[lo:hi][near], by[lo:hi][near],
-                                          bw[lo:hi][near], gx, gy, r)
+            spans.append((lo, hi, near))
+            bound[t] = bw[lo:hi][near].sum()
+        # skipped candidates score -inf; witness[0] is best_score and
+        # witness[c + 1] the pruned score of a scored candidate c, each
+        # minus the guard, so the running maximum at c covers just the
+        # earlier blocks and the candidates before c
+        scores = np.full(cx.size, -np.inf)
+        witness = np.full(cx.size + 1, -np.inf)
+        witness[0] = best_score - guard
+        ahead = None
+        for t in np.argsort(-bound, kind="stable").tolist():
+            if ahead is None:
+                ahead = np.maximum.accumulate(witness)
+            group = groups[t]
+            group = group[ahead[group] < bound[t] + guard]
+            if not group.size:
+                continue
+            lo, hi, near = spans[t]
+            got = _near_scores(bx[lo:hi][near], by[lo:hi][near],
+                               bw[lo:hi][near], cx[group], cy[group], r, buf)
+            scores[group] = got
+            witness[group + 1] = got - guard
+            ahead = None
         # a winner removes some area and beats every earlier candidate
         prior = np.maximum.accumulate(
             np.concatenate(([best_score], scores[:-1])))
         contenders = np.flatnonzero((scores > prior - guard) & (scores > 0.0))
         exact = _removed_area(sx, sy, weight, cx[contenders],
-                              cy[contenders], r)
+                              cy[contenders], r, buf)
         # every earlier row sum is at most best_score + 1e-15, so a winner
         # beats best_score and each earlier contender's row sum: the
         # sequential first-best scan need not visit anything else
@@ -199,17 +234,47 @@ def _best_chord_probe(regions: list[np.ndarray], r: float,
     return best
 
 
-def _removed_area(sx: np.ndarray, sy: np.ndarray, weight: np.ndarray,
-                  cx: np.ndarray, cy: np.ndarray, r: float) -> np.ndarray:
-    """Per closed disk (cx, cy, r), the row sum of the weights of the
-    cells (sx, sy) inside it; the (disks, cells) temporaries stay near
-    _SCORE_CHUNK elements."""
-    out = np.empty(cx.size)
-    rows = max(1, _SCORE_CHUNK // max(1, sx.size))
+def _inside_rows(sx: np.ndarray, sy: np.ndarray, cx: np.ndarray,
+                 cy: np.ndarray, r: float, buf: tuple[np.ndarray, np.ndarray]
+                 ) -> Iterator[tuple[slice, np.ndarray]]:
+    """Chunks of the closed disks (cx, cy, r): a slice of them, and a
+    (disks, cells) view of the first of the two ``buf`` arrays holding
+    1.0 where the cell (sx, sy) lies inside the disk and 0.0 elsewhere;
+    the second is scratch."""
+    n = sx.size
+    rows = max(1, buf[0].size // max(1, n))
     for k in range(0, cx.size, rows):
-        inside = ((sx - cx[k:k + rows, None]) ** 2
-                  + (sy - cy[k:k + rows, None]) ** 2) <= r * r
-        out[k:k + rows] = (weight * inside).sum(axis=1)
+        m = min(rows, cx.size - k)
+        a = buf[0][:m * n].reshape(m, n)
+        b = buf[1][:m * n].reshape(m, n)
+        np.subtract(sx, cx[k:k + m, None], out=a)
+        np.multiply(a, a, out=a)
+        np.subtract(sy, cy[k:k + m, None], out=b)
+        np.multiply(b, b, out=b)
+        np.add(a, b, out=a)
+        np.less_equal(a, r * r, out=a)
+        yield slice(k, k + m), a
+
+
+def _removed_area(sx: np.ndarray, sy: np.ndarray, weight: np.ndarray,
+                  cx: np.ndarray, cy: np.ndarray, r: float,
+                  buf: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per closed disk (cx, cy, r), the row sum, in cell order, of the
+    weights of the cells (sx, sy) inside it."""
+    out = np.empty(cx.size)
+    for rows, inside in _inside_rows(sx, sy, cx, cy, r, buf):
+        np.multiply(inside, weight, out=inside)
+        inside.sum(axis=1, out=out[rows])
+    return out
+
+
+def _near_scores(sx: np.ndarray, sy: np.ndarray, weight: np.ndarray,
+                 cx: np.ndarray, cy: np.ndarray, r: float,
+                 buf: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The sums of ``_removed_area`` in any order, by a BLAS product."""
+    out = np.empty(cx.size)
+    for rows, inside in _inside_rows(sx, sy, cx, cy, r, buf):
+        np.matmul(inside, weight, out=out[rows])
     return out
 
 
@@ -308,6 +373,12 @@ def _decode(vector: np.ndarray) -> tuple[float, list[Probe]]:
     return rho1, probes
 
 
+def _base_coefficient(vector: np.ndarray) -> float:
+    """Probe coefficient of a covering geometric schedule: a lower bound
+    on the fitness of ``vector``."""
+    return -1.0 / math.log2(float(vector[0]))
+
+
 def _fitness(vector: np.ndarray, config: OptimizerConfig) -> float:
     """Probe coefficient after greedy filling, penalized when uncovered.
 
@@ -316,7 +387,7 @@ def _fitness(vector: np.ndarray, config: OptimizerConfig) -> float:
     plausibly close the gaps, which keeps hopeless individuals cheap.
     """
     rho1, probes = _decode(vector)
-    c = -1.0 / math.log2(rho1)
+    c = _base_coefficient(vector)
     report = certify_coverage(probes, _FITNESS_MIN_CELL, refine_uncovered=True)
     if report.certified_covered:
         return c
@@ -414,6 +485,11 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
             cross = rng.random(dim) < cr
             cross[rng.integers(dim)] = True
             trial = np.where(cross, mutant, population[i])
+            # no fitness falls below the base coefficient, and _fitness
+            # draws no random numbers: a trial that cannot be accepted
+            # need not be scored
+            if _base_coefficient(trial) > fitness[i]:
+                continue
             trial_fit = _fitness(trial, config)
             if trial_fit <= fitness[i]:
                 population[i] = trial
@@ -439,7 +515,7 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
             final = greedy_fill(partial, config.greedy_max_probes)
         except CertificationError:
             continue
-        assert probe_coefficient(final) <= -1.0 / math.log2(rho1) + 1e-9
+        assert probe_coefficient(final) <= _base_coefficient(vector) + 1e-9
         return final
     err = CertificationError(
         "no certified individual after all generations")

@@ -273,17 +273,17 @@ def find_all(placement: LayerPlacement, world: World) -> FindAllResult:
     delta = trace0.end
     while True:
         work.active[result.found[-1]] = False
+        # probe(work, delta, radius) answers iff the nearest active POI
+        # lies within radius + _EPS, so one scan finds the first rung that
+        # answers
+        nearest = min((math.hypot(p.x - delta.x, p.y - delta.y)
+                       for p, a in zip(work.pois, work.active) if a),
+                      default=math.inf)
         radius = 2.0
-        responded = False
-        while True:
-            if probe(work, delta, radius):
-                responded = True
-                break
-            if radius >= 2.0 * world.n:
-                break
+        while nearest > radius + _EPS and radius < 2.0 * world.n:
             result.p_tot += 1  # counted below when a POI follows
             radius *= 2.0
-        if not responded:
+        if nearest > radius + _EPS:
             # the failed doubling ladder becomes termination overhead
             result.p_tot -= int(math.log2(radius / 2.0))
             result.termination_probes += int(math.log2(radius / 2.0)) + 1

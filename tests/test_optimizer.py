@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from marcopolo import optimizer
 from marcopolo.geometry import Point2, Probe, _cells_hull
 from marcopolo.placements import (
     CertificationError,
@@ -22,7 +23,7 @@ from marcopolo.optimizer import (
     evolve_initial,
     greedy_fill,
 )
-from marcopolo.optimizer import _best_chord_probe, _densify_hull
+from marcopolo.optimizer import _PAIR_BLOCK, _best_chord_probe, _densify_hull
 from marcopolo.verifier import probe_coefficient
 
 
@@ -138,6 +139,17 @@ def _reference_chord_probe(regions, r, hull_cap=96):
         if removed > best_score + 1e-15:
             best_score, best = removed, center
     return best
+
+
+def _candidate_blocks(regions, r, hull_cap=96):
+    """The block of pairs of each candidate of ``_reference_chord_scores``."""
+    pts = _densify_hull(_cells_hull(regions[0]), r / 2.0, hull_cap)
+    blocks = []
+    for k, (i, j) in enumerate(zip(*np.triu_indices(len(pts), 1))):
+        d2 = ((pts[j] - pts[i]) ** 2).sum()
+        if 1e-18 <= d2 <= 4.0 * r * r:
+            blocks += [k // _PAIR_BLOCK] * 2
+    return blocks
 
 
 def _blob(rng, count, x0, y0, half):
@@ -267,6 +279,62 @@ class TestBestChordProbe:
                            for k in range(len(row_sums))]) != winner
         assert _best_chord_probe(regions, r) == \
             _reference_chord_probe(regions, r)
+
+    def test_skips_only_candidates_an_earlier_one_beats(self, monkeypatch):
+        # two blocks of pairs: in the first, tiles scored earlier let later
+        # ones be skipped; in the second, so does the first block's best.
+        # A skipped candidate must lie below an earlier candidate: one
+        # that only a later candidate beats may still win the scan
+        rng = np.random.default_rng(1)
+        regions = [_blob(rng, 150, 0.1, -0.2, 2.0 ** -7),
+                   _blob(rng, 60, 0.3, 0.1, 2.0 ** -8)]
+        r = 0.02
+        scored = set()
+        near_scores = optimizer._near_scores
+
+        def spy(sx, sy, weight, cx, cy, radius, buf):
+            scored.update(zip(cx.tolist(), cy.tolist()))
+            return near_scores(sx, sy, weight, cx, cy, radius, buf)
+
+        monkeypatch.setattr(optimizer, "_near_scores", spy)
+        assert _best_chord_probe(regions, r) == \
+            _reference_chord_probe(regions, r)
+        blocks = _candidate_blocks(regions, r)
+        assert max(blocks) == 1
+        lead, block_lead = -math.inf, [-math.inf, -math.inf]
+        witness_skips = floor_skips = 0
+        for (center, score), block in zip(_reference_chord_scores(regions, r),
+                                          blocks):
+            if center not in scored:
+                assert score < lead, center
+                if block == 0:
+                    witness_skips += 1  # the first block has no floor
+                elif score >= block_lead[block]:
+                    floor_skips += 1  # nothing earlier in its block beats it
+            lead = max(lead, score)
+            block_lead[block] = max(block_lead[block], score)
+        assert witness_skips > 0 and floor_skips > 0
+
+    def test_exact_tie_across_tiles_keeps_first_candidate(self):
+        # half the dozen candidates around one cell remove it; the first
+        # of them and a later one in another tile remove exactly as much.
+        # A tiny cell far off adds 5e-16, below the 1e-15 margin, to a
+        # later candidate, whose tile has the largest bound and is scored
+        # first: as a witness from later in scan order it would let the
+        # first candidate's tile be skipped
+        r = 0.12
+        regions = [np.array([[0.0, 0.0, 1e-3]]),
+                   np.array([[0.0, -0.229, math.sqrt(5e-16) / 2.0]])]
+
+        def tile(center):
+            return tuple(math.floor(v / (0.5 * r)) for v in center)
+
+        (first, score), *later = _reference_chord_scores(regions, r)
+        assert score > 0.0
+        assert any(s == score and tile(c) != tile(first) for c, s in later)
+        assert any(score < s <= score + 1e-15 for _, s in later)
+        assert _reference_chord_probe(regions, r) == first
+        assert _best_chord_probe(regions, r) == first
 
     def test_no_candidate(self):
         # candidates along the hull of one large cell never reach its

@@ -219,6 +219,62 @@ class TestFindAll:
         assert result.d_tot == pytest.approx(
             sum(t.distance for t in result.traces), abs=1e-9)
 
+    def test_ladder_matches_probing_every_rung(self, layers):
+        placement = execution_layer(layers["ALG3"])
+        rng = np.random.default_rng(7)
+        worlds = []
+        for _ in range(40):
+            n = 2.0 ** int(rng.integers(4, 31))
+            k = int(rng.integers(1, 9))
+            angle = rng.uniform(0.0, 2.0 * math.pi, k)
+            dist = rng.uniform(1.0, n, k)
+            worlds.append(World(n, [Point2(r * math.cos(a), r * math.sin(a))
+                                    for a, r in zip(angle, dist)]))
+        # a second POI at 2**k and at 2**k + _EPS from where the search
+        # for the first one ends, each up to an ulp either way: the rungs
+        # 2**k and 2**(k+1) must both answer first
+        n = 2.0 ** 12
+        first = Point2(100.0, 37.0)
+        end = run_single(placement, World(n, [first])).end
+        gaps = set()
+        for k in range(1, 11):
+            for target in (2.0 ** k, 2.0 ** k + _EPS):
+                x0 = end.x + target
+                for x in (np.nextafter(x0, -math.inf), x0,
+                          np.nextafter(x0, math.inf)):
+                    world = World(n, [first, Point2(float(x), end.y)])
+                    worlds.append(world)
+                    gaps.add((k, find_all(placement, world).gaps[0]))
+        assert gaps == {(k, 2.0 ** j) for k in range(1, 11)
+                        for j in (k, k + 1)}
+        for world in worlds:
+            result = find_all(placement, world)
+            assert (result.p_tot, result.gaps, result.termination_probes,
+                    result.found) == _reference_find_all(placement, world)
+
+
+def _reference_find_all(placement, world):
+    """``find_all`` with a doubling ladder that probes every rung:
+    ``(p_tot, gaps, termination_probes, found)``."""
+    work = World(world.n, list(world.pois), list(world.active))
+    trace = run_single(placement, work)
+    p_tot, gaps, found = trace.probes, [], [trace.found_poi]
+    while True:
+        work.active[found[-1]] = False
+        rungs, radius = 1, 2.0
+        while not probe(work, trace.end, radius):
+            if radius >= 2.0 * world.n:
+                assert not probe(work, Point2(0.0, 0.0), 2.0 * world.n)
+                return p_tot, gaps, rungs + 1, found
+            rungs += 1
+            radius *= 2.0
+        p_tot += rungs
+        gaps.append(radius)
+        trace = run_single(placement, work,
+                           SearchState(trace.end, radius, trace.end))
+        p_tot += trace.probes
+        found.append(trace.found_poi)
+
 
 class TestTspReference:
     def test_collinear(self):
