@@ -4,9 +4,9 @@ Everything here works in the "unit-disk frame": the current search area is
 the closed disk of radius 1 centered at the origin, and probe radii are
 proportional (0 < rho <= 1).  The module provides hexagonal lattices and
 their circumscribed probes, chord and balanced probe placement math, and
-the coverage certifier: an exact probe-circle arc test decides whether a
-union of probe disks covers the unit disk, and a quadtree maps the
-uncovered cells when a caller needs to see the gaps.
+the coverage model: an exact probe-circle arc test decides whether a
+union of probe disks covers the unit disk, and the same arcs, closed into
+loops, give the exact area and the faces of what they leave uncovered.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ __all__ = [
     "Probe",
     "Hexagon",
     "CoverageReport",
+    "Face",
     "hex_lattice",
     "circumscribe",
     "chord_probe",
     "balanced_probe_center",
     "certify_coverage",
+    "uncovered_faces",
 ]
 
 # Ring-1 neighbor angles for a flat-top hexagonal lattice (centers at
@@ -36,8 +38,6 @@ _RING_ANGLES = [math.radians(30 + 60 * i) for i in range(6)]
 # dilated by this much, so that probes meeting tangentially still certify
 _TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
-# elements of a (probes, cells) comparison block of the refine quadtree
-_QUAD_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,39 +92,29 @@ class Hexagon:
             for i in range(6)
         ]
 
-    def contains(self, p: Point2, tol: float = 1e-12) -> bool:
-        qx = abs(p.x - self.center.x)
-        qy = abs(p.y - self.center.y)
-        s = self.side
-        return (
-            qy <= math.sqrt(3) / 2 * s + tol
-            and math.sqrt(3) * qx + qy <= math.sqrt(3) * s + tol
-        )
-
 
 @dataclass
 class CoverageReport:
     certified_covered: bool
-    # decide mode measures no area: an uncovered placement reports pi,
-    # the area of the whole disk
-    uncovered_area_upper_bound: float
-    # refine mode: one (n, 3) array [x, y, half_side] of uncovered cells
-    # per cluster, largest cluster first
-    uncovered_regions: list
-    # refine mode: smallest cell side visited; decide mode visits no cells
-    # and reports 0.0
-    min_cell_size_reached: float
-    # decide mode: (circle, start, end) per uncovered arc, counterclockwise
-    # angles in radians about the circle's center with 0 <= start < 2*pi
-    # and start < end; circle -1 is the unit circle and k the circle of
-    # probe k dilated by the 1e-9 tolerance
+    # (circle, start, end) per uncovered arc, counterclockwise angles in
+    # radians about the circle's center with 0 <= start < 2*pi and
+    # start < end; circle -1 is the unit circle and k the circle of probe
+    # k dilated by the 1e-9 tolerance
     uncovered_arcs: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.certified_covered:
-            assert self.uncovered_area_upper_bound == 0.0
-            assert not self.uncovered_regions
             assert not self.uncovered_arcs
+
+
+@dataclass(frozen=True)
+class Face:
+    """A connected part of the unit disk that the probes leave uncovered:
+    its area and its boundary arcs in loop order, each in the convention
+    of ``CoverageReport.uncovered_arcs``."""
+
+    area: float
+    arcs: list
 
 
 def hex_lattice(layers: int, r: float) -> list[Hexagon]:
@@ -206,150 +196,94 @@ def _probe_arrays(probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return px, py, pr
 
 
-def certify_coverage(placement, min_cell: float = 1e-4,
-                     refine_uncovered: bool = False) -> CoverageReport:
+def certify_coverage(placement, min_cell: float = 1e-4) -> CoverageReport:
     """Whether the probes cover the closed unit disk, and where they do not.
 
-    Decide mode (the default) is exact up to the fixed 1e-9 tolerance: it
-    certifies iff the probe disks, each dilated by 1e-9, cover the closed
-    unit disk.  By the criterion of Huang and Tseng (WSNA 2003), closed
-    disks cover a convex region iff they cover its boundary and, for each
-    disk, the other disks cover the arc of its circle that lies inside the
-    region; ``_uncovered_arcs`` tests exactly that, so closed probe disks
-    that meet tangentially, as in the hexagonal lattices, still certify.
+    The decision is exact up to the fixed 1e-9 tolerance: it certifies iff
+    the probe disks, each dilated by 1e-9, cover the closed unit disk.  By
+    the criterion of Huang and Tseng (WSNA 2003), closed disks cover a
+    convex region iff they cover its boundary and, for each disk, the
+    other disks cover the arc of its circle that lies inside the region;
+    ``_uncovered_arcs`` tests exactly that, so closed probe disks that
+    meet tangentially, as in the hexagonal lattices, still certify.
     Identical probes do not count as covering each other's circles.  The
-    report lists the uncovered arcs; decide mode ignores ``min_cell``.
-
-    With ``refine_uncovered`` a conservative quadtree maps the gaps
-    instead.  The disk is split into a core disk of radius 1 - delta and
-    the remaining boundary annulus (exact 1-D angular-interval analysis: a
-    radial segment lies inside a convex probe disk iff both endpoints do).
-    A square cell of the core is certified when it lies wholly outside the
-    core disk or wholly inside a single dilated probe disk (farthest corner
-    within the radius).  Cells that cannot be certified are subdivided
-    until their side drops below ``min_cell``; the survivors, clustered,
-    are the report's uncovered regions.  This mode is sound but
-    incomplete: it may leave thin covered slivers unresolved.
+    report lists the uncovered arcs; ``uncovered_faces`` measures the gaps
+    they bound.  ``min_cell`` is accepted for older callers and ignored.
 
     ``placement`` is either a sequence of probes or an object with a
     ``probes`` attribute.
     """
+    arcs = _uncovered_arcs(*_probe_arrays(_probe_list(placement)))
+    return CoverageReport(not arcs, arcs)
+
+
+def uncovered_faces(placement) -> tuple[bool, float, list[Face]]:
+    """Whether the probes cover the closed unit disk, the exact area they
+    leave uncovered, and the uncovered faces, largest first.
+
+    The verdict is that of ``certify_coverage``: covered iff no arc is
+    uncovered.  The uncovered arcs bound the uncovered set; identical
+    probes each report the same arcs, so only the first of them counts.
+    Each arc runs with the gap on its left: a unit-circle arc from start
+    to end, a probe arc from end back to start.  Green's theorem then
+    gives the area as a sum over the arcs, as in the union-of-disks area
+    of Avis, Bhattacharya and Imai (The Visual Computer 1988): a
+    unit-circle arc (a, b) adds (b - a) / 2, and an arc (a, b) of the
+    dilated circle of radius r about (x, y) subtracts
+    [r^2 (b - a) + r (x (sin b - sin a) - y (cos b - cos a))] / 2.
+    Linking each arc's end to the nearest arc start closes the arcs into
+    loops.  A loop of positive area bounds a face; one of negative area
+    is a hole, a probe disk inside a face, which counts in the total but
+    is not a face.
+    """
+    px, py, pr = _probe_arrays(_probe_list(placement))
+    arcs = _uncovered_arcs(px, py, pr)
+    if not arcs:
+        return True, 0.0, []
+    keys = list(zip(px.tolist(), py.tolist(), pr.tolist()))
+    first: dict[tuple[float, float, float], int] = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
+    arcs = [arc for arc in arcs
+            if arc[0] < 0 or first[keys[arc[0]]] == arc[0]]
+    circle = np.array([arc[0] for arc in arcs])
+    a = np.array([arc[1] for arc in arcs])
+    b = np.array([arc[2] for arc in arcs])
+    unit = circle < 0
+    x = np.where(unit, 0.0, px[circle])
+    y = np.where(unit, 0.0, py[circle])
+    r = np.where(unit, 1.0, pr[circle] + _TOL)
+    sign = np.where(unit, 0.5, -0.5)
+    area = sign * (r * r * (b - a) + r * (x * (np.sin(b) - np.sin(a))
+                                          - y * (np.cos(b) - np.cos(a))))
+    begin = np.where(unit, a, b)
+    finish = np.where(unit, b, a)
+    ends = np.column_stack([x + r * np.cos(finish), y + r * np.sin(finish)])
+    starts = np.column_stack([x + r * np.cos(begin), y + r * np.sin(begin)])
+    gap = ((ends[:, None, :] - starts[None, :, :]) ** 2).sum(axis=2)
+    following = np.argmin(gap, axis=1).tolist()
+    faces = []
+    seen = [False] * len(arcs)
+    for start in range(len(arcs)):
+        if seen[start]:
+            continue
+        loop, k = [], start
+        while not seen[k]:
+            seen[k] = True
+            loop.append(k)
+            k = following[k]
+        loop_area = float(area[loop].sum())
+        if loop_area > 0.0:
+            faces.append(Face(loop_area, [arcs[i] for i in loop]))
+    faces.sort(key=lambda face: -face.area)
+    return False, float(area.sum()), faces
+
+
+def _probe_list(placement):
     probes = getattr(placement, "probes", placement)
     if len(probes) == 0:
         raise ValueError("empty placement")
-    px, py, pr = _probe_arrays(probes)
-    if not refine_uncovered:
-        arcs = _uncovered_arcs(px, py, pr)
-        if not arcs:
-            return CoverageReport(True, 0.0, [], 0.0)
-        return CoverageReport(False, math.pi, [], 0.0, arcs)
-    if min_cell <= 0:
-        raise ValueError("min_cell must be positive")
-    pr2 = (pr + _TOL) ** 2
-
-    # a probe containing the whole unit disk certifies everything at once
-    if np.any(np.hypot(px, py) + 1.0 <= pr + 1e-12):
-        return CoverageReport(True, 0.0, [], 2.0)
-
-    # boundary annulus 1 - delta < |z| <= 1, certified by exact arc
-    # intervals, at the working resolution so that gap extents are seen;
-    # the quadtree below covers the core disk |z| <= 1 - delta
-    delta = min(1e-2, max(1e-4, 4.0 * min_cell))
-    # chain of delta-sized flagged cells along each uncovered arc, merged
-    # with the core quadtree result below
-    gap_cells: list[np.ndarray] = []
-    for a, b in _annulus_gaps(px, py, pr, delta):
-        steps = max(1, int(math.ceil((b - a) * (1.0 - 0.5 * delta)
-                                     / delta)))
-        ang = a + (b - a) * (np.arange(steps) + 0.5) / steps
-        gap_cells.append(np.column_stack([
-            np.cos(ang) * (1.0 - 0.5 * delta),
-            np.sin(ang) * (1.0 - 0.5 * delta),
-            np.full(steps, 0.5 * delta),
-            np.ones(steps),
-        ]))
-    r_core = 1.0 - delta
-    unc, min_side_seen = _core_cells(px, py, pr2, r_core, min_cell)
-    unc.extend(gap_cells)
-    if not unc:
-        return CoverageReport(True, 0.0, [], min_side_seen)
-
-    cells = np.concatenate(unc)
-    # clusters of merely-unresolved cells (no provably uncovered point) can
-    # still be certified when they sit at an exact probe-circle junction
-    clusters = [c for c in _cluster_cells(cells)
-                if c[:, 3].any() or not _junction_certified(c, px, py, pr)]
-    if not clusters:
-        return CoverageReport(True, 0.0, [], min_side_seen)
-    area = float(sum(np.sum((2.0 * c[:, 2]) ** 2) for c in clusters))
-    return CoverageReport(False, area, [c[:, :3] for c in clusters],
-                          min_side_seen)
-
-
-def _core_cells(px: np.ndarray, py: np.ndarray, pr2: np.ndarray,
-                r_core: float, min_cell: float
-                ) -> tuple[list[np.ndarray], float]:
-    """The refine-mode quadtree over the core disk |z| <= r_core.
-
-    Returns (n, 4) blocks [x, y, half, bad] of the cells that are neither
-    wholly outside the core disk nor wholly inside one probe disk of
-    squared radius pr2, refined until their side drops below ``min_cell``
-    (``bad`` marks the cells whose center is provably uncovered), and the
-    smallest cell side visited.
-    """
-    cx = np.array([0.0])
-    cy = np.array([0.0])
-    half = 1.0  # all cells at one subdivision level share their size
-    min_side_seen = 2.0
-    unc: list[np.ndarray] = []  # (n, 4) blocks of [x, y, half, bad]
-
-    while cx.size:
-        side = 2.0 * half
-        min_side_seen = min(min_side_seen, side)
-        # irrelevant: wholly outside the closed core disk
-        nx = np.maximum(np.abs(cx) - half, 0.0)
-        ny = np.maximum(np.abs(cy) - half, 0.0)
-        alive = nx * nx + ny * ny <= r_core * r_core
-        # open: not wholly inside any single probe disk
-        open_idx = np.flatnonzero(alive)
-        open_idx = open_idx[~_inside_any(cx[open_idx], cy[open_idx], half,
-                                         px, py, pr2)]
-        if open_idx.size == 0:
-            break
-        ox, oy = cx[open_idx], cy[open_idx]
-        # exact disproof: a cell center inside the core disk but outside
-        # every probe disk is a genuine uncovered point
-        bad = ((ox * ox + oy * oy <= r_core * r_core)
-               & ~_inside_any(ox, oy, 0.0, px, py, pr2))
-        # provably uncovered cells stop refining at min_cell, like the
-        # merely unresolved ones, so callers measuring gaps see true sizes
-        if side / 2.0 < min_cell:
-            unc.append(np.column_stack([ox, oy, np.full(ox.size, half),
-                                        bad.astype(float)]))
-            break
-        cx, cy = ox, oy
-        half /= 2.0
-        n_open = cx.size
-        cx = np.repeat(cx, 4) + np.tile([-half, -half, half, half], n_open)
-        cy = np.repeat(cy, 4) + np.tile([-half, half, -half, half], n_open)
-    return unc, min_side_seen
-
-
-def _inside_any(cx: np.ndarray, cy: np.ndarray, half: float,
-                px: np.ndarray, py: np.ndarray, pr2: np.ndarray) -> np.ndarray:
-    """Whether each square cell (cx, cy) of half-side ``half`` lies wholly
-    inside some closed disk (px, py) of squared radius pr2: its farthest
-    corner is within the radius; half = 0 tests the points (cx, cy).  The
-    (disks, cells) comparisons run in blocks of about _QUAD_CHUNK."""
-    out = np.empty(cx.size, dtype=bool)
-    cols = max(1, _QUAD_CHUNK // px.size)
-    # disks along the first axis: reducing over it is an elementwise OR
-    # of cell rows, fast also for a handful of disks
-    for k in range(0, cx.size, cols):
-        fx = np.abs(cx[k:k + cols] - px[:, None]) + half
-        fy = np.abs(cy[k:k + cols] - py[:, None]) + half
-        out[k:k + cols] = (fx * fx + fy * fy <= pr2[:, None]).any(axis=0)
-    return out
+    return probes
 
 
 def _uncovered_arcs(px: np.ndarray, py: np.ndarray, pr: np.ndarray,
@@ -459,172 +393,8 @@ def _circle_gaps(circle: np.ndarray, start: np.ndarray, length: np.ndarray,
     return gap_c[by_circle], gap_a[by_circle], gap_b[by_circle]
 
 
-def _junction_certified(cluster: np.ndarray, px: np.ndarray, py: np.ndarray,
-                        pr: np.ndarray) -> bool:
-    """Certify a cluster of unresolved cells that surrounds an exact
-    junction of probe circles.
-
-    If a point V lies on (within the fixed 1e-9 tolerance) the boundary
-    circles of several probes whose inward normals at V positively span the
-    plane with angular gaps of at most 2*acos(mu), every point within
-    mu * r_min / 2 of V lies in one of those closed probes (dilated by the
-    tolerance): pick the probe whose inward normal is within acos(mu) of
-    the displacement direction; its linear margin dominates the curvature
-    correction on that ball.  The cluster is certified when it fits inside
-    the ball.
-    """
-    z0x = float(cluster[:, 0].mean())
-    z0y = float(cluster[:, 1].mean())
-    reach = float(np.max(np.hypot(cluster[:, 0] - z0x, cluster[:, 1] - z0y)
-                         + cluster[:, 2] * math.sqrt(2.0)))
-    dist0 = np.hypot(px - z0x, py - z0y)
-    near = np.flatnonzero(np.abs(dist0 - pr) <= reach + 1e-6)
-    if near.size < 2:
-        return False
-    for i_pos in range(near.size):
-        for j_pos in range(i_pos + 1, near.size):
-            i, j = int(near[i_pos]), int(near[j_pos])
-            for vx, vy in _circle_intersections(px[i], py[i], pr[i],
-                                                px[j], py[j], pr[j]):
-                if math.hypot(vx - z0x, vy - z0y) > 4.0 * reach + 1e-6:
-                    continue
-                dv = np.hypot(px - vx, py - vy)
-                on = np.abs(dv - pr) <= _TOL
-                if int(on.sum()) < 2:
-                    continue
-                angles = np.sort(np.arctan2(vy - py[on], vx - px[on]))
-                gap = float(np.max(np.diff(np.concatenate(
-                    [angles, angles[:1] + 2.0 * math.pi]))))
-                mu = math.cos(0.5 * gap)
-                if mu <= 0.05:
-                    continue
-                r_safe = 0.5 * mu * float(pr[on].min())
-                fits = np.hypot(cluster[:, 0] - vx, cluster[:, 1] - vy) \
-                    + cluster[:, 2] * math.sqrt(2.0) <= r_safe
-                if bool(fits.all()):
-                    return True
-    return False
-
-
-def _circle_intersections(x1: float, y1: float, r1: float, x2: float,
-                          y2: float, r2: float) -> list[tuple[float, float]]:
-    """Intersection points of two circles (empty when disjoint or nested)."""
-    dx, dy = x2 - x1, y2 - y1
-    d = math.hypot(dx, dy)
-    if d == 0.0 or d > r1 + r2 or d < abs(r1 - r2):
-        return []
-    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    h2 = r1 * r1 - a * a
-    h = math.sqrt(max(0.0, h2))
-    mx, my = x1 + a * dx / d, y1 + a * dy / d
-    return [(mx + h * dy / d, my - h * dx / d),
-            (mx - h * dy / d, my + h * dx / d)]
-
-
-def _annulus_gaps(px: np.ndarray, py: np.ndarray, pr: np.ndarray,
-                  delta: float) -> list[tuple[float, float]]:
-    """Angular intervals of the annulus 1 - delta < |z| <= 1 not certified
-    covered.  A probe covers the full radial segment at angle theta iff it
-    contains both segment endpoints (probe disks are convex).  Scalar math
-    keeps the refine-mode gap cells bit-stable: NumPy's vectorized arccos
-    and arctan2 may round differently from ``math``."""
-    starts, lengths = [], []
-    for x, y, r in zip(px, py, pr):
-        d = math.hypot(x, y)
-        r_tol = r + _TOL
-        half = math.pi
-        for t in (1.0 - delta, 1.0):
-            if d + t <= r_tol:
-                continue  # probe contains the whole circle of radius t
-            if d == 0.0 or t > d + r_tol:
-                half = -1.0
-                break
-            c = (t * t + d * d - r_tol * r_tol) / (2.0 * t * d)
-            if c > 1.0:
-                half = -1.0
-                break
-            half = min(half, math.acos(max(-1.0, c)))
-        if half >= 0.0:
-            starts.append((math.atan2(y, x) - half) % _TWO_PI)
-            lengths.append(2.0 * half)
-    _, a, b = _circle_gaps(np.zeros(len(starts), dtype=np.int64),
-                           np.array(starts, dtype=float),
-                           np.array(lengths, dtype=float), 1)
-    return list(zip(a.tolist(), b.tolist()))
-
-
-def _cluster_cells(cells: np.ndarray) -> list[np.ndarray]:
-    """Group cells into 8-neighbor connected components.
-
-    Cells may have mixed sizes; adjacency is judged on the grid of the
-    coarsest cell so touching cells of different depths merge.  Clusters
-    are ordered by area, largest first, ties by their first cell; each
-    lists its cells in input order.
-    """
-    grid = 2.0 * float(cells[:, 2].max())
-    ix = _dense_rank(np.floor(cells[:, 0] / grid))
-    iy = _dense_rank(np.floor(cells[:, 1] / grid))
-    # one integer key per grid bucket, with a free row on either side of
-    # the iy range so that neighbor keys never wrap into another column
-    width = int(iy.max()) + 3
-    keys, bucket = np.unique(ix * width + iy + 1, return_inverse=True)
-    # neighboring bucket pairs; the other four offsets are their mirrors
-    src, dst = [], []
-    for offset in (width - 1, width, width + 1, 1):
-        pos = np.minimum(np.searchsorted(keys, keys + offset), keys.size - 1)
-        hit = np.flatnonzero(keys[pos] == keys + offset)
-        src.append(hit)
-        dst.append(pos[hit])
-    src = np.concatenate(src)
-    dst = np.concatenate(dst)
-    # label propagation: hook each root onto the smallest root it meets
-    # along an edge, then compress every pointer chain to its root
-    root = np.arange(keys.size)
-    while True:
-        a, b = root[src], root[dst]
-        apart = a != b
-        if not apart.any():
-            break
-        np.minimum.at(root, np.maximum(a, b)[apart],
-                      np.minimum(a, b)[apart])
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-    label = root[bucket]
-    # clusters in order of their first cell, members in input order
-    order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
-    groups = np.split(order, starts[1:])
-    groups.sort(key=lambda g: g[0])
-    clusters = [cells[g] for g in groups]
-    clusters.sort(key=lambda c: -float(np.sum(c[:, 2] ** 2)))
-    return clusters
-
-
-def _dense_rank(v: np.ndarray) -> np.ndarray:
-    """Small integer coordinates for grid indices: neighbors stay one
-    apart and any wider gap becomes two, so bucket keys cannot overflow
-    however sparse and fine the grid is."""
-    values, inverse = np.unique(v, return_inverse=True)
-    steps = np.minimum(np.diff(values), 2.0).astype(np.int64)
-    return np.concatenate(([0], np.cumsum(steps)))[inverse]
-
-
-def _cells_hull(cells: np.ndarray) -> np.ndarray:
-    """Convex hull of the corners of square cells given as [x, y, half]."""
-    x, y, h = cells[:, 0], cells[:, 1], cells[:, 2]
-    # each cell puts a vertical edge from y - h to y + h at x - h and x + h
-    return _convex_hull(np.concatenate([x - h, x + h]),
-                        np.concatenate([y - h, y - h]),
-                        np.concatenate([y + h, y + h]))
-
-
-def _convex_hull(x: np.ndarray, low: np.ndarray,
-                 high: np.ndarray) -> np.ndarray:
-    """Convex hull of the vertical segments (x, low)-(x, high), a point
-    where low == high; CCW vertices without repetition.
+def _convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Convex hull of the points (x, y); CCW vertices without repetition.
 
     Only the lowest and the highest point of each x column can be a
     vertex, so Andrew's monotone chain walks at most two points per
@@ -633,8 +403,8 @@ def _convex_hull(x: np.ndarray, low: np.ndarray,
     order = np.argsort(x)
     x = x[order]
     first = np.flatnonzero(np.diff(x, prepend=-np.inf))
-    low = np.minimum.reduceat(low[order], first)
-    high = np.maximum.reduceat(high[order], first)
+    low = np.minimum.reduceat(y[order], first)
+    high = np.maximum.reduceat(y[order], first)
     ends = np.stack([np.column_stack([x[first], low]),
                      np.column_stack([x[first], high])], axis=1)
     pts = ends[np.column_stack([np.ones(first.size, dtype=bool),

@@ -9,12 +9,19 @@ filler.  Both return certified layer placements.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point2, Probe, certify_coverage, _cells_hull
+from .geometry import (
+    Face,
+    Point2,
+    Probe,
+    certify_coverage,
+    uncovered_faces,
+    _TOL,
+    _convex_hull,
+)
 from .placements import CertificationError, LayerPlacement, construct_layer
 from .verifier import probe_coefficient
 
@@ -31,22 +38,22 @@ __all__ = [
 # this value, matching the published coefficient 2.93
 ALG7_RHO1 = 0.789
 
-_FINAL_MIN_CELL = 1e-6
-_SEARCH_MIN_CELL = 1e-3
-# fitness-mode resolution tiers: coarse residual measurement for the
-# population, and the floor of the in-fitness greedy filler
-_FITNESS_MIN_CELL = 8e-3
+# the greedy filler adds no probe of radius below 4 * floor: the floor
+# of the final fill, and the coarser one of the in-fitness fill
+_FINAL_FLOOR = 1e-6
 _FITNESS_FLOOR = 2e-3
-_CELL_BUDGET = 2e5
-_FITNESS_CELL_BUDGET = 2e4
 _FITNESS_STOP_AREA = 1e-3
 _PENALTY = 100.0
 # probes a greedy-filled layer may reach
 _GREEDY_MAX_PROBES = 45
 # chord search: hull-point pairs per block, and elements of each of the
-# two (candidates, cells) scoring buffers
+# two (candidates, points) scoring buffers
 _PAIR_BLOCK = 4096
 _SCORE_CHUNK = 1 << 16
+# scoring grid: about this many points in the largest face, and at most
+# this many in the box they are drawn from
+_FACE_POINTS = 4000
+_BOX_POINTS = 65536
 
 
 @dataclass(frozen=True)
@@ -106,57 +113,39 @@ def _densify_hull(hull: np.ndarray, spacing: float, cap: int = 96) -> np.ndarray
     return np.array(pts)
 
 
-def _best_chord_probe(regions: list[np.ndarray], r: float,
+def _best_chord_probe(hull: np.ndarray, points: np.ndarray, r: float,
                       hull_cap: int = 96) -> tuple[float, float] | None:
-    """Center of the radius-r circle through two points of the largest
-    region's hull that removes the most uncovered cell area, or None.
+    """Center of the radius-r circle through two points along ``hull``
+    whose closed disk holds the most scoring ``points``, or None when no
+    such disk holds one.
 
-    Candidates are the two centers of each hull-point pair (i, j), i < j,
-    taken in (i, j, +/-) order; the first one to beat the best score so
-    far by more than 1e-15 wins, so ties go to the earliest candidate.
-    A score is the row sum, in cell order, of the weights of the cells
-    inside the candidate's closed disk.
+    Candidates are the two centers of each pair (i, j), i < j, of points
+    along the hull, taken in (i, j, +/-) order; the first one with the
+    highest count wins.  A count is an integer, so it comes out the same
+    whatever order its points are added in.
 
-    Most cells lie far from any one candidate, so each candidate is first
-    scored only against the cells near it: candidates are grouped in
-    square tiles of side r/2, and a tile's candidates against the cells
+    Most points lie far from any one candidate, so each candidate is
+    counted only against the points near it: candidates are grouped in
+    square tiles of side r/2, and a tile's candidates against the points
     in the box of their centers widened by r plus a margin, which holds
-    every cell the exact test accepts.  Such a pruned score adds the same
-    weights as the row sum in any order, so it may differ from it in the
-    last bits.  Only the contenders, whose pruned score comes within a
-    rounding guard of every earlier one, can beat all earlier candidates
-    on row sums; they alone are scored with row sums and scanned, which
-    picks the same winner as scanning every row sum.
+    every point the exact test accepts.
 
-    A tile's bound, the sum of its near-cell weights, caps every row sum
-    in it, so within a block of pairs the tiles are scored in descending
+    A tile's bound, the number of its near points, caps every count in
+    it, so within a block of pairs the tiles are scored in descending
     order of bound, and a candidate is skipped when its tile's bound
-    plus the guard does not exceed the best score of earlier blocks, or
-    the pruned score of a candidate before it in scan order, minus the
-    guard.  Its row sum then lies below that earlier row sum, so it
-    never beats the running best and the scan need not visit it.  A
-    witness from later in scan order would not do: a later candidate
-    beats an earlier one only by more than 1e-15.
+    does not exceed the best count of earlier blocks or the count of a
+    candidate before it in scan order: it cannot be the first with the
+    highest count.  A witness from later in scan order would not do: an
+    equal count after it does not displace an earlier candidate.
     """
-    pts = _densify_hull(_cells_hull(regions[0]), r / 2.0, hull_cap)
-    score_cells = np.concatenate(regions)
-    if len(score_cells) > 4000:
-        score_cells = score_cells[::int(math.ceil(len(score_cells) / 4000))]
-    weight = (2.0 * score_cells[:, 2]) ** 2
-    sx, sy = score_cells[:, 0], score_cells[:, 1]
-    by_x = np.argsort(sx, kind="stable")
-    bx, by, bw = sx[by_x], sy[by_x], weight[by_x]
-    # a cell the exact test accepts lies within r of the center, up to
+    pts = _densify_hull(hull, r / 2.0, hull_cap)
+    by_x = np.argsort(points[:, 0], kind="stable")
+    bx, by = points[by_x, 0], points[by_x, 1]
+    # a point the exact test accepts lies within r of the center, up to
     # rounding far below this margin
     reach = r + 1e-9
-    # each sum of the same N weights lies within (N - 1) * 2**-53 * W of
-    # their exact sum (W the total weight), so a pruned score and its row
-    # sum differ by less than N * 2**-52 * W, and a candidate that beats
-    # every earlier row sum has a pruned score above every earlier pruned
-    # score minus twice that
-    guard = 2.0 * sx.size * 2.0 ** -52 * float(weight.sum())
     tile = 0.5 * r
-    buf = tuple(np.empty(max(_SCORE_CHUNK, sx.size)) for _ in range(2))
+    buf = tuple(np.empty(max(_SCORE_CHUNK, bx.size)) for _ in range(2))
 
     best, best_score = None, 0.0
     pair_i, pair_j = np.triu_indices(len(pts), 1)
@@ -193,55 +182,44 @@ def _best_chord_probe(regions: list[np.ndarray], r: float,
             near = (by[lo:hi] >= gy.min() - reach) \
                 & (by[lo:hi] <= gy.max() + reach)
             spans.append((lo, hi, near))
-            bound[t] = bw[lo:hi][near].sum()
+            bound[t] = np.count_nonzero(near)
         # skipped candidates score -inf; witness[0] is best_score and
-        # witness[c + 1] the pruned score of a scored candidate c, each
-        # minus the guard, so the running maximum at c covers just the
-        # earlier blocks and the candidates before c
+        # witness[c + 1] the count of a scored candidate c, so the running
+        # maximum at c covers just the earlier blocks and the candidates
+        # before c
         scores = np.full(cx.size, -np.inf)
         witness = np.full(cx.size + 1, -np.inf)
-        witness[0] = best_score - guard
+        witness[0] = best_score
         ahead = None
         for t in np.argsort(-bound, kind="stable").tolist():
             if ahead is None:
                 ahead = np.maximum.accumulate(witness)
             group = groups[t]
-            group = group[ahead[group] < bound[t] + guard]
+            group = group[ahead[group] < bound[t]]
             if not group.size:
                 continue
             lo, hi, near = spans[t]
             got = _near_scores(bx[lo:hi][near], by[lo:hi][near],
-                               bw[lo:hi][near], cx[group], cy[group], r, buf)
+                               cx[group], cy[group], r, buf)
             scores[group] = got
-            witness[group + 1] = got - guard
+            witness[group + 1] = got
             ahead = None
-        # a winner removes some area and beats every earlier candidate
-        prior = np.maximum.accumulate(
-            np.concatenate(([best_score], scores[:-1])))
-        contenders = np.flatnonzero((scores > prior - guard) & (scores > 0.0))
-        exact = _removed_area(sx, sy, weight, cx[contenders],
-                              cy[contenders], r, buf)
-        # every earlier row sum is at most best_score + 1e-15, so a winner
-        # beats best_score and each earlier contender's row sum: the
-        # sequential first-best scan need not visit anything else
-        prior = np.maximum.accumulate(
-            np.concatenate(([best_score], exact[:-1])))
-        for k in np.flatnonzero(exact > prior).tolist():
-            if exact[k] > best_score + 1e-15:
-                best_score = float(exact[k])
-                c = contenders[k]
-                best = (float(cx[c]), float(cy[c]))
+        # the first candidate with the highest count was never skipped,
+        # and every candidate before it counts less
+        k = int(np.argmax(scores))
+        if scores[k] > best_score:
+            best_score = float(scores[k])
+            best = (float(cx[k]), float(cy[k]))
     return best
 
 
-def _inside_rows(sx: np.ndarray, sy: np.ndarray, cx: np.ndarray,
-                 cy: np.ndarray, r: float, buf: tuple[np.ndarray, np.ndarray]
-                 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Chunks of the closed disks (cx, cy, r): a slice of them, and a
-    (disks, cells) view of the first of the two ``buf`` arrays holding
-    1.0 where the cell (sx, sy) lies inside the disk and 0.0 elsewhere;
-    the second is scratch."""
+def _near_scores(sx: np.ndarray, sy: np.ndarray, cx: np.ndarray,
+                 cy: np.ndarray, r: float,
+                 buf: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per closed disk (cx, cy, r), the number of points (sx, sy) inside
+    it, counted in chunks held by the two ``buf`` arrays."""
     n = sx.size
+    out = np.empty(cx.size)
     rows = max(1, buf[0].size // max(1, n))
     for k in range(0, cx.size, rows):
         m = min(rows, cx.size - k)
@@ -253,94 +231,109 @@ def _inside_rows(sx: np.ndarray, sy: np.ndarray, cx: np.ndarray,
         np.multiply(b, b, out=b)
         np.add(a, b, out=a)
         np.less_equal(a, r * r, out=a)
-        yield slice(k, k + m), a
-
-
-def _removed_area(sx: np.ndarray, sy: np.ndarray, weight: np.ndarray,
-                  cx: np.ndarray, cy: np.ndarray, r: float,
-                  buf: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Per closed disk (cx, cy, r), the row sum, in cell order, of the
-    weights of the cells (sx, sy) inside it."""
-    out = np.empty(cx.size)
-    for rows, inside in _inside_rows(sx, sy, cx, cy, r, buf):
-        np.multiply(inside, weight, out=inside)
-        inside.sum(axis=1, out=out[rows])
+        a.sum(axis=1, out=out[k:k + m])
     return out
 
 
-def _near_scores(sx: np.ndarray, sy: np.ndarray, weight: np.ndarray,
-                 cx: np.ndarray, cy: np.ndarray, r: float,
-                 buf: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The sums of ``_removed_area`` in any order, by a BLAS product."""
-    out = np.empty(cx.size)
-    for rows, inside in _inside_rows(sx, sy, cx, cy, r, buf):
-        np.matmul(inside, weight, out=out[rows])
-    return out
+def _face_targets(face: Face, probes: list[Probe],
+                  r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The chord hull of ``face`` for a probe of radius r, and the
+    scoring points.
+
+    The hull is that of points r/4 apart along the face's arcs.  The
+    scoring points are the points of a square grid that lie in the unit
+    disk and in no probe disk dilated by the 1e-9 tolerance, within the
+    hull's box widened by 2r, the reach of any candidate disk.  The grid
+    spacing gives the face about _FACE_POINTS points and the box at most
+    _BOX_POINTS.
+    """
+    xs, ys = [], []
+    for circle, a, b in face.arcs:
+        if circle < 0:
+            x0, y0, radius = 0.0, 0.0, 1.0
+        else:
+            p = probes[circle]
+            x0, y0, radius = p.center.x, p.center.y, p.rho + _TOL
+        t = np.linspace(a, b, int(math.ceil((b - a) * radius * 4.0 / r)) + 1)
+        xs.append(x0 + radius * np.cos(t))
+        ys.append(y0 + radius * np.sin(t))
+    hull = _convex_hull(np.concatenate(xs), np.concatenate(ys))
+    x_lo, y_lo = np.maximum(hull.min(axis=0) - 2.0 * r, -1.0)
+    x_hi, y_hi = np.minimum(hull.max(axis=0) + 2.0 * r, 1.0)
+    h = max(math.sqrt(face.area / _FACE_POINTS),
+            math.sqrt((x_hi - x_lo) * (y_hi - y_lo) / _BOX_POINTS))
+    gx, gy = np.meshgrid(np.arange(x_lo + 0.5 * h, x_hi, h),
+                         np.arange(y_lo + 0.5 * h, y_hi, h))
+    gx, gy = gx.ravel(), gy.ravel()
+    inside = gx * gx + gy * gy <= 1.0
+    gx, gy = gx[inside], gy[inside]
+    # only probes that reach the box remove points; each pass keeps the
+    # points still free, so the later passes test fewer
+    for p in probes:
+        reach = p.rho + _TOL
+        if (p.center.x + reach < x_lo or p.center.x - reach > x_hi
+                or p.center.y + reach < y_lo or p.center.y - reach > y_hi):
+            continue
+        dx = gx - p.center.x
+        dy = gy - p.center.y
+        free = dx * dx + dy * dy > reach * reach
+        gx, gy = gx[free], gy[free]
+    return hull, np.column_stack([gx, gy])
 
 
 def _greedy_core(probes: list[Probe], rho1: float, max_probes: int,
                  floor: float, hull_cap: int = 96,
-                 cell_budget: float = _CELL_BUDGET,
                  stop_area: float = 0.0) -> tuple[list[Probe], bool, float]:
-    """Shared filling loop; resolution tracks the next probe radius.
+    """Shared filling loop: each pass adds the next schedule probe at the
+    best chord of the largest uncovered face.
 
-    The uncovered-area bound is monotone at any fixed resolution since
-    every accepted probe removes a positive amount of uncovered cell
-    area; the loop stops once the schedule provably lacks the capacity
-    (or probe size) to close the remaining gaps.
+    The loop stops once the schedule provably lacks the capacity (or
+    probe size) to close the remaining gaps, or no chord reaches an
+    uncovered scoring point.
     """
     probes = list(probes)
-    area_prev = math.inf
     while True:
         m = len(probes)
         r_next = rho1 ** (m + 1)
-        min_cell = max(floor, min(_SEARCH_MIN_CELL, r_next / 8.0))
-        if math.isfinite(area_prev):
-            min_cell = max(min_cell, math.sqrt(area_prev / cell_budget))
-        report = certify_coverage(probes, min_cell, refine_uncovered=True)
-        if report.certified_covered:
+        covered, area, faces = uncovered_faces(probes)
+        if covered:
             return probes, True, 0.0
-        area = report.uncovered_area_upper_bound
         if area <= stop_area:
             # close enough for a heuristic fitness verdict; real
             # certification happens in greedy_fill
             return probes, True, area
-        if (m >= max_probes
+        if (m >= max_probes or not faces
                 or _schedule_capacity(rho1, m) < 0.5 * area
                 or r_next < 4.0 * floor):
             return probes, False, area
-        regions = sorted(report.uncovered_regions,
-                         key=lambda c: -float(((2.0 * c[:, 2]) ** 2).sum()))
-        if r_next < regions[0][:, 2].max():
-            return probes, False, area
-        center = _best_chord_probe(regions, r_next, hull_cap)
+        center = _best_chord_probe(*_face_targets(faces[0], probes, r_next),
+                                   r_next, hull_cap)
         if center is None:
             return probes, False, area
         probes.append(Probe(Point2(center[0], center[1]), r_next))
-        area_prev = area
 
 
 def greedy_fill(initial: LayerPlacement,
                 max_probes: int | None = None) -> LayerPlacement:
     """Extend a partial geometric-schedule layer to a certified cover.
 
-    Repeatedly certifies the current probes, takes the largest uncovered
-    region, and adds the next schedule probe (radius rho1^(m+1)) through
-    the pair of points on the region's convex hull that removes the most
-    uncovered area.  Raises :class:`CertificationError` when the
-    remaining schedule cannot close the gaps; the partial placement is
-    attached to the error as ``placement``.
+    Repeatedly measures the uncovered faces of the current probes, takes
+    the largest, and adds the next schedule probe (radius rho1^(m+1))
+    through the pair of points on the face's convex hull whose disk holds
+    the most uncovered grid points.  Raises :class:`CertificationError`
+    when the remaining schedule cannot close the gaps; the partial
+    placement is attached to the error as ``placement``.
     """
     if initial.rho1 is None:
         raise ValueError("greedy_fill needs a geometric-schedule placement")
     rho1 = initial.rho1
     budget = max_probes if max_probes is not None else _GREEDY_MAX_PROBES
-    if certify_coverage(list(initial.probes), _FINAL_MIN_CELL).certified_covered:
+    if certify_coverage(initial.probes).certified_covered:
         return LayerPlacement(initial.algorithm_id, tuple(initial.probes),
                               rho1, True, "disk")
     probes, ok, _ = _greedy_core(list(initial.probes), rho1, budget,
-                                 _FINAL_MIN_CELL)
-    if ok and certify_coverage(probes, _FINAL_MIN_CELL).certified_covered:
+                                 _FINAL_FLOOR)
+    if ok and certify_coverage(probes).certified_covered:
         return LayerPlacement(initial.algorithm_id, tuple(probes), rho1,
                               True, "disk")
     err = CertificationError(
@@ -382,23 +375,21 @@ def _base_coefficient(vector: np.ndarray) -> float:
 def _fitness(vector: np.ndarray, config: OptimizerConfig) -> float:
     """Probe coefficient after greedy filling, penalized when uncovered.
 
-    The residual of the six seed probes is measured coarsely first; the
-    greedy filler only runs when the remaining schedule capacity can
+    The exact residual area of the six seed probes is measured first;
+    the greedy filler only runs when the remaining schedule capacity can
     plausibly close the gaps, which keeps hopeless individuals cheap.
     """
     rho1, probes = _decode(vector)
     c = _base_coefficient(vector)
-    report = certify_coverage(probes, _FITNESS_MIN_CELL, refine_uncovered=True)
-    if report.certified_covered:
+    covered, area, _ = uncovered_faces(probes)
+    if covered:
         return c
-    area = report.uncovered_area_upper_bound
     capacity = _schedule_capacity(rho1, 6)
     if area > capacity:
         return _PENALTY + c + (area - capacity)
     filled, ok, residual = _greedy_core(probes, rho1,
                                         config.greedy_max_probes,
                                         _FITNESS_FLOOR, hull_cap=32,
-                                        cell_budget=_FITNESS_CELL_BUDGET,
                                         stop_area=_FITNESS_STOP_AREA)
     if not ok:
         return _PENALTY + c + residual
@@ -455,8 +446,8 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
     (angle, radial distance) pair per probe; radii are pinned to the
     geometric schedule rho1^k.  Fitness is the probe coefficient of the
     greedy-filled layer with a +100 penalty for uncovered results.  The
-    best individuals are refilled at full resolution and certified; the
-    run is bit-reproducible for a fixed seed.
+    best individuals are refilled by the final greedy fill and certified;
+    the run is bit-reproducible for a fixed seed.
     """
     config = config or OptimizerConfig()
     rng = np.random.default_rng(config.seed)
@@ -471,7 +462,7 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
     fitness = [_fitness(ind, config) for ind in population]
     # keep the pristine heuristic seeds aside: evolution replaces slots in
     # place, and a mutant can win the coarse fitness yet fail the final
-    # full-resolution certification
+    # fill and certification
     archive = [(fitness[i], population[i].copy())
                for i in range(len(population)) if fitness[i] < _PENALTY]
 
@@ -496,8 +487,8 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
                 fitness[i] = trial_fit
 
     # candidate order: the three best evolved individuals, then the whole
-    # archive -- evolved mutants can win the coarse fitness yet stall at
-    # full resolution, while archived seeds are known-good fallbacks
+    # archive -- evolved mutants can win the coarse fitness yet stall in
+    # the final fill, while archived seeds are known-good fallbacks
     evolved = sorted(((fitness[i], population[i])
                       for i in range(config.population)),
                      key=lambda pair: pair[0])[:3]

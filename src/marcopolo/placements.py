@@ -270,13 +270,17 @@ def execution_layer(placement: LayerPlacement) -> LayerPlacement:
                           placement.rho1, placement.certified, placement.coverage)
 
 
-_CONSTRUCTIONS: dict[str, Callable[[], tuple[tuple[Probe, ...], float | None, str]]] = {
-    "ALG1": lambda: (_alg1_probes(), None, "disk"),
-    "ALG2": lambda: (_alg2_probes(), None, "disk"),
-    "ALG3": lambda: (_abutting_chords(ALG3_RHO1, 5, ABUT_MARGIN), ALG3_RHO1, "disk"),
-    "ALG4": lambda: (_alg4_probes(ALG4_RHO1), ALG4_RHO1, "perimeter"),
-    "ALG5": lambda: (_alg5_probes(ALG5_RHO1), ALG5_RHO1, "disk"),
-    "ALG6": lambda: (_alg6_probes(ALG6_RHO1), ALG6_RHO1, "disk"),
+# per construction: the builder of its probes from a schedule base, its
+# frozen base (None for the fixed lattices, whose builders take none) and
+# the region it certifies
+_CONSTRUCTIONS: dict[str, tuple[Callable[[float | None], tuple[Probe, ...]],
+                                float | None, str]] = {
+    "ALG1": (lambda _: _alg1_probes(), None, "disk"),
+    "ALG2": (lambda _: _alg2_probes(), None, "disk"),
+    "ALG3": (lambda r: _abutting_chords(r, 5, ABUT_MARGIN), ALG3_RHO1, "disk"),
+    "ALG4": (_alg4_probes, ALG4_RHO1, "perimeter"),
+    "ALG5": (_alg5_probes, ALG5_RHO1, "disk"),
+    "ALG6": (_alg6_probes, ALG6_RHO1, "disk"),
 }
 
 
@@ -284,18 +288,12 @@ def construct_layer(algorithm_id: str, rho1: float | None = None) -> LayerPlacem
     """Build a layer placement without certification (used by searches)."""
     if algorithm_id not in _CONSTRUCTIONS:
         raise ValueError(f"unknown construction {algorithm_id!r}")
-    if rho1 is None:
-        probes, base, coverage = _CONSTRUCTIONS[algorithm_id]()
-    else:
-        builder = {
-            "ALG3": lambda r: _abutting_chords(r, 5, ABUT_MARGIN),
-            "ALG4": _alg4_probes,
-            "ALG5": _alg5_probes,
-            "ALG6": _alg6_probes,
-        }[algorithm_id]
-        probes, base = builder(rho1), rho1
-        coverage = "perimeter" if algorithm_id == "ALG4" else "disk"
-    return LayerPlacement(algorithm_id, probes, base, certified=False,
+    builder, base, coverage = _CONSTRUCTIONS[algorithm_id]
+    if rho1 is not None:
+        if base is None:
+            raise ValueError(f"{algorithm_id} has no schedule base")
+        base = rho1
+    return LayerPlacement(algorithm_id, builder(base), base, certified=False,
                           coverage=coverage)
 
 

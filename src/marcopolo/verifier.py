@@ -137,19 +137,20 @@ def bounds_report(placement) -> BoundsReport:
 # Minimal schedule base
 # ---------------------------------------------------------------------------
 
-def _perimeter_schedule_covers(rho1: float, tol: float = 1e-14) -> bool:
-    """Whether the infinite chord schedule rho1^k covers the full perimeter:
-    sum of arc widths 2*asin(rho1^k) reaches 2*pi."""
+def _chord_arcs_close(rho: float, term_tol: float = 5e-15) -> bool:
+    """Whether the infinite chord schedule rho^k, k = 1, 2, ..., covers the
+    perimeter: its arc half-widths asin(rho^k) sum to pi.  The series is
+    cut at the first term below ``term_tol``."""
     total = 0.0
-    rk = rho1
+    rk = rho
     while True:
-        term = 2.0 * math.asin(rk)
+        term = math.asin(rk)
         total += term
-        if total >= 2.0 * math.pi:
+        if total >= math.pi:
             return True
-        if term < tol:
+        if term < term_tol:
             return False
-        rk *= rho1
+        rk *= rho
 
 
 def minimal_rho1(scheme: str, tol: float = _BISECT_TOL) -> float:
@@ -161,7 +162,7 @@ def minimal_rho1(scheme: str, tol: float = _BISECT_TOL) -> float:
     sum for the infinite chord schedule).
     """
     if scheme == "PERIMETER_ONLY":
-        predicate: Callable[[float], bool] = _perimeter_schedule_covers
+        predicate: Callable[[float], bool] = _chord_arcs_close
         lo, hi = 0.5, 0.999
     elif scheme in ("ALG3", "ALG4", "ALG5", "ALG6"):
 
@@ -200,20 +201,10 @@ def lower_bound_constant(term_threshold: float = 1e-12) -> tuple[float, float]:
     probes: the chord arcs of the schedule must cover the perimeter.
     """
 
-    def arc_sum(c: float) -> float:
-        total = 0.0
-        k = 1
-        while True:
-            term = math.asin(2.0 ** (-k / c))
-            total += term
-            if term < term_threshold or total > 2 * math.pi:
-                return total
-            k += 1
-
     lo, hi = 1.0, 4.0
     while hi - lo > _LB_TOL:
         mid = 0.5 * (lo + hi)
-        if arc_sum(mid) >= math.pi:
+        if _chord_arcs_close(2.0 ** (-1.0 / mid), term_threshold):
             hi = mid
         else:
             lo = mid

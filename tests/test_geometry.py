@@ -1,6 +1,6 @@
 """Geometric primitives: lattices, chord and balanced probes, and the
-coverage certifier: the exact arc test of decide mode, checked against the
-refine-mode quadtree and dense sampling, and the quadtree itself."""
+coverage model: the exact arc certifier and the uncovered faces and area
+taken from its arcs, both checked against dense sampling."""
 from __future__ import annotations
 
 import math
@@ -21,14 +21,9 @@ from marcopolo.geometry import (
     chord_probe,
     circumscribe,
     hex_lattice,
+    uncovered_faces,
 )
-from marcopolo import geometry
-from marcopolo.geometry import (
-    _cells_hull,
-    _circle_gaps,
-    _cluster_cells,
-    _convex_hull,
-)
+from marcopolo.geometry import _circle_gaps, _convex_hull
 from marcopolo.placements import PlacementFile, construct_layer, hexfam_layer
 
 PLACEMENTS_DIR = Path(__file__).resolve().parent.parent / "placements"
@@ -171,7 +166,7 @@ class TestCertifyCoverage:
     def test_single_full_probe(self):
         report = certify_coverage([Probe(Point2(0.0, 0.0), 1.0)], 1e-3)
         assert report.certified_covered
-        assert report.uncovered_area_upper_bound == 0.0
+        assert report.uncovered_arcs == []
 
     def test_alg3_certifies_at_frozen_rho(self):
         layer = construct_layer("ALG3")
@@ -179,21 +174,19 @@ class TestCertifyCoverage:
 
     def test_alg3_scheme_fails_below_minimum(self):
         layer = construct_layer("ALG3", rho1=0.82)
-        report = certify_coverage(list(layer.probes), 1e-3,
-                                  refine_uncovered=True)
-        assert not report.certified_covered
-        assert report.uncovered_area_upper_bound > 0.0
-        # a gap reaches the perimeter, where the unit circle is uncovered;
-        # refine mode also maps the interior gap between the chords
-        reach = [np.hypot(c[:, 0], c[:, 1]).max()
-                 for c in report.uncovered_regions]
-        assert max(reach) > 0.9
+        covered, area, faces = uncovered_faces(layer.probes)
+        assert not covered
+        assert area > 0.0
+        # a gap reaches the perimeter, where the unit circle is uncovered,
+        # and another lies in the interior between the chords
+        touching = [any(c < 0 for c, _, _ in f.arcs) for f in faces]
+        assert True in touching and False in touching
         arcs = certify_coverage(layer.probes).uncovered_arcs
         assert arcs[0][0] == -1
 
     def test_report_invariants(self):
         with pytest.raises(AssertionError):
-            CoverageReport(True, 0.1, [], 1e-4)
+            CoverageReport(True, [(-1, 0.0, 1.0)])
 
     def test_soundness_sampling(self, layers):
         # certified placements leave no uncovered random point
@@ -331,6 +324,16 @@ def _oracle_placements(draw):
     return probes
 
 
+def _fuzzed_golden(seed: int, sigma: float) -> list[Probe]:
+    """Golden layer seed % 8 (ALG1 ... ALG8) with N(0, sigma^2) noise on
+    its centers."""
+    rng = np.random.default_rng(seed)
+    probes = _golden_probes()[seed % 8]
+    noise = rng.standard_normal((len(probes), 2)) * sigma
+    return [Probe(Point2(p.center.x + dx, p.center.y + dy), p.rho)
+            for p, (dx, dy) in zip(probes, noise)]
+
+
 def _covered(probes, pts: np.ndarray, tol: float) -> np.ndarray:
     covered = np.zeros(len(pts), dtype=bool)
     for p in probes:
@@ -339,21 +342,55 @@ def _covered(probes, pts: np.ndarray, tol: float) -> np.ndarray:
     return covered
 
 
+def _arc_point(probes, circle: int, angle: float) -> np.ndarray:
+    """The point at ``angle`` on the unit circle (circle -1) or on the
+    dilated circle of probe ``circle``."""
+    if circle < 0:
+        return np.array([math.cos(angle), math.sin(angle)])
+    p = probes[circle]
+    r = p.rho + 1e-9
+    return np.array([p.center.x + r * math.cos(angle),
+                     p.center.y + r * math.sin(angle)])
+
+
+def _check_faces(probes) -> bool:
+    """Check ``uncovered_faces`` against ``certify_coverage`` and dense
+    sampling, and return its verdict."""
+    covered, area, faces = uncovered_faces(probes)
+    assert covered == certify_coverage(probes).certified_covered
+    # Green's area against the share of 100k uniform points of the
+    # disk that no dilated probe covers: within six standard errors,
+    # plus two points for gaps too small to be hit reliably
+    rng = np.random.default_rng(len(probes))
+    n = 100_000
+    r = np.sqrt(rng.uniform(0.0, 1.0, n))
+    a = rng.uniform(0.0, 2.0 * math.pi, n)
+    pts = np.column_stack([r * np.cos(a), r * np.sin(a)])
+    sampled = math.pi * float(np.mean(~_covered(probes, pts, 1e-9)))
+    share = min(max(area / math.pi, 0.0), 1.0)
+    error = math.pi * math.sqrt(share * (1.0 - share) / n)
+    assert abs(area - sampled) <= 6.0 * error + 2.0 * math.pi / n
+    # faces are closed loops of uncovered arcs, largest first; their
+    # areas add up to at least the total, which subtracts the holes
+    assert [f.area for f in faces] == sorted(
+        (f.area for f in faces), reverse=True)
+    assert all(f.area > 0.0 for f in faces)
+    assert sum(f.area for f in faces) >= area - 1e-12
+    for face in faces:
+        for (c, s, e), (c2, s2, e2) in zip(
+                face.arcs, face.arcs[1:] + face.arcs[:1]):
+            end = _arc_point(probes, c, e if c < 0 else s)
+            start = _arc_point(probes, c2, s2 if c2 < 0 else e2)
+            assert np.hypot(*(end - start)) < 1e-9
+    return covered
+
+
 class TestArcCertifierOracle:
     @given(_oracle_placements())
     @settings(max_examples=120, deadline=None)
-    def test_against_quadtree_sampling_and_witnesses(self, probes):
+    def test_against_area_sampling_and_witnesses(self, probes):
         report = certify_coverage(probes)
-        # the quadtree is sound: what it certifies is covered.  Its cells
-        # grow as (gap area) / min_cell^2, so only small gaps are refined
-        # down to the finer resolution
-        for min_cell in (2e-3, 1e-4):
-            refined = certify_coverage(probes, min_cell,
-                                       refine_uncovered=True)
-            if refined.certified_covered:
-                assert report.certified_covered
-            if refined.uncovered_area_upper_bound > 1e-3:
-                break
+        _check_faces(probes)
         if report.certified_covered:
             rng = np.random.default_rng(len(probes))
             r = np.sqrt(rng.uniform(0.0, 1.0, 20_000))
@@ -379,34 +416,83 @@ class TestArcCertifierOracle:
 
 
 class TestUncoveredRegions:
-    """The report's uncovered regions: one array of cells per gap
-    cluster, largest cell area first."""
+    """The uncovered faces: closed loops of uncovered arcs, largest area
+    first, with the exact area of the uncovered set."""
 
     def test_covered_report_empty(self):
-        for refine in (False, True):
-            report = certify_coverage([Probe(Point2(0.0, 0.0), 1.0)], 1e-3,
-                                      refine_uncovered=refine)
-            assert report.certified_covered
-            assert report.uncovered_regions == []
+        assert uncovered_faces([Probe(Point2(0.0, 0.0), 1.0)]) == \
+            (True, 0.0, [])
 
     def test_two_gaps_ordered_by_area(self):
         probes = [Probe(Point2(0.35, 0.0), 0.72),
                   Probe(Point2(-0.55, 0.45), 0.5),
                   Probe(Point2(-0.55, -0.45), 0.5),
                   Probe(Point2(-0.9, 0.0), 0.28)]
-        report = certify_coverage(probes, 1e-3, refine_uncovered=True)
-        assert not report.certified_covered
-        assert len(report.uncovered_regions) >= 2
-        areas = [float(np.sum((2.0 * c[:, 2]) ** 2))
-                 for c in report.uncovered_regions]
+        covered, area, faces = uncovered_faces(probes)
+        assert not covered
+        assert len(faces) == 2
+        areas = [f.area for f in faces]
         assert areas == sorted(areas, reverse=True)
+        assert sum(areas) == pytest.approx(area, rel=0.0, abs=1e-12)
 
     def test_alg4_interior_gap(self):
-        layer = construct_layer("ALG4", rho1=0.8)
-        report = certify_coverage(list(layer.probes), 2e-3,
-                                  refine_uncovered=True)
-        assert not report.certified_covered
-        assert len(report.uncovered_regions) >= 1
+        covered, area, faces = uncovered_faces(
+            construct_layer("ALG4", rho1=0.8).probes)
+        assert not covered
+        assert len(faces) >= 1 and area > 0.0
+        # at its frozen base ALG4 covers the unit circle and leaves only
+        # interior pinholes, below the documented 3e-4
+        covered, area, faces = uncovered_faces(construct_layer("ALG4").probes)
+        assert not covered
+        assert faces and all(c >= 0 for f in faces for c, _, _ in f.arcs)
+        assert 0.0 < area < 3e-4
+
+
+class TestUncoveredFaces:
+    def test_duplicated_probes_count_once(self):
+        for probes in (list(construct_layer("ALG4", rho1=0.8).probes),
+                       list(construct_layer("ALG3", rho1=0.82).probes)):
+            covered, area, faces = uncovered_faces(probes)
+            twins = uncovered_faces(probes + probes[::-1] + probes[:2])
+            assert twins[0] == covered
+            assert twins[1] == pytest.approx(area, rel=0.0, abs=1e-15)
+            assert [f.area for f in twins[2]] == pytest.approx(
+                [f.area for f in faces], rel=0.0, abs=1e-15)
+
+    def test_probe_inside_a_gap_is_a_hole(self):
+        # the small disk lies wholly inside the gap that the large probe
+        # leaves: its circle is a loop of negative area, which the total
+        # subtracts but which bounds no face
+        big = Probe(Point2(0.5, 0.0), 0.6)
+        small = Probe(Point2(-0.5, 0.0), 0.2)
+        covered, area, faces = uncovered_faces([big, small])
+        alone = uncovered_faces([big])
+        assert not covered
+        assert len(faces) == 1
+        assert faces[0].area == pytest.approx(alone[1], rel=0.0, abs=1e-12)
+        hole = math.pi * (0.2 + 1e-9) ** 2
+        assert area == pytest.approx(alone[1] - hole, rel=0.0, abs=1e-12)
+        assert (1, 0.0, 2.0 * math.pi) not in faces[0].arcs
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-6, 1e-4])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fuzzed_golden_layers(self, seed, sigma):
+        # each golden layer, with its centers fuzzed or not; unfuzzed, all
+        # but ALG4, which covers only the unit circle, certify
+        probes = _fuzzed_golden(seed, sigma)
+        covered = _check_faces(probes)
+        if sigma == 0.0:
+            assert covered == (seed != 3)
+
+    def test_probe_at_origin(self):
+        covered, area, faces = uncovered_faces([Probe(Point2(0.0, 0.0),
+                                                      0.6)])
+        assert not covered
+        assert area == pytest.approx(math.pi * (1.0 - (0.6 + 1e-9) ** 2),
+                                     rel=0.0, abs=1e-12)
+        assert len(faces) == 1
+        assert faces[0].arcs == [(-1, 0.0, 2.0 * math.pi)]
+        assert faces[0].area == pytest.approx(math.pi, rel=0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -435,39 +521,7 @@ def _reference_hull(points: np.ndarray) -> np.ndarray:
 
 
 def _point_hull(points: np.ndarray) -> np.ndarray:
-    return _convex_hull(points[:, 0], points[:, 1], points[:, 1])
-
-
-def _reference_clusters(cells: np.ndarray) -> list[list[int]]:
-    """Row indices of each 8-neighbor component on the coarsest cell's
-    grid, found by depth-first search from each unvisited row in order,
-    ordered by area (stable, so ties keep first-row order)."""
-    grid = 2.0 * float(cells[:, 2].max())
-    keys = [(math.floor(x / grid), math.floor(y / grid))
-            for x, y in cells[:, :2].tolist()]
-    index: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(keys):
-        index.setdefault(key, []).append(i)
-    seen = [False] * len(keys)
-    groups = []
-    for start in range(len(keys)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack, members = [start], []
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            a, b = keys[i]
-            for da in (-1, 0, 1):
-                for db in (-1, 0, 1):
-                    for j in index.get((a + da, b + db), ()):
-                        if not seen[j]:
-                            seen[j] = True
-                            stack.append(j)
-        groups.append(sorted(members))
-    groups.sort(key=lambda g: -float(np.sum(cells[g, 2] ** 2)))
-    return groups
+    return _convex_hull(points[:, 0], points[:, 1])
 
 
 def _random_cells(rng, count: int, levels=(5, 6, 7)) -> np.ndarray:
@@ -488,156 +542,18 @@ class TestConvexHull:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cell_corners(self, seed):
+        # corners of grid cells: many points share a column or a line,
+        # and neighboring cells share corners
         rng = np.random.default_rng(100 + seed)
         cells = _random_cells(rng, int(rng.integers(1, 400)))
         h = cells[:, 2:3]
         corners = np.concatenate([
             cells[:, :2] + np.column_stack([sx * h, sy * h])
             for sx in (-1, 1) for sy in (-1, 1)])
-        assert np.array_equal(_cells_hull(cells), _reference_hull(corners))
+        assert np.array_equal(_point_hull(corners), _reference_hull(corners))
 
     def test_degenerate_inputs(self):
         column = np.array([[0.0, 2.0], [0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
         line = np.array([[float(i), 3.0 * i] for i in range(6)])
         for pts in (column, line, column[:1], column[:2], column[:0]):
             assert np.array_equal(_point_hull(pts), _reference_hull(pts))
-
-
-class TestClusterCells:
-    @staticmethod
-    def _check(cells: np.ndarray) -> None:
-        clusters = _cluster_cells(cells)
-        expected = _reference_clusters(cells)
-        assert len(clusters) == len(expected)
-        for got, rows in zip(clusters, expected):
-            assert np.array_equal(got, cells[rows])
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_mixed_sizes(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        self._check(_random_cells(rng, int(rng.integers(1, 600))))
-
-    def test_scattered_single_cells(self):
-        rng = np.random.default_rng(9)
-        cells = np.column_stack([rng.uniform(-1, 1, (300, 2)),
-                                 np.full(300, 1e-3)])
-        self._check(cells)
-
-    def test_fine_grid_keys_do_not_collide(self):
-        # on a 2^-31 grid spanning the disk, raw 64-bit bucket keys
-        # ix * width + iy wrap around, and cells a and b, two units
-        # apart, would share a key
-        grid = 2.0 ** -31
-        half = grid / 2
-        a = [-1.0 + half, half, half]
-        b = [a[0] + (2 ** 32 - 2) * grid, half + 4 * grid, half]
-        rows = [[half, -1.0 + half, half], [half, 1.0 - half, half]]
-        cells = np.array([a, b] + rows)
-        self._check(cells)
-        assert len(_cluster_cells(cells)) == 4
-
-    @pytest.mark.parametrize("probes", [
-        list(construct_layer("ALG3", rho1=0.82).probes),
-        list(construct_layer("ALG4", rho1=0.8).probes)[:4],
-        [Probe(Point2(0.35, 0.0), 0.72), Probe(Point2(-0.55, 0.45), 0.5),
-         Probe(Point2(-0.55, -0.45), 0.5), Probe(Point2(-0.9, 0.0), 0.28)],
-    ])
-    def test_refined_reports(self, probes):
-        report = certify_coverage(probes, 2e-3, refine_uncovered=True)
-        assert not report.certified_covered
-        cells = np.concatenate(report.uncovered_regions)
-        self._check(cells)
-        # rows in a scrambled order form the same components
-        self._check(cells[np.random.default_rng(1).permutation(len(cells))])
-
-
-def _reference_core_cells(px, py, pr2, r_core, min_cell):
-    """The refine-mode quadtree testing its cells one probe at a time."""
-    cx = np.array([0.0])
-    cy = np.array([0.0])
-    half = 1.0
-    min_side_seen = 2.0
-    unc = []
-    while cx.size:
-        side = 2.0 * half
-        min_side_seen = min(min_side_seen, side)
-        nx = np.maximum(np.abs(cx) - half, 0.0)
-        ny = np.maximum(np.abs(cy) - half, 0.0)
-        alive = nx * nx + ny * ny <= r_core * r_core
-        covered = np.zeros(cx.size, dtype=bool)
-        for j in range(px.size):
-            todo = alive & ~covered
-            if not todo.any():
-                break
-            fx = np.abs(cx[todo] - px[j]) + half
-            fy = np.abs(cy[todo] - py[j]) + half
-            sub = fx * fx + fy * fy <= pr2[j]
-            idx = np.flatnonzero(todo)
-            covered[idx[sub]] = True
-        open_idx = np.flatnonzero(alive & ~covered)
-        if open_idx.size == 0:
-            break
-        ox, oy = cx[open_idx], cy[open_idx]
-        bad = ox * ox + oy * oy <= r_core * r_core
-        for j in range(px.size):
-            if not bad.any():
-                break
-            bad &= (ox - px[j]) ** 2 + (oy - py[j]) ** 2 > pr2[j]
-        at_floor = side / 2.0 < min_cell
-        park = bad & (side <= min_cell)
-        if at_floor:
-            park = np.ones(ox.size, dtype=bool)
-        if park.any():
-            unc.append(np.column_stack([ox[park], oy[park],
-                                        np.full(int(park.sum()), half),
-                                        bad[park].astype(float)]))
-        keep = ~park
-        if at_floor or not keep.any():
-            break
-        cx, cy = ox[keep], oy[keep]
-        half /= 2.0
-        n_open = cx.size
-        cx = np.repeat(cx, 4) + np.tile([-half, -half, half, half], n_open)
-        cy = np.repeat(cy, 4) + np.tile([-half, half, -half, half], n_open)
-    return unc, min_side_seen
-
-
-def _fuzzed_golden(seed: int, sigma: float) -> list[Probe]:
-    """Golden layer seed % 8 with N(0, sigma^2) noise on its centers."""
-    rng = np.random.default_rng(seed)
-    probes = _golden_probes()[seed % 8]
-    noise = rng.standard_normal((len(probes), 2)) * sigma
-    return [Probe(Point2(p.center.x + dx, p.center.y + dy), p.rho)
-            for p, (dx, dy) in zip(probes, noise)]
-
-
-class TestQuadtreeBlocks:
-    """Refine mode tests each level's cells against all probes in
-    (probes, cells) blocks; its reports equal those of the quadtree that
-    tests one probe at a time, for golden layers (the lattices certify
-    only through their exact junctions), fuzzed ones and ALG4 at 0.8."""
-
-    @pytest.mark.parametrize("probes, min_cell", [
-        (list(construct_layer("ALG4", rho1=0.8).probes), 2e-3),
-        (list(construct_layer("ALG4", rho1=0.8).probes), 1e-3),
-    ] + [(_fuzzed_golden(seed, sigma), 2e-3)
-         for seed in range(8) for sigma in (0.0, 1e-6, 1e-4)])
-    def test_matches_per_probe_loop(self, probes, min_cell, monkeypatch):
-        report = certify_coverage(probes, min_cell, refine_uncovered=True)
-        # blocks of a few cells each cross many block boundaries
-        monkeypatch.setattr(geometry, "_QUAD_CHUNK", 100)
-        small_blocks = certify_coverage(probes, min_cell,
-                                        refine_uncovered=True)
-        monkeypatch.setattr(geometry, "_core_cells", _reference_core_cells)
-        expected = certify_coverage(probes, min_cell, refine_uncovered=True)
-        for got in (report, small_blocks):
-            assert got.certified_covered == expected.certified_covered
-            assert got.uncovered_area_upper_bound == \
-                expected.uncovered_area_upper_bound
-            assert got.min_cell_size_reached == \
-                expected.min_cell_size_reached
-            assert len(got.uncovered_regions) == \
-                len(expected.uncovered_regions)
-            for cells, want in zip(got.uncovered_regions,
-                                   expected.uncovered_regions):
-                assert np.array_equal(cells, want)
