@@ -1,6 +1,6 @@
 """Geometric primitives: lattices, chord and balanced probes, and the
 coverage model: the exact arc certifier and the uncovered faces and area
-taken from its arcs, both checked against dense sampling."""
+taken from its arcs, checked against dense sampling and a quadtree."""
 from __future__ import annotations
 
 import math
@@ -493,6 +493,74 @@ class TestUncoveredFaces:
         assert len(faces) == 1
         assert faces[0].arcs == [(-1, 0.0, 2.0 * math.pi)]
         assert faces[0].area == pytest.approx(math.pi, rel=0.0, abs=1e-12)
+
+
+def _reference_area_bounds(probes, min_cell: float) -> tuple[float, float]:
+    """Lower and upper bounds on the area of the unit disk that the probe
+    disks, dilated by 1e-9, leave uncovered, from a quadtree that tests
+    its cells one probe at a time down to side ``min_cell``.
+
+    A cell inside the disk that meets no probe counts in both bounds; a
+    cell that no single probe covers and that reaches the floor counts in
+    the upper one."""
+    px = np.array([p.center.x for p in probes])
+    py = np.array([p.center.y for p in probes])
+    pr = np.array([p.rho for p in probes]) + 1e-9
+    cx, cy, half = np.array([0.0]), np.array([0.0]), 1.0
+    lower = upper = 0.0
+    while cx.size:
+        ax, ay = np.abs(cx) + half, np.abs(cy) + half
+        nx = np.maximum(np.abs(cx) - half, 0.0)
+        ny = np.maximum(np.abs(cy) - half, 0.0)
+        alive = nx * nx + ny * ny <= 1.0
+        covered = np.zeros(cx.size, dtype=bool)
+        touched = np.zeros(cx.size, dtype=bool)
+        for x, y, r in zip(px, py, pr):
+            fx, fy = np.abs(cx - x) + half, np.abs(cy - y) + half
+            covered |= fx * fx + fy * fy <= r * r
+            gx = np.maximum(np.abs(cx - x) - half, 0.0)
+            gy = np.maximum(np.abs(cy - y) - half, 0.0)
+            touched |= gx * gx + gy * gy <= r * r
+        open_ = alive & ~covered
+        empty = open_ & ~touched & (ax * ax + ay * ay <= 1.0)
+        cell = 4.0 * half * half
+        lower += cell * np.count_nonzero(empty)
+        upper += cell * np.count_nonzero(empty)
+        split = open_ & ~empty
+        if 2.0 * half <= min_cell:
+            upper += cell * np.count_nonzero(split)
+            break
+        half /= 2.0
+        cx, cy = cx[split], cy[split]
+        n = cx.size
+        cx = np.repeat(cx, 4) + np.tile([-half, -half, half, half], n)
+        cy = np.repeat(cy, 4) + np.tile([-half, half, -half, half], n)
+    return lower, upper
+
+
+class TestQuadtreeBlocks:
+    """The exact uncovered area lies between the bounds of a quadtree
+    whose cells are tested one probe at a time, for golden layers (whose
+    tangent probes no quadtree cell certifies, so only the lower bound
+    is tight), fuzzed ones and ALG4 at 0.8; ``certify_coverage`` ignores
+    ``min_cell`` and agrees with ``uncovered_faces``."""
+
+    @pytest.mark.parametrize("probes, min_cell", [
+        (list(construct_layer("ALG4", rho1=0.8).probes), 2e-3),
+        (list(construct_layer("ALG4", rho1=0.8).probes), 1e-3),
+    ] + [(_fuzzed_golden(seed, sigma), 2e-3)
+         for seed in range(8) for sigma in (0.0, 1e-6, 1e-4)])
+    def test_matches_per_probe_loop(self, probes, min_cell):
+        report = certify_coverage(probes, min_cell)
+        assert report == certify_coverage(probes)
+        covered, area, faces = uncovered_faces(probes)
+        assert covered == report.certified_covered
+        lower, upper = _reference_area_bounds(probes, min_cell)
+        assert lower - 1e-12 <= area <= upper + 1e-12
+        if lower > 0.0:
+            assert not covered and faces
+        if covered:
+            assert area == 0.0 and lower == 0.0
 
 
 # ---------------------------------------------------------------------------
