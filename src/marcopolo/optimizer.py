@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .geometry import (
     _convex_hull,
 )
 from .placements import CertificationError, LayerPlacement, construct_layer
-from .verifier import probe_coefficient
 
 __all__ = [
     "OptimizerConfig",
@@ -38,14 +38,14 @@ __all__ = [
 # this value, matching the published coefficient 2.93
 ALG7_RHO1 = 0.789
 
-# the greedy filler adds no probe of radius below 4 * floor: the floor
-# of the final fill, and the coarser one of the in-fitness fill
+# the greedy filler adds no probe of radius below 4 * floor
 _FINAL_FLOOR = 1e-6
-_FITNESS_FLOOR = 2e-3
-_FITNESS_STOP_AREA = 1e-3
+# added to the fitness of an individual whose fill stalls
 _PENALTY = 100.0
 # probes a greedy-filled layer may reach
 _GREEDY_MAX_PROBES = 45
+# chord hull sampling: points r/2 apart, spread out to about this many
+_HULL_CAP = 96
 # chord search: hull-point pairs per block, and elements of each of the
 # two (candidates, points) scoring buffers
 _PAIR_BLOCK = 4096
@@ -66,7 +66,6 @@ class OptimizerConfig:
     crossover_rate: float = 0.9
     seed: int = 0
     rho1_bounds: tuple[float, float] = (0.76, 0.80)
-    greedy_max_probes: int = _GREEDY_MAX_PROBES
 
     def __post_init__(self) -> None:
         if self.population < 8:
@@ -80,8 +79,6 @@ class OptimizerConfig:
         lo, hi = self.rho1_bounds
         if not 0.0 < lo < hi < 1.0:
             raise ValueError("rho1 bounds must satisfy 0 < lo < hi < 1")
-        if self.greedy_max_probes < 7:
-            raise ValueError("greedy probe budget must exceed the six seeds")
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +90,17 @@ def _schedule_capacity(rho1: float, m: int) -> float:
     return math.pi * rho1 ** (2 * (m + 1)) / (1.0 - rho1 * rho1)
 
 
-def _densify_hull(hull: np.ndarray, spacing: float, cap: int = 96) -> np.ndarray:
+def _densify_hull(hull: np.ndarray, spacing: float) -> np.ndarray:
     """Points along the hull boundary, at most ``spacing`` apart.
 
-    The spacing is widened to perimeter / cap, which aims at about ``cap``
-    points; the output is not capped, since every hull edge contributes
-    at least its start point.
+    The spacing is widened to perimeter / _HULL_CAP, which aims at about
+    _HULL_CAP points; the output is not capped, since every hull edge
+    contributes at least its start point.
     """
     n = len(hull)
     perimeter = sum(math.hypot(*(hull[(i + 1) % n] - hull[i]))
                     for i in range(n))
-    spacing = max(spacing, perimeter / cap)
+    spacing = max(spacing, perimeter / _HULL_CAP)
     pts = []
     for i in range(n):
         a, b = hull[i], hull[(i + 1) % n]
@@ -113,8 +110,8 @@ def _densify_hull(hull: np.ndarray, spacing: float, cap: int = 96) -> np.ndarray
     return np.array(pts)
 
 
-def _best_chord_probe(hull: np.ndarray, points: np.ndarray, r: float,
-                      hull_cap: int = 96) -> tuple[float, float] | None:
+def _best_chord_probe(hull: np.ndarray, points: np.ndarray,
+                      r: float) -> tuple[float, float] | None:
     """Center of the radius-r circle through two points along ``hull``
     whose closed disk holds the most scoring ``points``, or None when no
     such disk holds one.
@@ -138,7 +135,7 @@ def _best_chord_probe(hull: np.ndarray, points: np.ndarray, r: float,
     highest count.  A witness from later in scan order would not do: an
     equal count after it does not displace an earlier candidate.
     """
-    pts = _densify_hull(hull, r / 2.0, hull_cap)
+    pts = _densify_hull(hull, r / 2.0)
     by_x = np.argsort(points[:, 0], kind="stable")
     bx, by = points[by_x, 0], points[by_x, 1]
     # a point the exact test accepts lies within r of the center, up to
@@ -281,15 +278,15 @@ def _face_targets(face: Face, probes: list[Probe],
     return hull, np.column_stack([gx, gy])
 
 
-def _greedy_core(probes: list[Probe], rho1: float, max_probes: int,
-                 floor: float, hull_cap: int = 96,
-                 stop_area: float = 0.0) -> tuple[list[Probe], bool, float]:
-    """Shared filling loop: each pass adds the next schedule probe at the
+def _greedy_core(probes: Sequence[Probe],
+                 rho1: float) -> tuple[list[Probe], bool, float]:
+    """The filling loop: each pass adds the next schedule probe at the
     best chord of the largest uncovered face.
 
-    The loop stops once the schedule provably lacks the capacity (or
-    probe size) to close the remaining gaps, or no chord reaches an
-    uncovered scoring point.
+    Returns the probes, whether they cover the disk, and the uncovered
+    area.  The loop stops once the probes the schedule can still add
+    have less total area than the gap, or would fall below the floor or
+    the budget, or no chord reaches an uncovered scoring point.
     """
     probes = list(probes)
     while True:
@@ -298,23 +295,18 @@ def _greedy_core(probes: list[Probe], rho1: float, max_probes: int,
         covered, area, faces = uncovered_faces(probes)
         if covered:
             return probes, True, 0.0
-        if area <= stop_area:
-            # close enough for a heuristic fitness verdict; real
-            # certification happens in greedy_fill
-            return probes, True, area
-        if (m >= max_probes or not faces
-                or _schedule_capacity(rho1, m) < 0.5 * area
-                or r_next < 4.0 * floor):
+        if (m >= _GREEDY_MAX_PROBES or not faces
+                or _schedule_capacity(rho1, m) < area
+                or r_next < 4.0 * _FINAL_FLOOR):
             return probes, False, area
         center = _best_chord_probe(*_face_targets(faces[0], probes, r_next),
-                                   r_next, hull_cap)
+                                   r_next)
         if center is None:
             return probes, False, area
         probes.append(Probe(Point2(center[0], center[1]), r_next))
 
 
-def greedy_fill(initial: LayerPlacement,
-                max_probes: int | None = None) -> LayerPlacement:
+def greedy_fill(initial: LayerPlacement) -> LayerPlacement:
     """Extend a partial geometric-schedule layer to a certified cover.
 
     Repeatedly measures the uncovered faces of the current probes, takes
@@ -327,12 +319,7 @@ def greedy_fill(initial: LayerPlacement,
     if initial.rho1 is None:
         raise ValueError("greedy_fill needs a geometric-schedule placement")
     rho1 = initial.rho1
-    budget = max_probes if max_probes is not None else _GREEDY_MAX_PROBES
-    if certify_coverage(initial.probes).certified_covered:
-        return LayerPlacement(initial.algorithm_id, tuple(initial.probes),
-                              rho1, True, "disk")
-    probes, ok, _ = _greedy_core(list(initial.probes), rho1, budget,
-                                 _FINAL_FLOOR)
+    probes, ok, _ = _greedy_core(initial.probes, rho1)
     if ok and certify_coverage(probes).certified_covered:
         return LayerPlacement(initial.algorithm_id, tuple(probes), rho1,
                               True, "disk")
@@ -372,28 +359,20 @@ def _base_coefficient(vector: np.ndarray) -> float:
     return -1.0 / math.log2(float(vector[0]))
 
 
-def _fitness(vector: np.ndarray, config: OptimizerConfig) -> float:
-    """Probe coefficient after greedy filling, penalized when uncovered.
+def _fitness(vector: np.ndarray) -> tuple[float, list[Probe]]:
+    """The greedy fill of the six decoded probes, with its fitness: the
+    probe coefficient when the fill covers the disk, else that plus
+    _PENALTY plus the uncovered area.
 
-    The exact residual area of the six seed probes is measured first;
-    the greedy filler only runs when the remaining schedule capacity can
-    plausibly close the gaps, which keeps hopeless individuals cheap.
+    This is the fill ``greedy_fill`` runs, so a fitness below _PENALTY
+    means the filled probes cover the disk.
     """
     rho1, probes = _decode(vector)
     c = _base_coefficient(vector)
-    covered, area, _ = uncovered_faces(probes)
+    filled, covered, residual = _greedy_core(probes, rho1)
     if covered:
-        return c
-    capacity = _schedule_capacity(rho1, 6)
-    if area > capacity:
-        return _PENALTY + c + (area - capacity)
-    filled, ok, residual = _greedy_core(probes, rho1,
-                                        config.greedy_max_probes,
-                                        _FITNESS_FLOOR, hull_cap=32,
-                                        stop_area=_FITNESS_STOP_AREA)
-    if not ok:
-        return _PENALTY + c + residual
-    return c
+        return c, filled
+    return _PENALTY + c + residual, filled
 
 
 # warm-start arrangement for the six leading probes, found by earlier
@@ -445,9 +424,11 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
     The 13-dimensional genome is the schedule base rho1 followed by an
     (angle, radial distance) pair per probe; radii are pinned to the
     geometric schedule rho1^k.  Fitness is the probe coefficient of the
-    greedy-filled layer with a +100 penalty for uncovered results.  The
-    best individuals are refilled by the final greedy fill and certified;
-    the run is bit-reproducible for a fixed seed.
+    greedy-filled layer with a +100 penalty for uncovered results.  Each
+    slot keeps its filled probes, and the best slot's are certified and
+    returned; the run is bit-reproducible for a fixed seed.  Raises
+    :class:`CertificationError` with the best slot's placement attached
+    as ``placement`` when no slot covers the disk.
     """
     config = config or OptimizerConfig()
     rng = np.random.default_rng(config.seed)
@@ -459,12 +440,9 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
     while len(population) < config.population:
         population.append(lo + (hi - lo) * rng.random(dim))
     population = population[:config.population]
-    fitness = [_fitness(ind, config) for ind in population]
-    # keep the pristine heuristic seeds aside: evolution replaces slots in
-    # place, and a mutant can win the coarse fitness yet fail the final
-    # fill and certification
-    archive = [(fitness[i], population[i].copy())
-               for i in range(len(population)) if fitness[i] < _PENALTY]
+    scored = [_fitness(ind) for ind in population]
+    fitness = [fit for fit, _ in scored]
+    filled = [probes for _, probes in scored]
 
     f, cr = config.mutation_factor, config.crossover_rate
     for _ in range(config.generations):
@@ -481,35 +459,18 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
             # need not be scored
             if _base_coefficient(trial) > fitness[i]:
                 continue
-            trial_fit = _fitness(trial, config)
+            trial_fit, trial_filled = _fitness(trial)
             if trial_fit <= fitness[i]:
                 population[i] = trial
                 fitness[i] = trial_fit
+                filled[i] = trial_filled
 
-    # candidate order: the three best evolved individuals, then the whole
-    # archive -- evolved mutants can win the coarse fitness yet stall in
-    # the final fill, while archived seeds are known-good fallbacks
-    evolved = sorted(((fitness[i], population[i])
-                      for i in range(config.population)),
-                     key=lambda pair: pair[0])[:3]
-    candidates = sorted(evolved + archive, key=lambda pair: pair[0])
-    tried: list[np.ndarray] = []
-    for fit, vector in candidates:
-        if fit >= _PENALTY:
-            break
-        if any(np.array_equal(vector, seen) for seen in tried):
-            continue
-        tried.append(vector)
-        rho1, probes = _decode(vector)
-        partial = LayerPlacement("ALG8", tuple(probes), rho1, False, "disk")
-        try:
-            final = greedy_fill(partial, config.greedy_max_probes)
-        except CertificationError:
-            continue
-        assert probe_coefficient(final) <= _base_coefficient(vector) + 1e-9
-        return final
+    best = min(range(config.population), key=fitness.__getitem__)
+    rho1, probes = float(population[best][0]), tuple(filled[best])
+    if fitness[best] < _PENALTY and certify_coverage(probes).certified_covered:
+        return LayerPlacement("ALG8", probes, rho1, True, "disk")
     err = CertificationError(
-        "no certified individual after all generations")
-    rho1, probes = _decode(candidates[0][1])
-    err.placement = LayerPlacement("ALG8", tuple(probes), rho1, False, "disk")
+        f"no certified individual after all generations; the best stalled "
+        f"at {len(probes)} probes for rho1 = {rho1}")
+    err.placement = LayerPlacement("ALG8", probes, rho1, False, "disk")
     raise err

@@ -115,6 +115,14 @@ def perimeter_covered(probes: Sequence[Probe]) -> bool:
     return not _uncovered_arcs(*_probe_arrays(probes), probe_circles=False)
 
 
+def _covers(probes: Sequence[Probe], coverage: str) -> bool:
+    """Whether ``probes`` cover the region ``coverage`` names: the unit
+    circle for ``"perimeter"``, the closed unit disk otherwise."""
+    if coverage == "perimeter":
+        return perimeter_covered(probes)
+    return certify_coverage(probes).certified_covered
+
+
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
@@ -307,11 +315,7 @@ def generate_layer(algorithm_id: str) -> LayerPlacement:
     below 3e-4).
     """
     layer = construct_layer(algorithm_id)
-    if layer.coverage == "perimeter":
-        ok = perimeter_covered(layer.probes)
-    else:
-        ok = certify_coverage(layer.probes).certified_covered
-    if not ok:
+    if not _covers(layer.probes, layer.coverage):
         raise CertificationError(f"{algorithm_id} placement failed certification")
     return LayerPlacement(layer.algorithm_id, layer.probes, layer.rho1,
                           certified=True, coverage=layer.coverage)
@@ -521,10 +525,7 @@ def load_placement(path: str | Path,
     returned placement then carries ``certified=False``).
     """
     pf = PlacementFile.from_json(Path(path).read_text())
-    if pf.coverage == "perimeter":
-        ok = perimeter_covered(pf.probes)
-    else:
-        ok = certify_coverage(pf.probes).certified_covered
+    ok = _covers(pf.probes, pf.coverage)
     if not ok and not allow_uncertified:
         raise CertificationError(f"placement {path} failed certification")
     return pf.to_layer(certified=ok)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import Probe, certify_coverage
+from .geometry import Probe
 from . import placements as _placements
 
 _BISECT_TOL = 1e-4
@@ -171,9 +171,7 @@ def minimal_rho1(scheme: str, tol: float = _BISECT_TOL) -> float:
                 layer = _placements.construct_layer(scheme, rho1)
             except (_placements.CertificationError, ValueError):
                 return False
-            if layer.coverage == "perimeter":
-                return _placements.perimeter_covered(layer.probes)
-            return certify_coverage(layer.probes).certified_covered
+            return _placements._covers(layer.probes, layer.coverage)
 
         lo, hi = 0.5, 0.99
     else:

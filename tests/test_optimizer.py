@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from marcopolo import optimizer
-from marcopolo.geometry import _convex_hull
+from marcopolo.geometry import _convex_hull, certify_coverage, uncovered_faces
 from marcopolo.placements import (
     CertificationError,
     LayerPlacement,
@@ -45,8 +45,6 @@ class TestOptimizerConfig:
             OptimizerConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):
             OptimizerConfig(rho1_bounds=(0.8, 0.76))
-        with pytest.raises(ValueError):
-            OptimizerConfig(greedy_max_probes=3)
 
 
 class TestGreedyFill:
@@ -64,14 +62,20 @@ class TestGreedyFill:
             greedy_fill(bare)
 
     def test_impossible_budget_raises_with_partial(self):
-        seed = construct_layer("ALG4", ALG7_RHO1)
-        partial = LayerPlacement("ALG7", seed.probes[:4], ALG7_RHO1,
+        # at rho1 = 0.6 the probes the schedule can still add after the
+        # four leading ALG4 probes have less total area than the gap
+        rho1 = 0.6
+        seed = construct_layer("ALG4", rho1)
+        partial = LayerPlacement("ALG7", seed.probes[:4], rho1,
                                  False, "disk")
+        assert optimizer._schedule_capacity(rho1, 4) < \
+            uncovered_faces(partial.probes)[1]
         with pytest.raises(CertificationError) as info:
-            greedy_fill(partial, max_probes=7)
+            greedy_fill(partial)
         attached = info.value.placement
         assert not attached.certified
-        assert attached.m <= 7
+        assert attached.probes[:4] == partial.probes
+        assert not certify_coverage(attached.probes).certified_covered
 
 
 class TestAlg7Layer:
@@ -106,15 +110,48 @@ class TestEvolveInitial:
         assert a.probes == b.probes
         assert a.rho1 == b.rho1
 
+    def test_fitness_agrees_with_greedy_fill(self):
+        # the fitness runs the fill greedy_fill runs: it is below the
+        # penalty iff greedy_fill certifies, with the same probes
+        for vector in optimizer._structured_individuals(OptimizerConfig()):
+            fit, filled = optimizer._fitness(vector)
+            rho1, probes = optimizer._decode(vector)
+            partial = LayerPlacement("ALG8", tuple(probes), rho1, False,
+                                     "disk")
+            try:
+                layer = greedy_fill(partial)
+            except CertificationError as err:
+                layer = err.placement
+            assert (fit < optimizer._PENALTY) == layer.certified
+            assert tuple(filled) == layer.probes
+
+    def test_returns_best_individuals_fill(self, monkeypatch):
+        # with no generations each individual is scored once, in slot order
+        scored = []
+        fitness = optimizer._fitness
+
+        def spy(vector):
+            scored.append(fitness(vector))
+            return scored[-1]
+
+        monkeypatch.setattr(optimizer, "_fitness", spy)
+        config = OptimizerConfig(generations=0)
+        layer = evolve_initial(config)
+        assert len(scored) == config.population
+        fit, filled = min(scored, key=lambda pair: pair[0])
+        assert fit < optimizer._PENALTY
+        assert layer.probes == tuple(filled)
+        assert probe_coefficient(layer) == pytest.approx(fit, abs=1e-12)
+
 
 def _hull(points):
     return _convex_hull(points[:, 0], points[:, 1])
 
 
-def _reference_chord_scores(hull, points, r, hull_cap=96):
+def _reference_chord_scores(hull, points, r):
     """Every candidate center with the number of points in its disk, one
     candidate at a time in (i, j, +/-) order over the hull-point pairs."""
-    pts = _densify_hull(hull, r / 2.0, hull_cap)
+    pts = _densify_hull(hull, r / 2.0)
     out = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -133,17 +170,17 @@ def _reference_chord_scores(hull, points, r, hull_cap=96):
     return out
 
 
-def _reference_chord_probe(hull, points, r, hull_cap=96):
+def _reference_chord_probe(hull, points, r):
     best, best_score = None, 0
-    for center, count in _reference_chord_scores(hull, points, r, hull_cap):
+    for center, count in _reference_chord_scores(hull, points, r):
         if count > best_score:
             best_score, best = count, center
     return best
 
 
-def _candidate_blocks(hull, r, hull_cap=96):
+def _candidate_blocks(hull, r):
     """The block of pairs of each candidate of ``_reference_chord_scores``."""
-    pts = _densify_hull(hull, r / 2.0, hull_cap)
+    pts = _densify_hull(hull, r / 2.0)
     blocks = []
     for k, (i, j) in enumerate(zip(*np.triu_indices(len(pts), 1))):
         d2 = ((pts[j] - pts[i]) ** 2).sum()
@@ -179,9 +216,9 @@ class TestBestChordProbe:
         hull = _hull(first)
         # the smallest radius densifies the hull to about a hundred
         # points, several thousand pairs
-        for r, cap in ((0.01, 96), (0.05, 96), (0.12, 32), (0.3, 96)):
-            expected = _reference_chord_probe(hull, points, r, cap)
-            got = _best_chord_probe(hull, points, r, cap)
+        for r in (0.01, 0.05, 0.12, 0.3):
+            expected = _reference_chord_probe(hull, points, r)
+            got = _best_chord_probe(hull, points, r)
             assert expected is not None
             assert got == expected
 
@@ -208,10 +245,10 @@ class TestBestChordProbe:
         first = np.concatenate([_blob(rng, 150, 0.85, 0.0, 2.0 ** -7), ring])
         points = np.concatenate([first, _blob(rng, 80, 0.6, 0.3, 2.0 ** -8)])
         hull = _hull(first)
-        for r, cap in ((0.03, 96), (0.1, 32), (0.25, 96)):
-            expected = _reference_chord_probe(hull, points, r, cap)
+        for r in (0.03, 0.1, 0.25):
+            expected = _reference_chord_probe(hull, points, r)
             assert expected is not None
-            assert _best_chord_probe(hull, points, r, cap) == expected
+            assert _best_chord_probe(hull, points, r) == expected
 
     def test_cells_at_distance_r(self):
         # the hull of one small square gives a dozen candidates, half of
