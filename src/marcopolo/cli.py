@@ -81,7 +81,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     algorithms = tuple(f"ALG{a.strip()}" for a in args.algs.split(","))
-    files = dict(kv.split("=", 1) for kv in args.placement_file or [])
+    files = {}
+    for kv in args.placement_file or []:
+        algorithm, sep, path = kv.partition("=")
+        if not sep:
+            raise ValueError(f"--placement-file {kv!r} is not ALG=PATH")
+        files[algorithm] = path
     config = experiments.ExperimentConfig(
         n=args.n, trials=args.trials, algorithms=algorithms,
         seed=args.seed, output_dir=args.out, placement_files=files)

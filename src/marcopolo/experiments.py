@@ -42,7 +42,6 @@ class ExperimentConfig:
     trials: int = 100_000
     algorithms: tuple[str, ...] = tuple(f"ALG{i}" for i in range(1, 7))
     seed: int = 0
-    poi_distribution: str = "uniform-angle-uniform-radius"
     output_dir: str | None = None
     placement_files: Mapping[str, str] = field(default_factory=dict)
 
@@ -57,9 +56,11 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in _KNOWN:
                 raise ValueError(f"unknown algorithm {a!r}")
-        if self.poi_distribution != "uniform-angle-uniform-radius":
-            raise ValueError(
-                f"unknown POI distribution {self.poi_distribution!r}")
+        for a in self.placement_files:
+            if a not in self.algorithms:
+                raise ValueError(
+                    f"placement file given for {a!r}, which is not among "
+                    f"the selected algorithms")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Everything here works in the "unit-disk frame": the current search area is
 the closed disk of radius 1 centered at the origin, and probe radii are
 proportional (0 < rho <= 1).  The module provides hexagonal lattices and
-their circumscribed probes, chord and balanced probe placement math, and
-the coverage model: an exact probe-circle arc test decides whether a
+their circumscribed probes, chord probe placement, and the coverage
+model: an exact probe-circle arc test decides whether a
 union of probe disks covers the unit disk, and the same arcs, closed into
 loops, give the exact area and the faces of what they leave uncovered.
 """
@@ -25,7 +25,6 @@ __all__ = [
     "hex_lattice",
     "circumscribe",
     "chord_probe",
-    "balanced_probe_center",
     "certify_coverage",
     "uncovered_faces",
 ]
@@ -82,15 +81,6 @@ class Hexagon:
     def __post_init__(self):
         if self.side <= 0:
             raise ValueError("hexagon side must be positive")
-
-    def vertices(self) -> list[Point2]:
-        return [
-            Point2(
-                self.center.x + self.side * math.cos(i * math.pi / 3),
-                self.center.y + self.side * math.sin(i * math.pi / 3),
-            )
-            for i in range(6)
-        ]
 
 
 @dataclass
@@ -164,29 +154,6 @@ def chord_probe(rho_k: float, angle: float = 0.0) -> Probe:
         raise ValueError(f"chord probe radius {rho_k} outside (0, 1]")
     d = math.sqrt(max(0.0, 1.0 - rho_k * rho_k))
     return Probe(Point2.polar(d, angle), rho_k)
-
-
-def balanced_probe_center(r1: float, rk: float) -> tuple[float, float]:
-    """Angular step and center distance for an annulus-bridging probe.
-
-    The probe of radius ``rk`` is positioned so that it spans the annulus
-    between the central circle of radius ``r1`` and the unit circle, and the
-    chords it cuts on both circles subtend the same angle at the origin:
-    its boundary passes through collinear points at radii r1 and 1.
-
-    Returns ``(theta, center_distance)`` where ``theta`` is the half-angle
-    subtended by the probe on either circle and ``center_distance`` is
-    ``sqrt(r1 + rk^2)``, the distance of the probe center from the origin.
-    """
-    w = (1.0 - r1) / 2.0
-    if rk < w - 1e-15:
-        raise ValueError(
-            f"probe radius {rk} too small to bridge annulus of half-width {w}"
-        )
-    h = math.sqrt(max(0.0, rk * rk - w * w))
-    theta = math.atan2(h, 1.0 - w)
-    center_distance = math.sqrt(r1 + rk * rk)
-    return theta, center_distance
 
 
 def _probe_arrays(probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -56,29 +56,24 @@ _FACE_POINTS = 4000
 _BOX_POINTS = 65536
 
 
+# differential evolution: population size, mutation factor, crossover
+# rate, and the range of the schedule base rho1
+_POPULATION = 16
+_MUTATION = 0.7
+_CROSSOVER = 0.9
+_RHO1_BOUNDS = (0.76, 0.80)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Hyperparameters of the placement evolution."""
+    """Settings of one placement evolution."""
 
-    population: int = 16
     generations: int = 40
-    mutation_factor: float = 0.7
-    crossover_rate: float = 0.9
     seed: int = 0
-    rho1_bounds: tuple[float, float] = (0.76, 0.80)
 
     def __post_init__(self) -> None:
-        if self.population < 8:
-            raise ValueError("population must be at least 8")
         if self.generations < 0:
             raise ValueError("generations must be non-negative")
-        if not 0.0 < self.mutation_factor < 2.0:
-            raise ValueError("mutation factor must lie in (0, 2)")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover rate must lie in [0, 1]")
-        lo, hi = self.rho1_bounds
-        if not 0.0 < lo < hi < 1.0:
-            raise ValueError("rho1 bounds must satisfy 0 < lo < hi < 1")
 
 
 # ---------------------------------------------------------------------------
@@ -385,36 +380,31 @@ _WARM_START = (
 )
 
 
-def _structured_individuals(config: OptimizerConfig) -> list[np.ndarray]:
+def _chord_ring(rho1: float, ks: range) -> list[float]:
+    """(angle, distance) genes of chord probes rho1^k, k in ``ks``, placed
+    counterclockwise with abutting perimeter arcs."""
+    genes = []
+    angle = 0.0
+    for k in ks:
+        r = rho1 ** k
+        width = math.asin(min(1.0, r))
+        angle += width
+        genes += [angle, math.sqrt(max(0.0, 1.0 - r * r))]
+        angle += width
+    return genes
+
+
+def _structured_individuals() -> list[np.ndarray]:
     """Deterministic heuristic seeds: the warm-start arrangement at
     several bases, a central probe surrounded by a ring of boundary
     probes, and an all-boundary ring."""
-    lo, hi = config.rho1_bounds
-    seeds = []
-    for rho1 in (0.777, 0.772, 0.5 * (lo + hi), hi):
-        if lo <= rho1 <= hi:
-            seeds.append(np.array(
-                [rho1] + [v for pair in _WARM_START for v in pair]))
+    lo, hi = _RHO1_BOUNDS
+    seeds = [np.array([rho1] + [v for pair in _WARM_START for v in pair])
+             for rho1 in (0.777, 0.772, 0.5 * (lo + hi), hi)]
     for rho1 in (hi, 0.5 * (lo + hi)):
-        central = [rho1, 0.0, 0.0]
-        ring = []
-        angle = 0.0
-        for k in range(2, 7):
-            r = rho1 ** k
-            width = math.asin(min(1.0, r))
-            angle += width
-            ring += [angle, math.sqrt(max(0.0, 1.0 - r * r))]
-            angle += width
-        seeds.append(np.array(central + ring))
-        spread = [rho1]
-        angle = 0.0
-        for k in range(1, 7):
-            r = rho1 ** k
-            width = math.asin(min(1.0, r))
-            angle += width
-            spread += [angle, math.sqrt(max(0.0, 1.0 - r * r))]
-            angle += width
-        seeds.append(np.array(spread))
+        seeds.append(np.array([rho1, 0.0, 0.0]
+                              + _chord_ring(rho1, range(2, 7))))
+        seeds.append(np.array([rho1] + _chord_ring(rho1, range(1, 7))))
     return seeds
 
 
@@ -432,26 +422,24 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
     """
     config = config or OptimizerConfig()
     rng = np.random.default_rng(config.seed)
-    lo = np.array([config.rho1_bounds[0]] + [0.0, 0.0] * 6)
-    hi = np.array([config.rho1_bounds[1]] + [2.0 * math.pi, 1.0] * 6)
+    lo = np.array([_RHO1_BOUNDS[0]] + [0.0, 0.0] * 6)
+    hi = np.array([_RHO1_BOUNDS[1]] + [2.0 * math.pi, 1.0] * 6)
     dim = lo.size
 
-    population = [np.clip(s, lo, hi) for s in _structured_individuals(config)]
-    while len(population) < config.population:
+    population = [np.clip(s, lo, hi) for s in _structured_individuals()]
+    while len(population) < _POPULATION:
         population.append(lo + (hi - lo) * rng.random(dim))
-    population = population[:config.population]
     scored = [_fitness(ind) for ind in population]
     fitness = [fit for fit, _ in scored]
     filled = [probes for _, probes in scored]
 
-    f, cr = config.mutation_factor, config.crossover_rate
     for _ in range(config.generations):
-        for i in range(config.population):
-            choices = [j for j in range(config.population) if j != i]
+        for i in range(_POPULATION):
+            choices = [j for j in range(_POPULATION) if j != i]
             r1, r2, r3 = rng.choice(choices, size=3, replace=False)
-            mutant = np.clip(population[r1]
-                             + f * (population[r2] - population[r3]), lo, hi)
-            cross = rng.random(dim) < cr
+            mutant = np.clip(population[r1] + _MUTATION
+                             * (population[r2] - population[r3]), lo, hi)
+            cross = rng.random(dim) < _CROSSOVER
             cross[rng.integers(dim)] = True
             trial = np.where(cross, mutant, population[i])
             # no fitness falls below the base coefficient, and _fitness
@@ -465,7 +453,7 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
                 fitness[i] = trial_fit
                 filled[i] = trial_filled
 
-    best = min(range(config.population), key=fitness.__getitem__)
+    best = min(range(_POPULATION), key=fitness.__getitem__)
     rho1, probes = float(population[best][0]), tuple(filled[best])
     if fitness[best] < _PENALTY and certify_coverage(probes).certified_covered:
         return LayerPlacement("ALG8", probes, rho1, True, "disk")

@@ -6,9 +6,11 @@ plus JSON serialization of placements (used for the optimizer outputs,
 Algorithms 7-8).
 
 All placements are expressed on the closed unit disk; the simulator scales
-them to the current search radius.  Probes are listed in issue order; for
-the omission-based schemes the final probe is part of the placement (it is
-required for coverage) but is never executed at runtime.
+them to the current search radius.  Probes are listed in analysis order;
+for the omission-based schemes the final probe is part of the placement (it
+is required for coverage) but is never executed at runtime.  The searcher
+issues them in that order except where a construction gives its own issue
+order (see ``execution_layer``).
 """
 from __future__ import annotations
 
@@ -61,7 +63,6 @@ ALG6_DISTANCES = (
 )
 
 PROGRESSIVE_IDS = ("ALG3", "ALG4", "ALG5", "ALG6", "ALG7", "ALG8")
-GENERATED_IDS = ("ALG1", "ALG2", "ALG3", "ALG4", "ALG5", "ALG6")
 
 
 class CertificationError(RuntimeError):
@@ -100,9 +101,6 @@ class LayerPlacement:
     def m(self) -> int:
         return len(self.probes)
 
-    def radii(self) -> tuple[float, ...]:
-        return tuple(p.rho for p in self.probes)
-
 
 # ---------------------------------------------------------------------------
 # Perimeter (boundary arc) certification
@@ -126,12 +124,6 @@ def _covers(probes: Sequence[Probe], coverage: str) -> bool:
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
-
-def _rotated(probe: Probe, angle: float) -> Probe:
-    c, s = math.cos(angle), math.sin(angle)
-    x, y = probe.center.x, probe.center.y
-    return Probe(Point2(c * x - s * y, s * x + c * y), probe.rho)
-
 
 def _alg1_probes() -> tuple[Probe, ...]:
     """Six probes of rho = 1/2 over the outer hexagons of the L=2 lattice,
@@ -236,67 +228,56 @@ def _alg6_probes(rho1: float) -> tuple[Probe, ...]:
     return _central_ring(rho1, ALG6_DISTANCES, list(range(2, 13)))
 
 
-def alg2_travel_tour() -> tuple[Probe, ...]:
-    """Center-first probe tour of the ALG2 layer.
-
-    Starting with the zero-travel center probe shortens the worst-case tour
-    (distance coefficient 8.81 instead of 9.13) at the price of a worse
-    worst-case probe coefficient (6 instead of 5, since a response on the
-    second quadrant probe then costs three probes per half-level).  The
-    published distance figure for the algorithm corresponds to this tour;
-    ``generate_layer`` keeps the probe-optimal issue order.
-    """
-    probes = _alg2_probes()
-    return (probes[3], probes[0], probes[1], probes[2], probes[5], probes[4])
-
-
-def alg1_travel_tour() -> tuple[Probe, ...]:
-    """Center-first probe tour of the ALG1 layer.
-
-    Probing the center hexagon first costs the searcher nothing (it already
-    stands there), so a POI that keeps landing centrally is resolved with a
-    single probe and zero travel per level.  The worst-case coefficients are
-    unchanged (six executed probes, distance coefficient 10.39);
-    ``generate_layer`` keeps the ring-first issue order in which the center
-    hexagon is the omitted last probe.
-    """
-    probes = _alg1_probes()
-    return (probes[6],) + probes[:6]
+# per construction: the builder of its probes from a schedule base, its
+# frozen base (None for the fixed lattices, whose builders take none), the
+# region it certifies, and the issue order in which the searcher executes
+# its probes (None: as constructed).
+#
+# The hexagonal layers are issued center first.  The searcher already
+# stands at the center, so that probe costs no travel.  For ALG1 the
+# worst-case coefficients are unchanged (six executed probes, distance
+# coefficient 10.39).  For ALG2 the worst-case tour shortens (distance
+# coefficient 8.81, the published figure, instead of 9.13) at the price of
+# a worse worst-case probe coefficient (6 instead of 5: a response on the
+# second quadrant probe then costs three probes per half-level).  The
+# constructions keep the analysis order, in which the last probe is the
+# omitted one.
+_CONSTRUCTIONS: dict[str, tuple[Callable[[float | None], tuple[Probe, ...]],
+                                float | None, str,
+                                tuple[int, ...] | None]] = {
+    "ALG1": (lambda _: _alg1_probes(), None, "disk", (6, 0, 1, 2, 3, 4, 5)),
+    "ALG2": (lambda _: _alg2_probes(), None, "disk", (3, 0, 1, 2, 5, 4)),
+    "ALG3": (lambda r: _abutting_chords(r, 5, ABUT_MARGIN), ALG3_RHO1, "disk",
+             None),
+    "ALG4": (_alg4_probes, ALG4_RHO1, "perimeter", None),
+    "ALG5": (_alg5_probes, ALG5_RHO1, "disk", None),
+    "ALG6": (_alg6_probes, ALG6_RHO1, "disk", None),
+}
 
 
 def execution_layer(placement: LayerPlacement) -> LayerPlacement:
-    """The layer as the searcher actually executes it.
-
-    For the hexagonal algorithms the runtime issue order starts at the
-    center hexagon (see ``alg1_travel_tour`` / ``alg2_travel_tour``); all
-    other placements are executed exactly as constructed.
-    """
-    tours = {"ALG1": alg1_travel_tour, "ALG2": alg2_travel_tour}
-    if placement.algorithm_id not in tours:
+    """The layer as the searcher executes it: the placement's own probes
+    permuted by its construction's issue order.  Placements without one
+    are executed as listed."""
+    entry = _CONSTRUCTIONS.get(placement.algorithm_id)
+    order = entry[3] if entry else None
+    if order is None:
         return placement
-    return LayerPlacement(placement.algorithm_id, tours[placement.algorithm_id](),
-                          placement.rho1, placement.certified, placement.coverage)
-
-
-# per construction: the builder of its probes from a schedule base, its
-# frozen base (None for the fixed lattices, whose builders take none) and
-# the region it certifies
-_CONSTRUCTIONS: dict[str, tuple[Callable[[float | None], tuple[Probe, ...]],
-                                float | None, str]] = {
-    "ALG1": (lambda _: _alg1_probes(), None, "disk"),
-    "ALG2": (lambda _: _alg2_probes(), None, "disk"),
-    "ALG3": (lambda r: _abutting_chords(r, 5, ABUT_MARGIN), ALG3_RHO1, "disk"),
-    "ALG4": (_alg4_probes, ALG4_RHO1, "perimeter"),
-    "ALG5": (_alg5_probes, ALG5_RHO1, "disk"),
-    "ALG6": (_alg6_probes, ALG6_RHO1, "disk"),
-}
+    if len(placement.probes) != len(order):
+        raise ValueError(
+            f"{placement.algorithm_id} placement has {placement.m} probes; "
+            f"its issue order needs {len(order)}")
+    return LayerPlacement(placement.algorithm_id,
+                          tuple(placement.probes[i] for i in order),
+                          placement.rho1, placement.certified,
+                          placement.coverage)
 
 
 def construct_layer(algorithm_id: str, rho1: float | None = None) -> LayerPlacement:
     """Build a layer placement without certification (used by searches)."""
     if algorithm_id not in _CONSTRUCTIONS:
         raise ValueError(f"unknown construction {algorithm_id!r}")
-    builder, base, coverage = _CONSTRUCTIONS[algorithm_id]
+    builder, base, coverage, _ = _CONSTRUCTIONS[algorithm_id]
     if rho1 is not None:
         if base is None:
             raise ValueError(f"{algorithm_id} has no schedule base")
@@ -360,7 +341,7 @@ class ShellTrace:
     success: bool
 
 
-def shell_baseline(n: float) -> "ShellSearch":
+def shell_baseline(n: float, poi: Point2) -> ShellTrace:
     """Procedural two-phase binary-search baseline for a single POI.
 
     Phase 1 bisects the probe radius from the center to localize the POI to
@@ -368,75 +349,67 @@ def shell_baseline(n: float) -> "ShellSearch":
     The probe count constant is fixed by this implementation and asserted
     in a golden test.
     """
-    return ShellSearch(n)
-
-
-@dataclass
-class ShellSearch:
-    n: float
-
-    def run(self, poi: Point2) -> ShellTrace:
-        dist = math.hypot(poi.x, poi.y)
-        if dist > self.n:
-            raise ValueError("POI outside the search region")
-        if self.n <= 1.0:
-            return ShellTrace(0, Point2(0.0, 0.0), True)
-        probes = 0
-        lo, hi = 0.0, self.n
-        while hi - lo > 1.0:
-            mid = 0.5 * (lo + hi)
+    dist = math.hypot(poi.x, poi.y)
+    if dist > n:
+        raise ValueError("POI outside the search region")
+    if n <= 1.0:
+        return ShellTrace(0, Point2(0.0, 0.0), True)
+    probes = 0
+    lo, hi = 0.0, n
+    while hi - lo > 1.0:
+        mid = 0.5 * (lo + hi)
+        probes += 1
+        if dist <= mid:
+            hi = mid
+        else:
+            lo = mid
+    # Phase 2: bisect the angular interval [a0, a1] along the shell
+    # lo <= r <= hi (the POI angle has a representative in [a0, a1]
+    # modulo 2*pi).  Each probe is a disk centered on the shell
+    # mid-radius covering the lower quarter of the remaining arc; the
+    # exact covered half-angle per shell radius gives a sound update
+    # on either response (largest half-angle bounds a positive,
+    # smallest bounds a negative).
+    a0, a1 = 0.0, 2.0 * math.pi
+    while hi * (a1 - a0) > 1.0:
+        rm = 0.5 * (lo + hi)
+        span = a1 - a0
+        full = span >= 2.0 * math.pi - 1e-12
+        gamma = min(0.25 * span, 0.5 * math.pi)
+        beta = a0 + gamma
+        radius = math.sqrt(max(0.0, hi * hi + rm * rm
+                               - 2.0 * hi * rm * math.cos(gamma)))
+        radius *= 1.0 + 1e-12
+        pos = _shell_alpha_max(lo, hi, rm, radius)
+        # guards: a positive response must shrink the arc, and the
+        # covered arc must not wrap around into the interval's far end
+        limit = math.pi if full else min(0.75 * span,
+                                         math.pi - 0.5 * span)
+        if pos >= limit - 1e-12:
+            # A thick shell at small radius: a positive response would
+            # not narrow the arc, so refine the shell radially instead.
             probes += 1
-            if dist <= mid:
-                hi = mid
+            if dist <= rm:
+                hi = rm
             else:
-                lo = mid
-        # Phase 2: bisect the angular interval [a0, a1] along the shell
-        # lo <= r <= hi (the POI angle has a representative in [a0, a1]
-        # modulo 2*pi).  Each probe is a disk centered on the shell
-        # mid-radius covering the lower quarter of the remaining arc; the
-        # exact covered half-angle per shell radius gives a sound update
-        # on either response (largest half-angle bounds a positive,
-        # smallest bounds a negative).
-        a0, a1 = 0.0, 2.0 * math.pi
-        while hi * (a1 - a0) > 1.0:
-            rm = 0.5 * (lo + hi)
-            span = a1 - a0
-            full = span >= 2.0 * math.pi - 1e-12
-            gamma = min(0.25 * span, 0.5 * math.pi)
-            beta = a0 + gamma
-            radius = math.sqrt(max(0.0, hi * hi + rm * rm
-                                   - 2.0 * hi * rm * math.cos(gamma)))
-            radius *= 1.0 + 1e-12
-            pos = _shell_alpha_max(lo, hi, rm, radius)
-            # guards: a positive response must shrink the arc, and the
-            # covered arc must not wrap around into the interval's far end
-            limit = math.pi if full else min(0.75 * span,
-                                             math.pi - 0.5 * span)
-            if pos >= limit - 1e-12:
-                # A thick shell at small radius: a positive response would
-                # not narrow the arc, so refine the shell radially instead.
-                probes += 1
-                if dist <= rm:
-                    hi = rm
-                else:
-                    lo = rm
-                continue
-            center = Point2(rm * math.cos(beta), rm * math.sin(beta))
-            probes += 1
-            if math.hypot(poi.x - center.x, poi.y - center.y) <= radius:
-                if full:
-                    a0, a1 = beta - pos, beta + pos
-                else:
-                    a1 = beta + pos
+                lo = rm
+            continue
+        center = Point2(rm * math.cos(beta), rm * math.sin(beta))
+        probes += 1
+        if math.hypot(poi.x - center.x, poi.y - center.y) <= radius:
+            if full:
+                a0, a1 = beta - pos, beta + pos
             else:
-                neg = min(_shell_alpha(lo, rm, radius),
-                          _shell_alpha(hi, rm, radius))
-                a0, a1 = beta + neg, min(a1, beta - neg + 2.0 * math.pi)
-        r_mid = 0.5 * (lo + hi)
-        a_mid = 0.5 * (a0 + a1)
-        final = Point2(r_mid * math.cos(a_mid), r_mid * math.sin(a_mid))
-        success = math.hypot(final.x - poi.x, final.y - poi.y) <= 1.0
-        return ShellTrace(probes, final, success)
+                a1 = beta + pos
+        else:
+            neg = min(_shell_alpha(lo, rm, radius),
+                      _shell_alpha(hi, rm, radius))
+            a0, a1 = beta + neg, min(a1, beta - neg + 2.0 * math.pi)
+    r_mid = 0.5 * (lo + hi)
+    a_mid = 0.5 * (a0 + a1)
+    final = Point2(r_mid * math.cos(a_mid), r_mid * math.sin(a_mid))
+    success = math.hypot(final.x - poi.x, final.y - poi.y) <= 1.0
+    return ShellTrace(probes, final, success)
 
 
 def _shell_alpha(r: float, d: float, radius: float) -> float:
@@ -474,7 +447,6 @@ class PlacementFile:
     coverage: str = "disk"
     provenance: dict = field(default_factory=lambda: {
         "kind": "constructed", "seed": None, "tool": TOOL_VERSION})
-    schema_version: int = SCHEMA_VERSION
 
     @classmethod
     def from_layer(cls, layer: LayerPlacement,
@@ -490,7 +462,7 @@ class PlacementFile:
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "algorithm_id": self.algorithm_id,
             "rho1": self.rho1,
             "coverage": self.coverage,
@@ -502,15 +474,36 @@ class PlacementFile:
 
     @classmethod
     def from_json(cls, text: str) -> "PlacementFile":
+        """Parse a placement file; a malformed one raises ValueError
+        naming its problem."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("placement file is not a JSON object")
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {version!r}")
-        probes = tuple(Probe(Point2(p["x"], p["y"]), p["rho"])
-                       for p in payload["probes"])
-        return cls(payload["algorithm_id"], payload["rho1"], probes,
-                   payload.get("coverage", "disk"), payload["provenance"],
-                   version)
+        for key in ("algorithm_id", "rho1", "probes", "provenance"):
+            if key not in payload:
+                raise ValueError(f"placement file lacks {key!r}")
+        if payload["rho1"] is not None and not _is_number(payload["rho1"]):
+            raise ValueError("rho1 is neither a number nor null")
+        coverage = payload.get("coverage", "disk")
+        if coverage not in ("disk", "perimeter"):
+            raise ValueError(f"unknown coverage {coverage!r}")
+        if not isinstance(payload["probes"], list):
+            raise ValueError("probes is not a list")
+        probes = []
+        for k, p in enumerate(payload["probes"], start=1):
+            if not (isinstance(p, dict)
+                    and all(_is_number(p.get(c)) for c in ("x", "y", "rho"))):
+                raise ValueError(f"probe {k} lacks a numeric x, y or rho")
+            probes.append(Probe(Point2(p["x"], p["y"]), p["rho"]))
+        return cls(payload["algorithm_id"], payload["rho1"], tuple(probes),
+                   coverage, payload["provenance"])
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def save_placement(placement_file: PlacementFile, path: str | Path) -> None:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import Probe
+from .geometry import Probe, _probe_list
 from . import placements as _placements
 
 _BISECT_TOL = 1e-4
@@ -38,10 +38,6 @@ class BoundsReport:
             raise ValueError("response coefficient cannot exceed probe coefficient")
 
 
-def _probes_of(placement) -> Sequence[Probe]:
-    return getattr(placement, "probes", placement)
-
-
 def probe_coefficient(placement) -> float:
     """Worst-case probe coefficient c with last-probe omission.
 
@@ -50,7 +46,7 @@ def probe_coefficient(placement) -> float:
     still shrinks by rho_m: c = max(max_{k<m} k/(-log2 rho_k),
     (m-1)/(-log2 rho_m)).
     """
-    return max(_probe_rates(_probes_of(placement)))
+    return max(_probe_rates(_probe_list(placement)))
 
 
 def _probe_rates(probes: Sequence[Probe]) -> list[float]:
@@ -78,7 +74,7 @@ def distance_bound(placement) -> float:
     The shortcut assumes the last two probes do not overlap significantly;
     ``last_probes_overlap`` flags placements violating it.
     """
-    return max(_distance_rates(_probes_of(placement)))
+    return max(_distance_rates(_probe_list(placement)))
 
 
 def _distance_rates(probes: Sequence[Probe]) -> list[float]:
@@ -101,7 +97,7 @@ def _distance_rates(probes: Sequence[Probe]) -> list[float]:
 def last_probes_overlap(placement) -> bool:
     """True when the final two probes overlap by more than half the last
     probe's radius, which undermines the omitted-probe travel shortcut."""
-    probes = _probes_of(placement)
+    probes = _probe_list(placement)
     a, b = probes[-2], probes[-1]
     gap = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
     return gap < a.rho + b.rho - 0.5 * b.rho
@@ -110,14 +106,14 @@ def last_probes_overlap(placement) -> bool:
 def response_bound(placement) -> float:
     """Response coefficient c_R = -1/log2(rho_max): every response shrinks
     the area by at least the largest probe's factor."""
-    rho_max = max(p.rho for p in _probes_of(placement))
+    rho_max = max(p.rho for p in _probe_list(placement))
     if rho_max >= 1.0:
         raise ValueError("probe of radius 1 gives an unbounded response count")
     return -1.0 / math.log2(rho_max)
 
 
 def bounds_report(placement) -> BoundsReport:
-    probes = _probes_of(placement)
+    probes = _probe_list(placement)
     p_rates = _probe_rates(probes)
     d_rates = _distance_rates(probes)
     rhos = [p.rho for p in probes]

@@ -2,6 +2,8 @@
 acceptance suite; everything here is fast)."""
 from __future__ import annotations
 
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -57,6 +59,35 @@ class TestVerify:
         assert main(["verify", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: [1, 2], "not a JSON object"),
+        (lambda doc: _without(doc, "algorithm_id"), "lacks 'algorithm_id'"),
+        (lambda doc: _without(doc, "rho1"), "lacks 'rho1'"),
+        (lambda doc: _without(doc, "probes"), "lacks 'probes'"),
+        (lambda doc: _without(doc, "provenance"), "lacks 'provenance'"),
+        (lambda doc: {**doc, "probes": doc["probes"][:1]
+                      + [_without(doc["probes"][1], "rho")]},
+         "probe 2 lacks"),
+        (lambda doc: {**doc, "probes": [{**doc["probes"][0], "y": "0.5"}]
+                      + doc["probes"][1:]},
+         "probe 1 lacks"),
+        (lambda doc: {**doc, "coverage": "annulus"}, "unknown coverage"),
+    ], ids=["not-object", "no-algorithm-id", "no-rho1", "no-probes",
+            "no-provenance", "probe-without-rho", "string-coordinate",
+            "unknown-coverage"])
+    def test_malformed_file(self, alg3_file, tmp_path, capsys, change,
+                            message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(change(json.loads(alg3_file.read_text()))))
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
 
 class TestLowerbound:
     def test_constants_printed(self, capsys):
@@ -87,6 +118,18 @@ class TestSimulate:
                      "--n", "4", "--poi", "100,200"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_probe_count_off_issue_order(self, tmp_path, layers, capsys):
+        # a covering ALG1 file with one probe too many has no issue order
+        layer = layers["ALG1"]
+        path = tmp_path / "alg1.json"
+        save_placement(PlacementFile("ALG1", None,
+                                     layer.probes + layer.probes[:1]), path)
+        assert main(["simulate", "--placement", str(path),
+                     "--n", "1024", "--poi", "100,200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "issue order" in err
+
 
 class TestMontecarlo:
     def test_small_campaign(self, tmp_path, capsys):
@@ -100,6 +143,34 @@ class TestMontecarlo:
         assert main(["montecarlo", "--n", "256", "--trials", "5",
                      "--algs", "9", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_placement_file_overrides(self, tmp_path, placements_dir):
+        out_dir = tmp_path / "report"
+        assert main(["montecarlo", "--n", "256", "--trials", "200",
+                     "--algs", "7,8", "--out", str(out_dir),
+                     "--placement-file",
+                     f"ALG7={placements_dir / 'alg7.json'}",
+                     "--placement-file",
+                     f"ALG8={placements_dir / 'alg8.json'}"]) == 0
+        with (out_dir / "table.csv").open(newline="") as fh:
+            rows = [row["algorithm"] for row in csv.DictReader(fh)]
+        assert rows == ["ALG7", "ALG8"]
+
+    def test_placement_file_without_algorithm(self, tmp_path, capsys):
+        assert main(["montecarlo", "--n", "256", "--trials", "5",
+                     "--algs", "8", "--out", str(tmp_path),
+                     "--placement-file", "alg8.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "ALG=PATH" in err
+
+    def test_placement_file_for_unselected_algorithm(self, tmp_path, capsys):
+        assert main(["montecarlo", "--n", "256", "--trials", "5",
+                     "--algs", "1", "--out", str(tmp_path),
+                     "--placement-file", "ALG3=/nonexistent.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "ALG3" in err
 
 
 def test_cli_import_leaves_scipy_out():

@@ -42,8 +42,9 @@ class TestExperimentConfig:
             ExperimentConfig(algorithms=("ALG9",))
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=())
-        with pytest.raises(ValueError):
-            ExperimentConfig(poi_distribution="uniform-area")
+        with pytest.raises(ValueError, match="not among"):
+            ExperimentConfig(algorithms=("ALG1",),
+                             placement_files={"ALG3": "alg3.json"})
 
 
 class TestStatsRow:

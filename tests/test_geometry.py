@@ -16,7 +16,6 @@ from marcopolo.geometry import (
     Hexagon,
     Point2,
     Probe,
-    balanced_probe_center,
     certify_coverage,
     chord_probe,
     circumscribe,
@@ -84,12 +83,6 @@ class TestCircumscribe:
         assert probe.center == Point2(0.0, 0.0)
         assert probe.rho == 0.5
 
-    def test_vertices_on_circle(self):
-        hexagon = Hexagon(Point2(0.2, -0.1), 0.3)
-        probe = circumscribe(hexagon)
-        for v in hexagon.vertices():
-            assert abs(v.dist(hexagon.center) - probe.rho) < 1e-12
-
     def test_alg1_lattice_probes(self):
         probes = [circumscribe(h) for h in hex_lattice(2, 1.0)]
         assert len(probes) == 7
@@ -126,40 +119,6 @@ class TestChordProbe:
             chord_probe(1.5)
         with pytest.raises(ValueError):
             chord_probe(0.0)
-
-
-class TestBalancedProbeCenter:
-    def test_minimal_probe_gives_zero_angle(self):
-        theta, _ = balanced_probe_center(0.8, (1.0 - 0.8) / 2.0)
-        assert abs(theta) < 1e-12
-
-    def test_reference_value(self):
-        theta, _ = balanced_probe_center(0.8125, 0.8125 ** 2)
-        assert abs(theta - 0.6249) < 1e-3
-
-    def test_degenerate_annulus(self):
-        for rk in (0.1, 0.3, 0.7):
-            theta, _ = balanced_probe_center(1.0, rk)
-            assert abs(theta - math.atan(rk)) < 1e-12
-
-    def test_rejects_small_probe(self):
-        with pytest.raises(ValueError):
-            balanced_probe_center(0.8, 0.05)
-
-    def test_equal_subtended_angles(self):
-        # the probe's chords on the inner circle and the unit circle
-        # subtend the same angle at the origin
-        def half_angle(d, big_r, r):
-            v = (r * r + d * d - big_r * big_r) / (2.0 * r * d)
-            return math.acos(max(-1.0, min(1.0, v)))
-
-        for r1 in (0.75, 0.8125, 0.9):
-            for rk in (r1 ** 2, r1 ** 3):
-                theta, d = balanced_probe_center(r1, rk)
-                inner = half_angle(d, rk, r1)
-                outer = half_angle(d, rk, 1.0)
-                assert abs(inner - outer) < 1e-9
-                assert abs(inner - theta) < 1e-9
 
 
 class TestCertifyCoverage:

@@ -30,21 +30,12 @@ from marcopolo.verifier import probe_coefficient
 class TestOptimizerConfig:
     def test_defaults(self):
         config = OptimizerConfig()
-        assert config.population == 16
         assert config.generations == 40
-        assert config.rho1_bounds == (0.76, 0.80)
+        assert config.seed == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(population=4)
-        with pytest.raises(ValueError):
             OptimizerConfig(generations=-1)
-        with pytest.raises(ValueError):
-            OptimizerConfig(mutation_factor=2.5)
-        with pytest.raises(ValueError):
-            OptimizerConfig(crossover_rate=1.5)
-        with pytest.raises(ValueError):
-            OptimizerConfig(rho1_bounds=(0.8, 0.76))
 
 
 class TestGreedyFill:
@@ -97,11 +88,11 @@ class TestEvolveInitial:
         config = OptimizerConfig(generations=0)
         layer = evolve_initial(config)
         assert layer.certified
-        # the schedule base stays inside the configured bounds, so the
-        # coefficient cannot exceed the upper bound's closed form
-        assert layer.rho1 <= config.rho1_bounds[1]
-        assert probe_coefficient(layer) <= \
-            -1.0 / math.log2(config.rho1_bounds[1]) + 1e-9
+        # the schedule base stays inside its bounds, so the coefficient
+        # cannot exceed the upper bound's closed form
+        hi = optimizer._RHO1_BOUNDS[1]
+        assert layer.rho1 <= hi
+        assert probe_coefficient(layer) <= -1.0 / math.log2(hi) + 1e-9
 
     def test_deterministic(self):
         config = OptimizerConfig(generations=0)
@@ -113,7 +104,7 @@ class TestEvolveInitial:
     def test_fitness_agrees_with_greedy_fill(self):
         # the fitness runs the fill greedy_fill runs: it is below the
         # penalty iff greedy_fill certifies, with the same probes
-        for vector in optimizer._structured_individuals(OptimizerConfig()):
+        for vector in optimizer._structured_individuals():
             fit, filled = optimizer._fitness(vector)
             rho1, probes = optimizer._decode(vector)
             partial = LayerPlacement("ALG8", tuple(probes), rho1, False,
@@ -135,9 +126,8 @@ class TestEvolveInitial:
             return scored[-1]
 
         monkeypatch.setattr(optimizer, "_fitness", spy)
-        config = OptimizerConfig(generations=0)
-        layer = evolve_initial(config)
-        assert len(scored) == config.population
+        layer = evolve_initial(OptimizerConfig(generations=0))
+        assert len(scored) == optimizer._POPULATION
         fit, filled = min(scored, key=lambda pair: pair[0])
         assert fit < optimizer._PENALTY
         assert layer.probes == tuple(filled)

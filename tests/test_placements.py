@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from marcopolo.geometry import Point2
+from marcopolo.geometry import Point2, Probe
 from marcopolo.placements import (
     ABUT_MARGIN,
     ALG3_RHO1,
@@ -14,9 +14,8 @@ from marcopolo.placements import (
     ALG5_RHO1,
     ALG6_RHO1,
     CertificationError,
+    LayerPlacement,
     PlacementFile,
-    alg1_travel_tour,
-    alg2_travel_tour,
     construct_layer,
     execution_layer,
     generate_layer,
@@ -124,20 +123,44 @@ class TestProgressiveLayers:
             construct_layer("ALG1", rho1=0.9)
 
 
+def _scaled(probes, factor):
+    return tuple(Probe(Point2(factor * p.center.x, factor * p.center.y),
+                       p.rho) for p in probes)
+
+
 class TestExecutionLayer:
     def test_alg1_tour_center_first(self, layers):
-        tour = alg1_travel_tour()
+        layer = layers["ALG1"]
+        executed = execution_layer(layer)
+        tour = executed.probes
         assert math.hypot(tour[0].center.x, tour[0].center.y) < 1e-12
-        assert len(tour) == 7
-        executed = execution_layer(layers["ALG1"])
-        assert executed.probes == tour
-        assert executed.certified == layers["ALG1"].certified
+        assert tour == (layer.probes[6],) + layer.probes[:6]
+        assert executed.certified == layer.certified
 
     def test_alg2_tour(self, layers):
-        tour = alg2_travel_tour()
+        tour = execution_layer(layers["ALG2"]).probes
         assert math.hypot(tour[0].center.x, tour[0].center.y) < 1e-12
         assert len(tour) == 6
         assert set(tour) == set(layers["ALG2"].probes)
+
+    @pytest.mark.parametrize("aid, order", [
+        ("ALG1", (6, 0, 1, 2, 3, 4, 5)),
+        ("ALG2", (3, 0, 1, 2, 5, 4)),
+    ])
+    def test_issues_the_placements_own_probes(self, layers, aid, order):
+        # a loaded placement that differs from the construction is
+        # executed as loaded, in its issue order
+        probes = _scaled(layers[aid].probes, 0.99)
+        placement = LayerPlacement(aid, probes, None, False, "disk")
+        executed = execution_layer(placement)
+        assert executed.probes == tuple(probes[i] for i in order)
+        assert not executed.certified
+
+    def test_probe_count_must_match_issue_order(self, layers):
+        short = LayerPlacement("ALG1", layers["ALG1"].probes[:6], None,
+                               True, "disk")
+        with pytest.raises(ValueError, match="issue order"):
+            execution_layer(short)
 
     def test_identity_for_progressive(self, layers):
         for aid in ("ALG3", "ALG4", "ALG5", "ALG6"):
@@ -191,19 +214,19 @@ class TestHexfam:
 
 class TestShellBaseline:
     def test_trivial_area(self):
-        trace = shell_baseline(1.0).run(Point2(0.3, -0.2))
+        trace = shell_baseline(1.0, Point2(0.3, -0.2))
         assert trace.success
         assert trace.probes == 0
 
     def test_midpoint_golden(self):
         n = 2.0 ** 20
-        trace = shell_baseline(n).run(Point2(n / 2.0, 0.0))
+        trace = shell_baseline(n, Point2(n / 2.0, 0.0))
         assert trace.success
         assert trace.probes == 42
 
     def test_boundary_golden(self):
         n = 2.0 ** 20
-        trace = shell_baseline(n).run(Point2(0.0, n))
+        trace = shell_baseline(n, Point2(0.0, n))
         assert trace.success
         assert trace.probes == 43
 
@@ -217,7 +240,7 @@ class TestShellBaseline:
             angle = rng.uniform(0.0, 2.0 * math.pi)
             dist = rng.uniform(0.0, n)
             poi = Point2(dist * math.cos(angle), dist * math.sin(angle))
-            trace = shell_baseline(n).run(poi)
+            trace = shell_baseline(n, poi)
             assert trace.success
             assert poi.dist(trace.final_center) <= 1.0 + 1e-9
             worst = max(worst, trace.probes)
