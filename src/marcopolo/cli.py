@@ -65,8 +65,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    try:
+        x, y = (float(v) for v in args.poi.split(","))
+    except ValueError:
+        raise ValueError(f"--poi {args.poi!r} is not X,Y") from None
     layer = placements.load_placement(args.placement)
-    x, y = (float(v) for v in args.poi.split(","))
     world = simulator.World(args.n, [Point2(x, y)], [True])
     trace = simulator.run_single(placements.execution_layer(layer), world,
                                  adversarial=args.adversarial)

@@ -114,7 +114,13 @@ def _poi_array(seed: int, trials: int, n: float) -> np.ndarray:
 def _placement_for(algorithm: str,
                    config: ExperimentConfig) -> LayerPlacement:
     if algorithm in config.placement_files:
-        return load_placement(config.placement_files[algorithm])
+        path = config.placement_files[algorithm]
+        placement = load_placement(path)
+        if placement.algorithm_id != algorithm:
+            raise ValueError(
+                f"placement file {path} holds {placement.algorithm_id}, "
+                f"not {algorithm}")
+        return placement
     if algorithm in ("ALG7", "ALG8"):
         raise ValueError(
             f"{algorithm} placements are produced by the optimizer; "

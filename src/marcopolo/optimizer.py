@@ -54,6 +54,9 @@ _SCORE_CHUNK = 1 << 16
 # this many in the box they are drawn from
 _FACE_POINTS = 4000
 _BOX_POINTS = 65536
+# columns tested on each side of an estimated end of a circle's run on a
+# grid row; the estimate is within one column of the exact end
+_BAND = 3
 
 
 # differential evolution: population size, mutation factor, crossover
@@ -164,15 +167,19 @@ def _best_chord_probe(hull: np.ndarray, points: np.ndarray,
         order = np.lexsort((ty, tx))
         cut = np.flatnonzero((np.diff(tx[order]) != 0)
                              | (np.diff(ty[order]) != 0)) + 1
-        groups = np.split(order, cut)
+        # tile t holds the candidates order[first[t]:stop[t]]; its box of
+        # centers, widened by reach, bounds its near points
+        first = np.concatenate([[0], cut])
+        stop = np.append(cut, order.size).tolist()
+        sx, sy = cx[order], cy[order]
+        x_lo = np.searchsorted(bx, np.minimum.reduceat(sx, first) - reach)
+        x_hi = np.searchsorted(bx, np.maximum.reduceat(sx, first) + reach)
+        y_lo = (np.minimum.reduceat(sy, first) - reach).tolist()
+        y_hi = (np.maximum.reduceat(sy, first) + reach).tolist()
         spans = []
-        bound = np.empty(len(groups))
-        for t, group in enumerate(groups):
-            gx, gy = cx[group], cy[group]
-            lo, hi = np.searchsorted(bx, (gx.min() - reach,
-                                          gx.max() + reach))
-            near = (by[lo:hi] >= gy.min() - reach) \
-                & (by[lo:hi] <= gy.max() + reach)
+        bound = np.empty(first.size)
+        for t, (lo, hi) in enumerate(zip(x_lo.tolist(), x_hi.tolist())):
+            near = (by[lo:hi] >= y_lo[t]) & (by[lo:hi] <= y_hi[t])
             spans.append((lo, hi, near))
             bound[t] = np.count_nonzero(near)
         # skipped candidates score -inf; witness[0] is best_score and
@@ -186,7 +193,7 @@ def _best_chord_probe(hull: np.ndarray, points: np.ndarray,
         for t in np.argsort(-bound, kind="stable").tolist():
             if ahead is None:
                 ahead = np.maximum.accumulate(witness)
-            group = groups[t]
+            group = order[first[t]:stop[t]]
             group = group[ahead[group] < bound[t]]
             if not group.size:
                 continue
@@ -237,7 +244,17 @@ def _face_targets(face: Face, probes: list[Probe],
     disk and in no probe disk dilated by the 1e-9 tolerance, within the
     hull's box widened by 2r, the reach of any candidate disk.  The grid
     spacing gives the face about _FACE_POINTS points and the box at most
-    _BOX_POINTS.
+    _BOX_POINTS.  The points come in row-major order.
+
+    The grid is never built whole.  A point (x, y) lies in the circle
+    (cx, cy, R) when (x - cx)**2 + (y - cy)**2 <= R**2, evaluated in
+    float64 as written; each rounding step is monotone, so the test is
+    monotone in |x - cx| and the points a circle holds on one grid row
+    form one run of columns.  sqrt(R**2 - dy**2) gives the ends of each
+    run to within a column, clipped to the grid, and the exact test on
+    the columns up to _BAND away from each end fixes them.  The kept
+    points are the gaps between the removed runs (the probes' runs and
+    the columns outside the unit disk's run), merged over the whole grid.
     """
     xs, ys = [], []
     for circle, a, b in face.arcs:
@@ -254,23 +271,75 @@ def _face_targets(face: Face, probes: list[Probe],
     x_hi, y_hi = np.minimum(hull.max(axis=0) + 2.0 * r, 1.0)
     h = max(math.sqrt(face.area / _FACE_POINTS),
             math.sqrt((x_hi - x_lo) * (y_hi - y_lo) / _BOX_POINTS))
-    gx, gy = np.meshgrid(np.arange(x_lo + 0.5 * h, x_hi, h),
-                         np.arange(y_lo + 0.5 * h, y_hi, h))
-    gx, gy = gx.ravel(), gy.ravel()
-    inside = gx * gx + gy * gy <= 1.0
-    gx, gy = gx[inside], gy[inside]
-    # only probes that reach the box remove points; each pass keeps the
-    # points still free, so the later passes test fewer
+    xs = np.arange(x_lo + 0.5 * h, x_hi, h)
+    ys = np.arange(y_lo + 0.5 * h, y_hi, h)
+    nx, ny = xs.size, ys.size
+    if not nx or not ny:
+        return hull, np.empty((0, 2))
+    # the unit disk first, then the probes that reach the box
+    circles = [(0.0, 0.0, 1.0)]
     for p in probes:
         reach = p.rho + _TOL
-        if (p.center.x + reach < x_lo or p.center.x - reach > x_hi
+        if not (p.center.x + reach < x_lo or p.center.x - reach > x_hi
                 or p.center.y + reach < y_lo or p.center.y - reach > y_hi):
-            continue
-        dx = gx - p.center.x
-        dy = gy - p.center.y
-        free = dx * dx + dy * dy > reach * reach
-        gx, gy = gx[free], gy[free]
-    return hull, np.column_stack([gx, gy])
+            circles.append((p.center.x, p.center.y, reach))
+    cx, cy, reach = np.array(circles).T
+    r2 = reach * reach
+    dy = ys - cy[:, None]
+    dy2 = dy * dy
+    # (circle, row) pairs whose run may hold a column: with dy2 > R**2 the
+    # rounded sum exceeds R**2 whatever dx is
+    circle, row = np.nonzero(dy2 <= r2[:, None])
+    dy2 = dy2[circle, row]
+    cx, r2 = cx[circle], r2[circle]
+    half = np.sqrt(r2 - dy2)
+    first = _run_end(xs, cx, dy2, r2, np.ceil((cx - half - xs[0]) / h), True)
+    last = _run_end(xs, cx, dy2, r2, np.floor((cx + half - xs[0]) / h), False)
+    # removed runs in global columns row * (nx + 1) + col, inclusive; a
+    # run with last < first is empty.  Column nx of each row is removed
+    # as outside the unit disk, so no gap crosses into the next row
+    stride = nx + 1
+    base = row * stride
+    # the unit disk removes the columns before its first and after its
+    # last; when its run is empty, last < first and the two cover the row
+    disk, probe = circle == 0, circle > 0
+    d_first = np.full(ny, nx)
+    d_last = np.full(ny, -1)
+    d_first[row[disk]] = first[disk]
+    d_last[row[disk]] = last[disk]
+    d_base = np.arange(ny) * stride
+    lo = np.concatenate([d_base, d_base + d_last + 1,
+                         base[probe] + first[probe]])
+    hi = np.concatenate([d_base + d_first - 1, d_base + nx,
+                         base[probe] + last[probe]])
+    # an empty run must not end before the column ahead of its start, or
+    # the gaps on either side of it would overlap
+    hi = np.maximum(hi, lo - 1)
+    order = np.argsort(lo)
+    lo = np.append(lo[order], ny * stride)
+    hi = np.maximum.accumulate(hi[order])
+    # kept points: the gaps between the running end and the next start
+    gap_lo = np.concatenate([[0], hi + 1])
+    size = np.maximum(lo - gap_lo, 0)
+    at = (np.repeat(gap_lo - np.cumsum(size) + size, size)
+          + np.arange(size.sum()))
+    rows, cols = np.divmod(at, stride)
+    return hull, np.column_stack([xs[cols], ys[rows]])
+
+
+def _run_end(xs: np.ndarray, cx: np.ndarray, dy2: np.ndarray,
+             r2: np.ndarray, guess: np.ndarray, low: bool) -> np.ndarray:
+    """Per run, the first (``low``) or last column within _BAND of
+    ``guess``, clipped to the grid, whose point passes the exact test
+    dx*dx + dy2 <= r2; nx (first) or -1 (last) where none does."""
+    nx = xs.size
+    cols = np.clip(guess.astype(np.intp)[:, None]
+                   + np.arange(-_BAND, _BAND + 1), 0, nx - 1)
+    dx = xs[cols] - cx[:, None]
+    inside = dx * dx + dy2[:, None] <= r2[:, None]
+    if low:
+        return np.where(inside, cols, nx).min(axis=1)
+    return np.where(inside, cols, -1).max(axis=1)
 
 
 def _greedy_core(probes: Sequence[Probe],

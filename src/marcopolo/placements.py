@@ -1,9 +1,8 @@
 """Deterministic per-layer probe placements for the search algorithms.
 
-Generators for the fixed layer placements of Algorithms 1-6, the
-response-limited hexagonal family, and the shell binary-search baseline,
-plus JSON serialization of placements (used for the optimizer outputs,
-Algorithms 7-8).
+Generators for the fixed layer placements of Algorithms 1-6 and the
+response-limited hexagonal family, plus JSON serialization of placements
+(used for the optimizer outputs, Algorithms 7-8).
 
 All placements are expressed on the closed unit disk; the simulator scales
 them to the current search radius.  Probes are listed in analysis order;
@@ -328,109 +327,6 @@ def hexfam_layer(r_max: int, n: float) -> LayerPlacement:
                    if math.hypot(h.center.x, h.center.y) - h.side <= 1.0)
     return LayerPlacement("HEXFAM", probes, None, certified=True,
                           coverage="disk")
-
-
-# ---------------------------------------------------------------------------
-# Shell binary-search baseline
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ShellTrace:
-    probes: int
-    final_center: Point2
-    success: bool
-
-
-def shell_baseline(n: float, poi: Point2) -> ShellTrace:
-    """Procedural two-phase binary-search baseline for a single POI.
-
-    Phase 1 bisects the probe radius from the center to localize the POI to
-    a width-1 shell; phase 2 bisects along the shell to a unit-size cell.
-    The probe count constant is fixed by this implementation and asserted
-    in a golden test.
-    """
-    dist = math.hypot(poi.x, poi.y)
-    if dist > n:
-        raise ValueError("POI outside the search region")
-    if n <= 1.0:
-        return ShellTrace(0, Point2(0.0, 0.0), True)
-    probes = 0
-    lo, hi = 0.0, n
-    while hi - lo > 1.0:
-        mid = 0.5 * (lo + hi)
-        probes += 1
-        if dist <= mid:
-            hi = mid
-        else:
-            lo = mid
-    # Phase 2: bisect the angular interval [a0, a1] along the shell
-    # lo <= r <= hi (the POI angle has a representative in [a0, a1]
-    # modulo 2*pi).  Each probe is a disk centered on the shell
-    # mid-radius covering the lower quarter of the remaining arc; the
-    # exact covered half-angle per shell radius gives a sound update
-    # on either response (largest half-angle bounds a positive,
-    # smallest bounds a negative).
-    a0, a1 = 0.0, 2.0 * math.pi
-    while hi * (a1 - a0) > 1.0:
-        rm = 0.5 * (lo + hi)
-        span = a1 - a0
-        full = span >= 2.0 * math.pi - 1e-12
-        gamma = min(0.25 * span, 0.5 * math.pi)
-        beta = a0 + gamma
-        radius = math.sqrt(max(0.0, hi * hi + rm * rm
-                               - 2.0 * hi * rm * math.cos(gamma)))
-        radius *= 1.0 + 1e-12
-        pos = _shell_alpha_max(lo, hi, rm, radius)
-        # guards: a positive response must shrink the arc, and the
-        # covered arc must not wrap around into the interval's far end
-        limit = math.pi if full else min(0.75 * span,
-                                         math.pi - 0.5 * span)
-        if pos >= limit - 1e-12:
-            # A thick shell at small radius: a positive response would
-            # not narrow the arc, so refine the shell radially instead.
-            probes += 1
-            if dist <= rm:
-                hi = rm
-            else:
-                lo = rm
-            continue
-        center = Point2(rm * math.cos(beta), rm * math.sin(beta))
-        probes += 1
-        if math.hypot(poi.x - center.x, poi.y - center.y) <= radius:
-            if full:
-                a0, a1 = beta - pos, beta + pos
-            else:
-                a1 = beta + pos
-        else:
-            neg = min(_shell_alpha(lo, rm, radius),
-                      _shell_alpha(hi, rm, radius))
-            a0, a1 = beta + neg, min(a1, beta - neg + 2.0 * math.pi)
-    r_mid = 0.5 * (lo + hi)
-    a_mid = 0.5 * (a0 + a1)
-    final = Point2(r_mid * math.cos(a_mid), r_mid * math.sin(a_mid))
-    success = math.hypot(final.x - poi.x, final.y - poi.y) <= 1.0
-    return ShellTrace(probes, final, success)
-
-
-def _shell_alpha(r: float, d: float, radius: float) -> float:
-    """Half-angle of the arc of the radius-r circle covered by a disk of
-    the given radius centered at distance d from the origin."""
-    if r < 1e-12:
-        return math.pi if radius >= d else 0.0
-    v = (r * r + d * d - radius * radius) / (2.0 * r * d)
-    return math.acos(min(1.0, max(-1.0, v)))
-
-
-def _shell_alpha_max(lo: float, hi: float, d: float, radius: float) -> float:
-    """Largest covered half-angle over shell radii lo <= r <= hi (the
-    covered region bulges at r = sqrt(d^2 - radius^2) when interior)."""
-    best = max(_shell_alpha(lo, d, radius), _shell_alpha(hi, d, radius))
-    bulge = d * d - radius * radius
-    if bulge > 0.0:
-        r_star = math.sqrt(bulge)
-        if lo < r_star < hi:
-            best = max(best, _shell_alpha(r_star, d, radius))
-    return best
 
 
 # ---------------------------------------------------------------------------

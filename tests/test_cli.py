@@ -118,6 +118,14 @@ class TestSimulate:
                      "--n", "4", "--poi", "100,200"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("poi", ["100", "a,b", "1,2,3"])
+    def test_malformed_poi(self, alg3_file, capsys, poi):
+        assert main(["simulate", "--placement", str(alg3_file),
+                     "--n", "1024", "--poi", poi]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--poi" in err and "X,Y" in err
+
     def test_probe_count_off_issue_order(self, tmp_path, layers, capsys):
         # a covering ALG1 file with one probe too many has no issue order
         layer = layers["ALG1"]
@@ -155,6 +163,17 @@ class TestMontecarlo:
         with (out_dir / "table.csv").open(newline="") as fh:
             rows = [row["algorithm"] for row in csv.DictReader(fh)]
         assert rows == ["ALG7", "ALG8"]
+
+    def test_placement_file_of_another_algorithm(self, tmp_path,
+                                                 placements_dir, capsys):
+        assert main(["montecarlo", "--n", "256", "--trials", "5",
+                     "--algs", "1", "--out", str(tmp_path),
+                     "--placement-file",
+                     f"ALG1={placements_dir / 'alg3.json'}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "ALG1" in err and "ALG3" in err
+        assert not (tmp_path / "table.csv").exists()
 
     def test_placement_file_without_algorithm(self, tmp_path, capsys):
         assert main(["montecarlo", "--n", "256", "--trials", "5",

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from marcopolo import optimizer
-from marcopolo.geometry import _convex_hull, certify_coverage, uncovered_faces
+from marcopolo.geometry import (
+    Face,
+    Point2,
+    Probe,
+    _TOL,
+    _convex_hull,
+    certify_coverage,
+    uncovered_faces,
+)
 from marcopolo.placements import (
     CertificationError,
     LayerPlacement,
@@ -23,7 +31,14 @@ from marcopolo.optimizer import (
     evolve_initial,
     greedy_fill,
 )
-from marcopolo.optimizer import _PAIR_BLOCK, _best_chord_probe, _densify_hull
+from marcopolo.optimizer import (
+    _BOX_POINTS,
+    _FACE_POINTS,
+    _PAIR_BLOCK,
+    _best_chord_probe,
+    _densify_hull,
+    _face_targets,
+)
 from marcopolo.verifier import probe_coefficient
 
 
@@ -323,3 +338,136 @@ class TestBestChordProbe:
         hull, points = _square(0.0, 0.0, 0.5), np.zeros((1, 2))
         assert _best_chord_probe(hull, points, 0.1) is None
         assert _reference_chord_probe(hull, points, 0.1) is None
+
+
+def _reference_face_targets(face, probes, r):
+    """The chord hull and scoring points of ``_face_targets``, from the
+    whole grid filtered one circle at a time, with the grid's axes and
+    spacing."""
+    xs, ys = [], []
+    for circle, a, b in face.arcs:
+        if circle < 0:
+            x0, y0, radius = 0.0, 0.0, 1.0
+        else:
+            p = probes[circle]
+            x0, y0, radius = p.center.x, p.center.y, p.rho + _TOL
+        t = np.linspace(a, b, int(math.ceil((b - a) * radius * 4.0 / r)) + 1)
+        xs.append(x0 + radius * np.cos(t))
+        ys.append(y0 + radius * np.sin(t))
+    hull = _convex_hull(np.concatenate(xs), np.concatenate(ys))
+    x_lo, y_lo = np.maximum(hull.min(axis=0) - 2.0 * r, -1.0)
+    x_hi, y_hi = np.minimum(hull.max(axis=0) + 2.0 * r, 1.0)
+    h = max(math.sqrt(face.area / _FACE_POINTS),
+            math.sqrt((x_hi - x_lo) * (y_hi - y_lo) / _BOX_POINTS))
+    axis_x = np.arange(x_lo + 0.5 * h, x_hi, h)
+    axis_y = np.arange(y_lo + 0.5 * h, y_hi, h)
+    gx, gy = np.meshgrid(axis_x, axis_y)
+    gx, gy = gx.ravel(), gy.ravel()
+    inside = gx * gx + gy * gy <= 1.0
+    gx, gy = gx[inside], gy[inside]
+    for p in probes:
+        reach = p.rho + _TOL
+        if (p.center.x + reach < x_lo or p.center.x - reach > x_hi
+                or p.center.y + reach < y_lo or p.center.y - reach > y_hi):
+            continue
+        dx = gx - p.center.x
+        dy = gy - p.center.y
+        free = dx * dx + dy * dy > reach * reach
+        gx, gy = gx[free], gy[free]
+    return hull, np.column_stack([gx, gy]), axis_x, axis_y, h
+
+
+def _assert_same_targets(face, probes, r):
+    hull, points = _face_targets(face, probes, r)
+    ref_hull, ref_points, *_ = _reference_face_targets(face, probes, r)
+    assert np.array_equal(hull, ref_hull)
+    assert points.shape == ref_points.shape
+    assert np.array_equal(points, ref_points)
+    return points
+
+
+# a face along the unit circle: its box, widened by 2r, is clipped at x = 1
+_ARC_FACE = Face(0.01, [(-1, 0.2, 0.5)])
+
+
+class TestFaceTargets:
+    def test_every_visited_face(self, monkeypatch):
+        visited = []
+
+        def spy(face, probes, r):
+            visited.append((face, list(probes), r))
+            return _face_targets(face, probes, r)
+
+        monkeypatch.setattr(optimizer, "_face_targets", spy)
+        alg7_layer()
+        evolve_initial(OptimizerConfig(generations=0))
+        assert len(visited) > 20
+        for face, probes, r in visited:
+            _assert_same_targets(face, probes, r)
+
+    def test_probes_crossing_the_box(self):
+        # runs that start left of the grid (the unit disk's and the large
+        # probe's), runs inside it, and a probe that misses the box
+        probes = [Probe(Point2(0.3, 0.3), 0.5),
+                  Probe(Point2(0.8, 0.3), 0.15),
+                  Probe(Point2(0.9, 0.45), 0.08),
+                  Probe(Point2(-0.5, -0.5), 0.1)]
+        points = _assert_same_targets(_ARC_FACE, probes, 0.1)
+        assert 0 < len(points)
+        for p in probes:
+            _assert_same_targets(_ARC_FACE, [p], 0.1)
+
+    def test_probe_centered_on_a_grid_point(self):
+        *_, xs, ys, _ = _reference_face_targets(_ARC_FACE, [], 0.1)
+        j = len(ys) // 2
+        k = int(np.argmin(np.abs(xs - 0.7)))
+        center = (float(xs[k]), float(ys[j]))
+        points = _assert_same_targets(
+            _ARC_FACE, [Probe(Point2(*center), 0.05)], 0.1)
+        assert not (points == center).all(axis=1).any()
+
+    def test_row_tangent_to_a_probe(self):
+        # a row with dy*dy == reach*reach, and a column with dx == 0: the
+        # run on that row is one point, which the exact test removes
+        *_, xs, ys, _ = _reference_face_targets(_ARC_FACE, [], 0.1)
+        k = int(np.argmin(np.abs(xs - 0.7)))
+        found = None
+        for rho in (0.03, 0.031, 0.0325, 0.04, 0.05, 0.0625):
+            reach = rho + _TOL
+            for j in range(len(ys) // 4, len(ys)):
+                cy = float(ys[j]) + reach
+                dy = float(ys[j]) - cy
+                if dy * dy == reach * reach:
+                    found = rho, j, cy
+                    break
+            if found:
+                break
+        assert found is not None
+        rho, j, cy = found
+        point = (float(xs[k]), float(ys[j]))
+        assert point[0] ** 2 + point[1] ** 2 < 1.0
+        points = _assert_same_targets(
+            _ARC_FACE, [Probe(Point2(point[0], cy), rho)], 0.1)
+        assert not (points == point).all(axis=1).any()
+
+    def test_tiny_face(self):
+        # the finest spacing the schedule floor allows: h near 1e-7, with
+        # the unit circle and a probe boundary through the box
+        a = 0.5
+        face = Face(4e-11, [(-1, a, a + 1e-5)])
+        r = 6.4e-6
+        *_, h = _reference_face_targets(face, [], r)
+        assert 5e-8 < h < 2e-7
+        mid = a + 5e-6
+        probe = Probe(Point2(0.8 * math.cos(mid), 0.8 * math.sin(mid)),
+                      0.2 - 2e-6)
+        points = _assert_same_targets(face, [probe], r)
+        assert 0 < len(points)
+
+    def test_empty_grid(self):
+        # a spacing wider than the box leaves no grid point
+        face = Face(40000.0, _ARC_FACE.arcs)
+        *_, xs, _, _ = _reference_face_targets(face, [], 0.1)
+        assert xs.size == 0
+        points = _assert_same_targets(face, [], 0.1)
+        assert points.shape == (0, 2)

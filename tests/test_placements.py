@@ -1,5 +1,4 @@
-"""Layer constructions, serialization, the hexagonal family, and the
-shell-by-shell baseline."""
+"""Layer constructions, serialization, and the hexagonal family."""
 from __future__ import annotations
 
 import math
@@ -24,7 +23,6 @@ from marcopolo.placements import (
     load_placement,
     perimeter_covered,
     save_placement,
-    shell_baseline,
 )
 from marcopolo.verifier import probe_coefficient
 
@@ -210,43 +208,6 @@ class TestHexfam:
             hexfam_layer(0, 4.0)
         with pytest.raises(ValueError):
             hexfam_layer(5, 4.0)
-
-
-class TestShellBaseline:
-    def test_trivial_area(self):
-        trace = shell_baseline(1.0, Point2(0.3, -0.2))
-        assert trace.success
-        assert trace.probes == 0
-
-    def test_midpoint_golden(self):
-        n = 2.0 ** 20
-        trace = shell_baseline(n, Point2(n / 2.0, 0.0))
-        assert trace.success
-        assert trace.probes == 42
-
-    def test_boundary_golden(self):
-        n = 2.0 ** 20
-        trace = shell_baseline(n, Point2(0.0, n))
-        assert trace.success
-        assert trace.probes == 43
-
-    def test_random_pois(self):
-        import numpy as np
-
-        n = 1000.0
-        rng = np.random.default_rng(11)
-        worst = 0
-        for _ in range(50):
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            dist = rng.uniform(0.0, n)
-            poi = Point2(dist * math.cos(angle), dist * math.sin(angle))
-            trace = shell_baseline(n, poi)
-            assert trace.success
-            assert poi.dist(trace.final_center) <= 1.0 + 1e-9
-            worst = max(worst, trace.probes)
-        # Theta(log^2 n) growth: far more probes than the constant-factor
-        # layered searches need at this n
-        assert worst > 20
 
 
 class TestPlacementFiles:
