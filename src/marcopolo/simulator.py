@@ -28,7 +28,12 @@ from .geometry import Point2
 from .placements import LayerPlacement
 
 _EPS = 1e-9
-_BATCH_CHUNK = 4096  # POIs per slice of run_batch
+_BATCH_CHUNK = 8192  # POIs per slice of run_batch
+# run_batch's first-hit table: _GRID cells per side over [-1, 1]^2; a cell
+# is decided only with this margin on every disk test, far above float64
+# rounding and above every descent tolerance (_EPS / s < _EPS)
+_GRID = 128
+_MARGIN = 1e-7
 # largest search radius: above 2**52 adjacent float64 values lie more than
 # 1 apart, the unit localization radius
 _MAX_N = 2.0 ** 52
@@ -43,9 +48,7 @@ class World:
     active: list[bool] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        _check_resolvable(self.n)
-        if self.n < 1:
-            raise ValueError("search radius must be at least 1")
+        _check_radius(self.n)
         if not self.active:
             self.active = [True] * len(self.pois)
         if not any(self.active):
@@ -60,6 +63,13 @@ def _check_resolvable(n: float) -> None:
     if not math.isfinite(n) or n > _MAX_N:
         raise ValueError(f"search radius {n} is not finite or exceeds "
                          f"2**52, beyond unit float64 resolution")
+
+
+def _check_radius(n: float) -> None:
+    """Reject a search radius no search can run at."""
+    _check_resolvable(n)
+    if n < 1:
+        raise ValueError("search radius must be at least 1")
 
 
 @dataclass
@@ -308,24 +318,16 @@ def find_all(placement: LayerPlacement, world: World) -> FindAllResult:
 # Reference tour length
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TourLength:
-    length: float
-    exact: bool
-
-
-def tsp_reference(pois: list[Point2]) -> TourLength:
-    """Closed-tour length over the POIs: exact Held-Karp dynamic program
-    for up to 12 points, nearest-neighbor plus 2-opt beyond (approximate)."""
+def tsp_reference(pois: list[Point2]) -> float:
+    """Closed-tour length over 2 to 12 POIs, by the exact Held-Karp
+    dynamic program."""
     k = len(pois)
-    if k < 2:
-        raise ValueError("need at least two POIs")
+    if not 2 <= k <= 12:
+        raise ValueError("need two to twelve POIs")
     pts = np.array([[p.x, p.y] for p in pois])
     dist = np.hypot(pts[:, None, 0] - pts[None, :, 0],
                     pts[:, None, 1] - pts[None, :, 1])
-    if k <= 12:
-        return TourLength(_held_karp(dist), True)
-    return TourLength(_two_opt(dist), False)
+    return _held_karp(dist)
 
 
 def _held_karp(dist: np.ndarray) -> float:
@@ -349,28 +351,6 @@ def _held_karp(dist: np.ndarray) -> float:
     return float(min(dp[full - 1, j] + dist[j + 1, 0] for j in range(k - 1)))
 
 
-def _two_opt(dist: np.ndarray) -> float:
-    k = dist.shape[0]
-    tour = [0]
-    left = set(range(1, k))
-    while left:
-        last = tour[-1]
-        nxt = min(left, key=lambda j: dist[last, j])
-        tour.append(nxt)
-        left.remove(nxt)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(1, k - 1):
-            for j in range(i + 1, k):
-                a, b = tour[i - 1], tour[i]
-                c, d = tour[j], tour[(j + 1) % k]
-                if dist[a, c] + dist[b, d] < dist[a, b] + dist[c, d] - 1e-12:
-                    tour[i:j + 1] = tour[i:j + 1][::-1]
-                    improved = True
-    return float(sum(dist[tour[i], tour[(i + 1) % k]] for i in range(k)))
-
-
 # ---------------------------------------------------------------------------
 # Vectorized batch engine (Monte Carlo)
 # ---------------------------------------------------------------------------
@@ -383,8 +363,10 @@ def run_batch(placement: LayerPlacement, n: float,
     returns arrays P (probes), D (distance), R (responses), success, lost.
     POIs are searched in slices of ``_BATCH_CHUNK`` rows.
     """
+    _check_radius(n)
     frame = _Frame(*(np.array(v) if isinstance(v, list) else v
                      for v in _frame(placement)))
+    table = _hit_table(frame.z, frame.reach)
     t = poi_xy.shape[0]
     out = {"P": np.zeros(t, dtype=np.int64), "D": np.zeros(t),
            "R": np.zeros(t, dtype=np.int64),
@@ -392,11 +374,46 @@ def run_batch(placement: LayerPlacement, n: float,
     for lo in range(0, t, _BATCH_CHUNK):
         chunk = poi_xy[lo:lo + _BATCH_CHUNK]
         part = {k: v[lo:lo + _BATCH_CHUNK] for k, v in out.items()}
-        _descend(frame, float(n), chunk[:, 0] + 1j * chunk[:, 1], part)
+        _descend(frame, table, float(n), chunk[:, 0] + 1j * chunk[:, 1], part)
     return out
 
 
-def _descend(frame: _Frame, n: float, poi: np.ndarray,
+def _hit_table(z: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """First-hit table of the disks ``z``, ``reach``, flattened.
+
+    Row i, column j of the (_GRID + 2) x (_GRID + 2) table is the cell
+    [-1 + (i - 1) h, -1 + i h] x [-1 + (j - 1) h, -1 + j h], h = 2 / _GRID.
+    A cell holds k when disk k contains the whole cell and every earlier
+    disk misses it, each by ``_MARGIN``; every other cell, the border ring
+    among them, holds -1.  A cell leaves the scan at its first disk that
+    does not miss it, so each disk costs only the cells still open.
+    """
+    h = 2.0 / _GRID
+    side = _GRID + 2
+    table = np.full(side * side, -1, dtype=np.intp)
+    inner = np.arange(1, _GRID + 1)
+    cells = (inner[:, None] * side + inner).ravel()
+    mid = -1.0 + (inner - 0.5) * h
+    c = (mid[:, None] + 1j * mid).ravel()
+    half = h * math.sqrt(0.5)  # half the cell's diagonal
+    for k in range(z.size):
+        d = np.abs(c - z[k])
+        table[cells[d + half + _MARGIN < reach[k]]] = k
+        open_ = d - half - _MARGIN > reach[k]
+        cells, c = cells[open_], c[open_]
+    return table
+
+
+def _cells(q: np.ndarray) -> np.ndarray:
+    """Index of the ``_hit_table`` cell of each frame point ``q``; points
+    outside [-1, 1]^2 land in the border ring."""
+    w = q * (_GRID / 2) + (_GRID / 2 + 1) * (1 + 1j)
+    i = np.clip(w.real, 0, _GRID + 1).astype(np.intp)
+    j = np.clip(w.imag, 0, _GRID + 1).astype(np.intp)
+    return i * (_GRID + 2) + j
+
+
+def _descend(frame: _Frame, table: np.ndarray, n: float, poi: np.ndarray,
              out: dict[str, np.ndarray]) -> None:
     """``run_batch`` on one slice of POIs, writing into the views ``out``.
 
@@ -407,8 +424,11 @@ def _descend(frame: _Frame, n: float, poi: np.ndarray,
     frame so the first probe faces the searcher (``q <- q * turn``), then
     moves into the first probe holding the POI: ``q <- (q - z[hit]) /
     rho[hit]``, ``s <- s * rho[hit]``.  The tolerance is the absolute
-    ``_EPS``, ``_EPS / s`` in frame units.  Finished trials are written
-    out and dropped.
+    ``_EPS``, ``_EPS / s`` in frame units.  A level reads that probe from
+    the layer's first-hit ``table`` (``_hit_table``) at ``q``'s cell; only
+    trials in undecided cells run the exact disk tests, which the table's
+    margin guarantees it agrees with.  Finished trials are written out and
+    dropped.
     """
     z, rho, reach, cum, face, mags, turns, legs = frame
     m = z.size
@@ -443,8 +463,12 @@ def _descend(frame: _Frame, n: float, poi: np.ndarray,
             turn = np.where(centred, o, turns[at])
             o = np.where(centred, 1.0 + 0j, _cmul(o, np.conj(turn)))
             q = _cmul(q, turn)
-        inside = np.abs(q[:, None] - z) <= reach + (_EPS / s)[:, None]
-        hit = inside.argmax(axis=1)
+        hit = table[_cells(q)]
+        open_ = np.flatnonzero(hit < 0)
+        if open_.size:
+            inside = (np.abs(q[open_, None] - z)
+                      <= reach + (_EPS / s[open_])[:, None])
+            hit[open_] = inside.argmax(axis=1)
         stop = np.minimum(hit, m - 2)
         D += s * (legs[at] + cum[stop])
         P += stop + 1

@@ -15,11 +15,17 @@ from marcopolo.placements import (
     hexfam_layers,
     load_placement,
 )
+from marcopolo import simulator
 from marcopolo.simulator import (
     _BATCH_CHUNK,
     _EPS,
+    _GRID,
+    _MARGIN,
     SearchState,
     World,
+    _cells,
+    _frame,
+    _hit_table,
     find_all,
     probe,
     run_batch,
@@ -278,40 +284,35 @@ def _reference_find_all(placement, world):
 
 class TestTspReference:
     def test_collinear(self):
-        tour = tsp_reference([Point2(0.0, 0.0), Point2(2.0, 0.0)])
-        assert tour.exact
-        assert tour.length == pytest.approx(4.0, abs=1e-12)
+        length = tsp_reference([Point2(0.0, 0.0), Point2(2.0, 0.0)])
+        assert length == pytest.approx(4.0, abs=1e-12)
 
     def test_unit_square(self):
         pts = [Point2(0.0, 0.0), Point2(1.0, 0.0),
                Point2(1.0, 1.0), Point2(0.0, 1.0)]
-        tour = tsp_reference(pts)
-        assert tour.exact
-        assert tour.length == pytest.approx(4.0, abs=1e-12)
+        assert tsp_reference(pts) == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         pts = [Point2(x, y) for x, y in rng.uniform(-5.0, 5.0, (8, 2))]
         tour = tsp_reference(pts)
-        assert tour.exact
         best = math.inf
         for perm in itertools.permutations(range(1, 8)):
             order = (0,) + perm
             length = sum(pts[order[i]].dist(pts[order[(i + 1) % 8]])
                          for i in range(8))
             best = min(best, length)
-        assert tour.length == pytest.approx(best, abs=1e-9)
-
-    def test_heuristic_beyond_held_karp(self):
-        rng = np.random.default_rng(4)
-        pts = [Point2(x, y) for x, y in rng.uniform(-5.0, 5.0, (15, 2))]
-        tour = tsp_reference(pts)
-        assert not tour.exact
-        assert tour.length > 0.0
+        assert tour == pytest.approx(best, abs=1e-9)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             tsp_reference([Point2(0.0, 0.0)])
+
+    def test_rejects_more_than_twelve_points(self):
+        pts = [Point2(float(i), 0.0) for i in range(13)]
+        assert tsp_reference(pts[:12]) == pytest.approx(22.0, abs=1e-12)
+        with pytest.raises(ValueError):
+            tsp_reference(pts)
 
 
 class TestRunBatch:
@@ -362,6 +363,20 @@ class TestRunBatch:
                 assert out["D"][i] == pytest.approx(trace.distance,
                                                     rel=1e-12), where
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.0 ** 60, 0.5])
+    def test_rejects_radius_world_rejects(self, layers, monkeypatch, n):
+        # nan and inf never finished the descent; 2^60 answered beyond
+        # float64 resolution
+        def descend(*args):
+            raise AssertionError("the descent ran")
+
+        monkeypatch.setattr(simulator, "_descend", descend)
+        poi = np.array([[0.2, 0.1]])
+        with pytest.raises(ValueError, match="search radius"):
+            run_batch(execution_layer(layers["ALG1"]), n, poi)
+        with pytest.raises(ValueError, match="search radius"):
+            World(n, [Point2(0.2, 0.1)])
+
     def test_trivial_radius(self, layers):
         poi = np.array([[0.2, 0.1]])
         out = run_batch(execution_layer(layers["ALG1"]), 1.0, poi)
@@ -403,6 +418,86 @@ class TestRunBatch:
             out = run_batch(execution_layer(layers[aid]), n, poi)
             assert not out["lost"].any(), aid
             assert out["success"].all(), aid
+
+
+class TestFirstHitTable:
+    """``_hit_table`` against the exact disk test: every decided cell gets
+    the table's first hit at the points of the cell nearest to and farthest
+    from each disk the table's answer depends on."""
+
+    @staticmethod
+    def _first_hit(pts, z, reach, tol):
+        """The exact test of the kernels, at tolerance ``tol``."""
+        inside = np.abs(pts[..., None] - z) <= reach + tol
+        return inside.argmax(axis=-1)
+
+    def _check(self, placement):
+        frame = _frame(placement)
+        z, reach = np.array(frame.z), np.array(frame.reach)
+        side = _GRID + 2
+        table = _hit_table(z, reach).reshape(side, side)
+        ring = np.ones((side, side), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        assert (table[ring] == -1).all()
+        i, j = np.nonzero(table >= 0)
+        k = table[i, j]
+        # the table decides most of the disk, so the checks below bite
+        assert k.size > 0.9 * _GRID * _GRID * math.pi / 4
+        h = 2.0 / _GRID
+        x0, x1 = -1.0 + (i - 1) * h, -1.0 + i * h
+        y0, y1 = -1.0 + (j - 1) * h, -1.0 + j * h
+        # the cells' corners and centres, then for each disk up to k the
+        # cell's points nearest to and farthest from its centre
+        pts = [x0 + 1j * y0, x0 + 1j * y1, x1 + 1j * y0, x1 + 1j * y1,
+               0.5 * (x0 + x1) + 0.5j * (y0 + y1)]
+        for p in range(int(k.max()) + 1):
+            zx, zy = z[p].real, z[p].imag
+            near = np.clip(zx, x0, x1) + 1j * np.clip(zy, y0, y1)
+            far = (np.where(zx - x0 > x1 - zx, x0, x1)
+                   + 1j * np.where(zy - y0 > y1 - zy, y0, y1))
+            sel = k < p  # disks past the table's answer are never tested
+            pts += [np.where(sel, pts[4], near), np.where(sel, pts[4], far)]
+        for tol in (0.0, _EPS):
+            for col in pts:
+                assert np.array_equal(self._first_hit(col, z, reach, tol), k)
+        # each cell's centre maps to that cell
+        assert np.array_equal(_cells(pts[4]), i * side + j)
+
+    def test_generated_layers(self, layers):
+        for aid in sorted(layers):
+            self._check(execution_layer(layers[aid]))
+
+    def test_golden_layers(self, placements_dir):
+        for aid in GOLDEN:
+            self._check(execution_layer(load_placement(placements_dir
+                                                       / f"{aid}.json")))
+
+    def test_margin_above_every_tolerance(self):
+        assert _MARGIN > _EPS
+
+    def test_outside_points_land_in_the_border(self):
+        side = _GRID + 2
+        q = np.array([1.0 + 0j, complex(-1.0 - 1e-12, 0.3), 1.5 + 0.2j,
+                      -0.3 - 7.0j, 2.0 ** 60 + 0j])
+        i, j = np.divmod(_cells(q), side)
+        assert ((i == 0) | (i == side - 1) | (j == 0) | (j == side - 1)).all()
+
+    def test_corner_within_tolerance_stays_undecided(self):
+        # disk 0 misses the cell's corner nearest to it by _EPS / 2: the
+        # exact test answers 0 at tolerance _EPS and 1 at tolerance 0
+        h = 2.0 / _GRID
+        i, j = 70, 40
+        corner = complex(-1.0 + (i - 1) * h, -1.0 + (j - 1) * h)
+        r = 0.3
+        z = np.array([corner - (r + _EPS / 2) * (1 + 1j) * math.sqrt(0.5),
+                      0j])
+        reach = np.array([r, math.inf])
+        assert r < abs(corner - z[0]) < r + _EPS
+        corner_pt = np.array([corner])
+        assert self._first_hit(corner_pt, z, reach, _EPS)[0] == 0
+        assert self._first_hit(corner_pt, z, reach, 0.0)[0] == 1
+        table = _hit_table(z, reach)
+        assert table[i * (_GRID + 2) + j] == -1
 
 
 GOLDEN = ("alg1", "alg2", "alg3", "alg4", "alg5", "alg6", "alg7", "alg8")
