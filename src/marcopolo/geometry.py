@@ -2,8 +2,8 @@
 
 Everything here works in the "unit-disk frame": the current search area is
 the closed disk of radius 1 centered at the origin, and probe radii are
-proportional (0 < rho <= 1).  The module provides hexagonal lattices and
-their circumscribed probes, chord probe placement, and the coverage
+proportional (0 < rho <= 1).  The module provides the circumscribed
+probes of hexagonal lattices, chord probe placement, and the coverage
 model: an exact probe-circle arc test decides whether a
 union of probe disks covers the unit disk, and the same arcs, closed into
 loops, give the exact area and the faces of what they leave uncovered.
@@ -19,11 +19,9 @@ import numpy as np
 __all__ = [
     "Point2",
     "Probe",
-    "Hexagon",
     "CoverageReport",
     "Face",
     "hex_lattice",
-    "circumscribe",
     "chord_probe",
     "certify_coverage",
     "uncovered_faces",
@@ -71,18 +69,6 @@ class Probe:
             raise ValueError("probe disk does not intersect the unit disk")
 
 
-@dataclass(frozen=True)
-class Hexagon:
-    """Flat-top regular hexagon (horizontal edges at top and bottom)."""
-
-    center: Point2
-    side: float
-
-    def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError("hexagon side must be positive")
-
-
 @dataclass
 class CoverageReport:
     certified_covered: bool
@@ -107,19 +93,20 @@ class Face:
     arcs: list
 
 
-def hex_lattice(layers: int, r: float) -> list[Hexagon]:
-    """L-layer hexagonal lattice of side 2r/(3L-2) covering the radius-r disk.
+def hex_lattice(layers: int) -> list[Probe]:
+    """Probes circumscribing the L-layer flat-top hexagonal lattice of side
+    2/(3L-2) that covers the unit disk: each probe's radius is the side.
 
-    Returns 1 + 6*C(L,2) flat-top hexagons, enumerated ring by ring
-    counterclockwise, center hexagon last.
+    Enumerated ring by ring counterclockwise, center hexagon last.  Of the
+    1 + 6*C(L,2) hexagons, those entirely outside the unit disk (corners
+    of lattices from L = 8) cover nothing and are skipped.  L >= 2: the one
+    hexagon of L = 1 has side 2, which is no probe of the unit disk.
     """
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    if r <= 0:
-        raise ValueError("disk radius must be positive")
-    s = 2.0 * r / (3 * layers - 2)
+    if layers < 2:
+        raise ValueError("layers must be >= 2")
+    s = 2.0 / (3 * layers - 2)
     step = math.sqrt(3) * s
-    hexes: list[Hexagon] = []
+    probes: list[Probe] = []
     for ring in range(1, layers):
         # walk the ring: start at the 30-degree corner, take `ring` steps
         # along each of the 6 counterclockwise edge directions
@@ -131,16 +118,12 @@ def hex_lattice(layers: int, r: float) -> list[Hexagon]:
             dx = step * math.cos(ang)
             dy = step * math.sin(ang)
             for _ in range(ring):
-                hexes.append(Hexagon(Point2(cx, cy), s))
+                if math.hypot(cx, cy) - s <= 1.0:
+                    probes.append(Probe(Point2(cx, cy), s))
                 cx += dx
                 cy += dy
-    hexes.append(Hexagon(Point2(0.0, 0.0), s))
-    return hexes
-
-
-def circumscribe(hexagon: Hexagon) -> Probe:
-    """Circumscribed circle of a regular hexagon: radius equals the side."""
-    return Probe(hexagon.center, hexagon.side)
+    probes.append(Probe(Point2(0.0, 0.0), s))
+    return probes
 
 
 def chord_probe(rho_k: float, angle: float = 0.0) -> Probe:

@@ -27,7 +27,6 @@ from .geometry import (
     certify_coverage,
     chord_probe,
     hex_lattice,
-    circumscribe,
     _probe_arrays,
     _uncovered_arcs,
 )
@@ -127,19 +126,16 @@ def _covers(probes: Sequence[Probe], coverage: str) -> bool:
 def _alg1_probes() -> tuple[Probe, ...]:
     """Six probes of rho = 1/2 over the outer hexagons of the L=2 lattice,
     counterclockwise, plus the omitted center probe appended last."""
-    hexes = hex_lattice(2, 1.0)
-    ring = [circumscribe(h) for h in hexes[:-1]]
-    center = circumscribe(hexes[-1])
-    return tuple(ring) + (center,)
+    return tuple(hex_lattice(2))
 
 
 def _alg2_probes() -> tuple[Probe, ...]:
     """Two rho = 1/sqrt(2) probes over the upper quadrants, then the lower
     hexagons of the L=2 lattice; the 270-degree hexagon is the omitted last."""
     big = 1.0 / math.sqrt(2.0)
+    *ring, center = hex_lattice(2)
     hexes = {round(math.degrees(math.atan2(c.center.y, c.center.x))) % 360: c
-             for c in (circumscribe(h) for h in hex_lattice(2, 1.0)[:-1])}
-    center = circumscribe(hex_lattice(2, 1.0)[-1])
+             for c in ring}
     return (
         Probe(Point2(-0.5, 0.5), big),
         Probe(Point2(0.5, 0.5), big),
@@ -313,18 +309,14 @@ def hexfam_layers(r_max: int, n: float) -> int:
 def hexfam_layer(r_max: int, n: float) -> LayerPlacement:
     """Hexagonal-lattice layer for the response-limited family.
 
-    Probes are the circumscribed circles of all hexagons of the L-layer
-    lattice over the unit disk, ring by ring counterclockwise with the
-    center hexagon last; the per-layer shrink factor is (3L - 2) / 2.
+    Probes are the circumscribed circles of the hexagons of the L-layer
+    lattice over the unit disk (``hex_lattice``), ring by ring
+    counterclockwise with the center hexagon last; the per-layer shrink
+    factor is (3L - 2) / 2.
     """
     if r_max < 1 or (n > 1 and r_max > math.ceil(math.log2(n))):
         raise ValueError(f"R_max={r_max} outside [1, ceil(log2 n)]")
-    layers = hexfam_layers(r_max, n)
-    # corner hexagons of deep lattices lie entirely outside the unit disk;
-    # they cover nothing and are skipped (the count stays 1 + 6*C(L,2)
-    # for shallow lattices)
-    probes = tuple(circumscribe(h) for h in hex_lattice(layers, 1.0)
-                   if math.hypot(h.center.x, h.center.y) - h.side <= 1.0)
+    probes = tuple(hex_lattice(hexfam_layers(r_max, n)))
     return LayerPlacement("HEXFAM", probes, None, certified=True,
                           coverage="disk")
 

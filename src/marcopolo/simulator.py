@@ -12,11 +12,13 @@ and ``run_batch``, keep a search in the frame of its current area: the
 area scaled to the unit disk and turned so the first probe faces the
 searcher.  Positions stay relative to the area, so float64 resolves them
 up to n = 2**52.  The kernels read the same per-layer constants
-(``_frame``) and round alike, so they agree trial for trial.
+(``_frame``, built once per layer object) and round alike, so they agree
+trial for trial.
 """
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -28,10 +30,15 @@ from .geometry import Point2
 from .placements import LayerPlacement
 
 _EPS = 1e-9
+# floor of the descent tolerance _EPS / s in frame units: above s of about
+# 1e7, _EPS / s falls below the rounding of frame coordinates, and a POI on
+# a probe junction would fall outside both touching probes
+_TOL_FLOOR = 2.0 ** -40
+_FRAME_CACHE = 16  # layers whose _frame is kept
 _BATCH_CHUNK = 8192  # POIs per slice of run_batch
 # run_batch's first-hit table: _GRID cells per side over [-1, 1]^2; a cell
 # is decided only with this margin on every disk test, far above float64
-# rounding and above every descent tolerance (_EPS / s < _EPS)
+# rounding and above every descent tolerance (at most _EPS)
 _GRID = 128
 _MARGIN = 1e-7
 # largest search radius: above 2**52 adjacent float64 values lie more than
@@ -118,6 +125,11 @@ class _Frame(NamedTuple):
     mag: Sequence[float]  # the searcher's distance from the area's center
     turn: Sequence[complex]  # the frame turn that faces the first probe
     leg: Sequence[float]  # the turned searcher's walk to the first probe
+    # per k, all that run_single's level ending in probe k reads, with
+    # j = min(k, m - 2) its last issued probe: (z[k], 1 / rho[k], rho[k],
+    # cum[j], j + 1 probes, k <= m - 2 answered, mag[k], turn[k], leg[k],
+    # conj(turn[k]))
+    hits: Sequence[tuple]
 
 
 def _facing(face: complex | None, z0: complex,
@@ -130,8 +142,29 @@ def _facing(face: complex | None, z0: complex,
     return mag, turn, abs(z0 - w * turn)
 
 
+# id(placement) -> (placement, its _Frame); holding the placement keeps its
+# id from being reused while the entry lives.  The lock guards eviction.
+_frames: dict[int, tuple[LayerPlacement, _Frame]] = {}
+_frames_lock = threading.Lock()
+
+
 def _frame(placement: LayerPlacement) -> _Frame:
-    """The ``_Frame`` of a layer, as Python lists."""
+    """The ``_Frame`` of a layer, as Python lists, built once per placement
+    object: keyed by identity, as hashing a placement by value costs a
+    third of building its frame.  The ``_FRAME_CACHE`` frames built last
+    are kept."""
+    entry = _frames.get(id(placement))
+    if entry is not None:
+        return entry[1]
+    frame = _build_frame(placement)
+    with _frames_lock:
+        if len(_frames) >= _FRAME_CACHE:
+            del _frames[next(iter(_frames))]
+        _frames[id(placement)] = (placement, frame)
+    return frame
+
+
+def _build_frame(placement: LayerPlacement) -> _Frame:
     z = [complex(p.center.x, p.center.y) for p in placement.probes]
     rho = [p.rho for p in placement.probes]
     m = len(z)
@@ -144,7 +177,10 @@ def _frame(placement: LayerPlacement) -> _Frame:
     exits = [(z[min(k, m - 2)] - z[k]) * (1.0 / rho[k]) for k in range(m)]
     facing = [_facing(face, z[0], w) for w in exits + [0j]]
     mag, turn, leg = map(list, zip(*facing))
-    return _Frame(z, rho, reach, cum, face, mag, turn, leg)
+    hits = [(z[k], 1.0 / rho[k], rho[k], cum[j], j + 1, k <= m - 2,
+             mag[k], turn[k], leg[k], turn[k].conjugate())
+            for k, j in ((k, min(k, m - 2)) for k in range(m))]
+    return _Frame(z, rho, reach, cum, face, mag, turn, leg, hits)
 
 
 def _target_poi(world: World, state: SearchState) -> int:
@@ -176,25 +212,28 @@ def run_single(placement: LayerPlacement, world: World,
     that only certify perimeter coverage may lose containment through an
     interior gap, which is reported via ``containment_lost`` instead.
     """
-    return _run_single(placement, _frame(placement), world, start,
-                       adversarial)
-
-
-def _run_single(placement: LayerPlacement, frame: _Frame, world: World,
-                start: SearchState | None, adversarial: bool) -> SearchTrace:
-    """``run_single`` on the ``_frame`` of ``placement``.
-
-    The search lives in the frame of its current area, as in
-    ``_descend``: ``q`` is the POI in that frame, ``s`` the area's
-    absolute radius, ``o`` the frame's absolute rotation and ``c`` the
-    area's absolute center, which only ``SearchTrace.end`` reads.
-    """
-    z, rho, reach, cum, face, mags, turns, legs = frame
-    m = len(z)
     state = start or SearchState(Point2(0.0, 0.0), world.n, Point2(0.0, 0.0))
     target = _target_poi(world, state)
     if target < 0 and not adversarial:
         raise ValueError("no active POI inside the start area")
+    return _run_single(placement, _frame(placement), world, state,
+                       adversarial, target)
+
+
+def _run_single(placement: LayerPlacement, frame: _Frame, world: World,
+                state: SearchState, adversarial: bool,
+                target: int) -> SearchTrace:
+    """``run_single`` on the ``_frame`` of ``placement``, searching for
+    POI ``target`` of ``world`` (-1 for none, in adversarial mode).
+
+    The search lives in the frame of its current area, as in
+    ``_descend``: ``q`` is the POI in that frame, ``s`` the area's
+    absolute radius, ``tol`` the tolerance in frame units, ``o`` the
+    frame's absolute rotation and ``c`` the area's absolute center, which
+    only ``SearchTrace.end`` reads.
+    """
+    z, reach, face, hits = frame.z, frame.reach, frame.face, frame.hits
+    last = len(z) - 2  # the last issued probe
     s = state.area_radius
     c = complex(state.area_center.x, state.area_center.y)
     inv = 1.0 / s  # divide as NumPy does, see _frame
@@ -204,36 +243,42 @@ def _run_single(placement: LayerPlacement, frame: _Frame, world: World,
         q = (complex(p.x, p.y) - c) * inv
     mag, turn, leg = _facing(
         face, z[0], (complex(state.delta_pos.x, state.delta_pos.y) - c) * inv)
+    turn_c = turn.conjugate()
     o = 1.0 + 0j
-    last = m - 2  # the last issued probe
     probes = responses = 0
     distance = 0.0
     lost = False
+    tol = _EPS / s
+    if tol < _TOL_FLOOR:
+        tol = _TOL_FLOOR
 
     while s > 1.0:
         if face is not None:
-            if mag < _EPS / s:
+            if mag < tol:
                 # a searcher at the area's center keeps absolute rotation 0
                 turn, o = o, 1.0 + 0j
             else:
-                o = o * turn.conjugate()
+                o = o * turn_c
             q = q * turn
         if adversarial:
             hit = last
         else:
-            tol = _EPS / s
             hit = 0
             while abs(q - z[hit]) > reach[hit] + tol:
                 hit += 1
-        stop = hit if hit < last else last
-        distance += s * (leg + cum[stop])
-        probes += stop + 1
-        responses += hit <= last
-        c += s * o * z[hit]
-        q = (q - z[hit]) * (1.0 / rho[hit])
-        s = s * rho[hit]
-        mag, turn, leg = mags[hit], turns[hit], legs[hit]
-        if not adversarial and abs(q) > 1.0 + _EPS / s:
+        zk, inv_rho, rho_k, cum, issued, answered, mag, turn, next_leg, \
+            turn_c = hits[hit]
+        distance += s * (leg + cum)
+        leg = next_leg
+        probes += issued
+        responses += answered
+        c += s * o * zk
+        q = (q - zk) * inv_rho
+        s = s * rho_k
+        tol = _EPS / s
+        if tol < _TOL_FLOOR:
+            tol = _TOL_FLOOR
+        if not adversarial and abs(q) > 1.0 + tol:
             if placement.coverage != "perimeter":
                 raise RuntimeError("POI escaped the search area: geometry bug")
             lost = True
@@ -275,36 +320,44 @@ def find_all(placement: LayerPlacement, world: World) -> FindAllResult:
     """
     frame = _frame(placement)
     work = World(world.n, list(world.pois), list(world.active))
-    trace0 = _run_single(placement, frame, work, None, False)
+    origin = SearchState(Point2(0.0, 0.0), world.n, Point2(0.0, 0.0))
+    trace0 = _run_single(placement, frame, work, origin, False,
+                         _target_poi(work, origin))
     if not trace0.success:
         raise RuntimeError("initial single-POI search failed")
     result = FindAllResult(trace0.probes, trace0.distance, 0, [], [trace0],
                            [trace0.found_poi])
+    # the ladder's last rung, the least power of two at least 2n
+    frac, e = math.frexp(2.0 * world.n)
+    top = math.ldexp(0.5 if frac == 0.5 else 1.0, e)
     delta = trace0.end
     while True:
         work.active[result.found[-1]] = False
         # probe(work, delta, radius) answers iff the nearest active POI
         # lies within radius + _EPS, so one scan finds the first rung that
-        # answers
-        nearest = min((math.hypot(p.x - delta.x, p.y - delta.y)
-                       for p, a in zip(work.pois, work.active) if a),
-                      default=math.inf)
-        radius = 2.0
+        # answers and the POI the next search targets (the first nearest)
+        nearest, target = math.inf, -1
+        for i, (p, a) in enumerate(zip(work.pois, work.active)):
+            if a:
+                d = math.hypot(p.x - delta.x, p.y - delta.y)
+                if d < nearest:
+                    nearest, target = d, i
+        # every rung 2**j below the greatest power of two at most nearest
+        # misses, as 2**j + _EPS < 2**(j + 1); start the ladder there
+        radius = min(top, max(2.0, math.ldexp(0.5, math.frexp(nearest)[1])))
         while nearest > radius + _EPS and radius < 2.0 * world.n:
-            result.p_tot += 1  # counted below when a POI follows
             radius *= 2.0
+        rungs = math.frexp(radius)[1] - 1  # radius = 2**rungs
         if nearest > radius + _EPS:
             # the failed doubling ladder becomes termination overhead
-            result.p_tot -= int(math.log2(radius / 2.0))
-            result.termination_probes += int(math.log2(radius / 2.0)) + 1
             if probe(work, Point2(0.0, 0.0), 2.0 * world.n):
                 raise RuntimeError("termination check missed an active POI")
-            result.termination_probes += 1
+            result.termination_probes += rungs + 1
             return result
-        result.p_tot += 1  # the positive doubling probe
+        result.p_tot += rungs  # the failed rungs and the positive one
         result.gaps.append(radius)
         trace = _run_single(placement, frame, work,
-                            SearchState(delta, radius, delta), False)
+                            SearchState(delta, radius, delta), False, target)
         if not trace.success:
             raise RuntimeError("follow-up single-POI search failed")
         result.p_tot += trace.probes
@@ -364,8 +417,10 @@ def run_batch(placement: LayerPlacement, n: float,
     POIs are searched in slices of ``_BATCH_CHUNK`` rows.
     """
     _check_radius(n)
-    frame = _Frame(*(np.array(v) if isinstance(v, list) else v
-                     for v in _frame(placement)))
+    lists = _frame(placement)
+    # the fields _descend reads, as arrays
+    frame = lists._replace(**{f: np.array(getattr(lists, f)) for f in (
+        "z", "rho", "reach", "cum", "mag", "turn", "leg")})
     table = _hit_table(frame.z, frame.reach)
     t = poi_xy.shape[0]
     out = {"P": np.zeros(t, dtype=np.int64), "D": np.zeros(t),
@@ -424,19 +479,21 @@ def _descend(frame: _Frame, table: np.ndarray, n: float, poi: np.ndarray,
     frame so the first probe faces the searcher (``q <- q * turn``), then
     moves into the first probe holding the POI: ``q <- (q - z[hit]) /
     rho[hit]``, ``s <- s * rho[hit]``.  The tolerance is the absolute
-    ``_EPS``, ``_EPS / s`` in frame units.  A level reads that probe from
-    the layer's first-hit ``table`` (``_hit_table``) at ``q``'s cell; only
-    trials in undecided cells run the exact disk tests, which the table's
-    margin guarantees it agrees with.  Finished trials are written out and
+    ``_EPS``, ``tol = _EPS / s`` in frame units, floored at ``_TOL_FLOOR``
+    as in ``_run_single``.  A level reads that probe from the layer's
+    first-hit ``table`` (``_hit_table``) at ``q``'s cell; only trials in
+    undecided cells run the exact disk tests, which the table's margin
+    guarantees it agrees with.  Finished trials are written out and
     dropped.
     """
-    z, rho, reach, cum, face, mags, turns, legs = frame
+    z, rho, reach, cum, face, mags, turns, legs, _ = frame
     m = z.size
     idx = np.arange(poi.size)
     q = poi / n
     at = np.full(poi.size, m)  # the searcher starts at the area's center
     o = np.ones(poi.size, dtype=complex)
     s = np.full(poi.size, n)
+    tol = np.full(poi.size, max(_EPS / n, _TOL_FLOOR))
     P = np.zeros(poi.size, dtype=np.int64)
     D = np.zeros(poi.size)
     R = np.zeros(poi.size, dtype=np.int64)
@@ -454,12 +511,13 @@ def _descend(frame: _Frame, table: np.ndarray, n: float, poi: np.ndarray,
             out["lost"][i] = lost[done]
             keep = ~done
             idx, q, at, o, s = idx[keep], q[keep], at[keep], o[keep], s[keep]
+            tol = tol[keep]
             P, D, R, lost = P[keep], D[keep], R[keep], lost[keep]
         if idx.size == 0:
             return
         if face is not None:
             # a searcher at the area's center keeps absolute rotation 0
-            centred = mags[at] < _EPS / s
+            centred = mags[at] < tol
             turn = np.where(centred, o, turns[at])
             o = np.where(centred, 1.0 + 0j, _cmul(o, np.conj(turn)))
             q = _cmul(q, turn)
@@ -467,7 +525,7 @@ def _descend(frame: _Frame, table: np.ndarray, n: float, poi: np.ndarray,
         open_ = np.flatnonzero(hit < 0)
         if open_.size:
             inside = (np.abs(q[open_, None] - z)
-                      <= reach + (_EPS / s[open_])[:, None])
+                      <= reach + tol[open_, None])
             hit[open_] = inside.argmax(axis=1)
         stop = np.minimum(hit, m - 2)
         D += s * (legs[at] + cum[stop])
@@ -476,7 +534,9 @@ def _descend(frame: _Frame, table: np.ndarray, n: float, poi: np.ndarray,
         at = hit
         q = (q - z[hit]) / rho[hit]
         s = s * rho[hit]
-        lost |= np.abs(q) > 1.0 + _EPS / s
+        tol = _EPS / s
+        np.maximum(tol, _TOL_FLOOR, out=tol)
+        lost |= np.abs(q) > 1.0 + tol
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

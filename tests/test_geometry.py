@@ -13,29 +13,33 @@ from hypothesis import strategies as st
 
 from marcopolo.geometry import (
     CoverageReport,
-    Hexagon,
     Point2,
     Probe,
     certify_coverage,
     chord_probe,
-    circumscribe,
     hex_lattice,
     uncovered_faces,
 )
 from marcopolo.geometry import _circle_gaps, _convex_hull
-from marcopolo.placements import PlacementFile, construct_layer, hexfam_layer
+from marcopolo.placements import (
+    PlacementFile,
+    construct_layer,
+    hexfam_layer,
+    load_placement,
+)
 
 PLACEMENTS_DIR = Path(__file__).resolve().parent.parent / "placements"
 
 
-def _hex_contains(hexes, pts: np.ndarray) -> np.ndarray:
-    """Vectorized flat-top hexagon membership for an (n, 2) point array."""
+def _hex_contains(probes, pts: np.ndarray) -> np.ndarray:
+    """Vectorized membership of an (n, 2) point array in the flat-top
+    hexagons the probes circumscribe (side = probe radius)."""
     covered = np.zeros(len(pts), dtype=bool)
     s3 = math.sqrt(3)
-    for h in hexes:
-        qx = np.abs(pts[:, 0] - h.center.x)
-        qy = np.abs(pts[:, 1] - h.center.y)
-        s = h.side
+    for p in probes:
+        qx = np.abs(pts[:, 0] - p.center.x)
+        qy = np.abs(pts[:, 1] - p.center.y)
+        s = p.rho
         inside = (qy <= s3 / 2 * s + 1e-12) & (s3 * qx + qy <= s3 * s + 1e-12)
         covered |= inside
     return covered
@@ -43,50 +47,52 @@ def _hex_contains(hexes, pts: np.ndarray) -> np.ndarray:
 
 class TestHexLattice:
     def test_counts_and_side(self):
-        hexes = hex_lattice(2, 1.0)
-        assert len(hexes) == 7
-        assert all(abs(h.side - 0.5) < 1e-12 for h in hexes)
-        assert len(hex_lattice(1, 1.0)) == 1
-        assert abs(hex_lattice(1, 1.0)[0].side - 2.0) < 1e-12
-        hexes4 = hex_lattice(4, 1.0)
-        assert len(hexes4) == 37
-        assert all(abs(h.side - 0.2) < 1e-12 for h in hexes4)
+        probes = hex_lattice(2)
+        assert len(probes) == 7
+        assert all(abs(p.rho - 0.5) < 1e-12 for p in probes)
+        probes4 = hex_lattice(4)
+        assert len(probes4) == 37
+        assert all(abs(p.rho - 0.2) < 1e-12 for p in probes4)
 
     def test_count_formula(self):
-        for layers in range(1, 9):
-            assert len(hex_lattice(layers, 3.0)) == 1 + 6 * math.comb(layers, 2)
+        # every hexagon meets the unit disk up to L = 7; from L = 8 the
+        # corner hexagons lie outside it and are skipped
+        for layers in range(2, 13):
+            probes = hex_lattice(layers)
+            full = 1 + 6 * math.comb(layers, 2)
+            assert (len(probes) == full) == (layers <= 7)
+            assert len(probes) <= full
+            assert all(math.hypot(p.center.x, p.center.y) - p.rho <= 1.0
+                       for p in probes)
+
+    def test_radius_equals_side(self):
+        # each probe circumscribes its hexagon: radius = lattice side
+        for layers in (2, 3, 9):
+            side = 2.0 / (3 * layers - 2)
+            assert all(p.rho == side for p in hex_lattice(layers))
+
+    def test_alg1_lattice_probes(self):
+        # the golden ALG1 layer is the L = 2 lattice as listed
+        golden = load_placement(PLACEMENTS_DIR / "alg1.json")
+        assert golden.probes == tuple(hex_lattice(2))
 
     def test_center_hexagon_last(self):
-        for layers in (2, 3, 5):
-            last = hex_lattice(layers, 1.0)[-1]
+        for layers in (2, 3, 5, 9):
+            last = hex_lattice(layers)[-1]
             assert math.hypot(last.center.x, last.center.y) < 1e-12
 
     def test_lattice_covers_disk(self):
         rng = np.random.default_rng(0)
-        for layers in (1, 2, 4, 8):
-            for r in (1.0, 5.0, 17.0):
-                hexes = hex_lattice(layers, r)
-                pts = rng.uniform(-r, r, (20_000, 2))
-                pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= r]
-                assert _hex_contains(hexes, pts).all()
+        for layers in (2, 4, 8, 12):
+            probes = hex_lattice(layers)
+            pts = rng.uniform(-1.0, 1.0, (20_000, 2))
+            pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= 1.0]
+            assert _hex_contains(probes, pts).all()
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            hex_lattice(0, 1.0)
-        with pytest.raises(ValueError):
-            hex_lattice(2, 0.0)
-
-
-class TestCircumscribe:
-    def test_radius_equals_side(self):
-        probe = circumscribe(Hexagon(Point2(0.0, 0.0), 0.5))
-        assert probe.center == Point2(0.0, 0.0)
-        assert probe.rho == 0.5
-
-    def test_alg1_lattice_probes(self):
-        probes = [circumscribe(h) for h in hex_lattice(2, 1.0)]
-        assert len(probes) == 7
-        assert all(abs(p.rho - 0.5) < 1e-12 for p in probes)
+        for layers in (0, 1):
+            with pytest.raises(ValueError):
+                hex_lattice(layers)
 
 
 class TestChordProbe:
@@ -199,7 +205,7 @@ class TestArcCertifier:
         report = certify_coverage([Probe(Point2(0.0, 0.0), 0.6)])
         assert report.uncovered_arcs == [(-1, 0.0, 2.0 * math.pi),
                                          (0, 0.0, 2.0 * math.pi)]
-        ring = [circumscribe(h) for h in hex_lattice(2, 1.0)]
+        ring = hex_lattice(2)
         assert math.hypot(ring[-1].center.x, ring[-1].center.y) == 0.0
         assert certify_coverage(ring).certified_covered
         assert not certify_coverage(ring[:-1]).certified_covered

@@ -2,8 +2,11 @@
 reference tour, and the vectorized batch engine."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,13 +22,18 @@ from marcopolo import simulator
 from marcopolo.simulator import (
     _BATCH_CHUNK,
     _EPS,
+    _FRAME_CACHE,
     _GRID,
     _MARGIN,
+    _TOL_FLOOR,
+    FindAllResult,
     SearchState,
+    SearchTrace,
     World,
     _cells,
     _frame,
     _hit_table,
+    _target_poi,
     find_all,
     probe,
     run_batch,
@@ -66,11 +74,6 @@ class TestWorld:
         assert probe(world, Point2(3.0, 4.0), 4.0)
         with pytest.raises(ValueError):
             probe(world, Point2(0.0, 0.0), 0.0)
-
-
-JUNCTION_DEFECT = pytest.mark.xfail(
-    strict=True, raises=RuntimeError,
-    reason="ROADMAP item 3: the absolute tolerance loses junction POIs")
 
 
 class TestRunSingle:
@@ -138,22 +141,19 @@ class TestRunSingle:
         assert t1.end.x == pytest.approx(want["center"][0].real, abs=1e-9 * n)
         assert t1.end.y == pytest.approx(want["center"][0].imag, abs=1e-9 * n)
 
-    @pytest.mark.parametrize("log2_n", [
-        20,
-        pytest.param(30, marks=JUNCTION_DEFECT),
-        pytest.param(40, marks=JUNCTION_DEFECT),
-    ])
+    @pytest.mark.parametrize("log2_n", [20, 30, 40, 48, 52])
     def test_junction_poi(self, placements_dir, log2_n):
         # (n/2, 0) lies where ALG2's probes touch.  The absolute tolerance
         # _EPS is _EPS / s in an area of radius s, below float64 resolution
-        # once s passes about 1e7, so from n = 2^30 the POI falls outside
-        # both touching probes and the search raises "POI escaped the
-        # search area"
+        # once s passes about 1e7; without the floor _TOL_FLOOR, from
+        # n = 2^30 the POI fell outside both touching probes and the search
+        # raised "POI escaped the search area"
         placement = execution_layer(load_placement(placements_dir
                                                    / "alg2.json"))
         n = 2.0 ** log2_n
         trace = run_single(placement, World(n, [Point2(n / 2.0, 0.0)]))
         assert trace.success
+        assert not trace.containment_lost
 
 
 class TestHexfamSearch:
@@ -209,10 +209,7 @@ class TestFindAll:
                                                        / f"{aid}.json"))
             for _ in range(40):
                 k = int(rng.integers(1, 9))
-                angle = rng.uniform(0.0, 2.0 * math.pi, k)
-                dist = rng.uniform(1.0, n, k)
-                world = World(n, [Point2(r * math.cos(a), r * math.sin(a))
-                                  for a, r in zip(angle, dist)])
+                world = _random_world(rng, n, k)
                 result = find_all(placement, world)
                 assert result.all_found, aid
                 assert sorted(result.found) == list(range(k)), aid
@@ -231,11 +228,7 @@ class TestFindAll:
         worlds = []
         for _ in range(40):
             n = 2.0 ** int(rng.integers(4, 31))
-            k = int(rng.integers(1, 9))
-            angle = rng.uniform(0.0, 2.0 * math.pi, k)
-            dist = rng.uniform(1.0, n, k)
-            worlds.append(World(n, [Point2(r * math.cos(a), r * math.sin(a))
-                                    for a, r in zip(angle, dist)]))
+            worlds.append(_random_world(rng, n, int(rng.integers(1, 9))))
         # a second POI at 2**k and at 2**k + _EPS from where the search
         # for the first one ends, each up to an ulp either way: the rungs
         # 2**k and 2**(k+1) must both answer first
@@ -254,32 +247,213 @@ class TestFindAll:
         assert gaps == {(k, 2.0 ** j) for k in range(1, 11)
                         for j in (k, k + 1)}
         for world in worlds:
-            result = find_all(placement, world)
-            assert (result.p_tot, result.gaps, result.termination_probes,
-                    result.found) == _reference_find_all(placement, world)
+            assert find_all(placement, world) == _reference_find_all(
+                placement, world)
 
 
 def _reference_find_all(placement, world):
-    """``find_all`` with a doubling ladder that probes every rung:
-    ``(p_tot, gaps, termination_probes, found)``."""
+    """``find_all`` with a doubling ladder that probes every rung, on
+    ``_reference_run_single``."""
     work = World(world.n, list(world.pois), list(world.active))
-    trace = run_single(placement, work)
-    p_tot, gaps, found = trace.probes, [], [trace.found_poi]
+    trace = _reference_run_single(placement, work)
+    result = FindAllResult(trace.probes, trace.distance, 0, [], [trace],
+                           [trace.found_poi])
     while True:
-        work.active[found[-1]] = False
+        work.active[result.found[-1]] = False
         rungs, radius = 1, 2.0
         while not probe(work, trace.end, radius):
             if radius >= 2.0 * world.n:
                 assert not probe(work, Point2(0.0, 0.0), 2.0 * world.n)
-                return p_tot, gaps, rungs + 1, found
+                result.termination_probes = rungs + 1
+                return result
             rungs += 1
             radius *= 2.0
-        p_tot += rungs
-        gaps.append(radius)
-        trace = run_single(placement, work,
-                           SearchState(trace.end, radius, trace.end))
-        p_tot += trace.probes
-        found.append(trace.found_poi)
+        result.p_tot += rungs
+        result.gaps.append(radius)
+        trace = _reference_run_single(
+            placement, work, SearchState(trace.end, radius, trace.end))
+        result.p_tot += trace.probes
+        result.d_tot += trace.distance
+        result.traces.append(trace)
+        result.found.append(trace.found_poi)
+
+
+def _reference_run_single(placement, world, start=None, adversarial=False):
+    """``run_single`` as one level loop that reads each constant of the
+    ``_frame`` lists by index and divides out the tolerance at each use,
+    kept as the reference for the kernel's per-probe records."""
+    z, rho, reach, cum, face, mags, turns, legs, _ = _frame(placement)
+    m = len(z)
+    state = start or SearchState(Point2(0.0, 0.0), world.n, Point2(0.0, 0.0))
+    target = _target_poi(world, state)
+    assert target >= 0 or adversarial
+    s = state.area_radius
+    c = complex(state.area_center.x, state.area_center.y)
+    inv = 1.0 / s
+    q = 0j
+    if target >= 0:
+        p = world.pois[target]
+        q = (complex(p.x, p.y) - c) * inv
+    mag, turn, leg = simulator._facing(
+        face, z[0], (complex(state.delta_pos.x, state.delta_pos.y) - c) * inv)
+    o = 1.0 + 0j
+    last = m - 2
+    probes = responses = 0
+    distance = 0.0
+    lost = False
+    while s > 1.0:
+        if face is not None:
+            if mag < max(_EPS / s, _TOL_FLOOR):
+                turn, o = o, 1.0 + 0j
+            else:
+                o = o * turn.conjugate()
+            q = q * turn
+        if adversarial:
+            hit = last
+        else:
+            tol = max(_EPS / s, _TOL_FLOOR)
+            hit = 0
+            while abs(q - z[hit]) > reach[hit] + tol:
+                hit += 1
+        stop = hit if hit < last else last
+        distance += s * (leg + cum[stop])
+        probes += stop + 1
+        responses += hit <= last
+        c += s * o * z[hit]
+        q = (q - z[hit]) * (1.0 / rho[hit])
+        s = s * rho[hit]
+        mag, turn, leg = mags[hit], turns[hit], legs[hit]
+        if not adversarial and abs(q) > 1.0 + max(_EPS / s, _TOL_FLOOR):
+            assert placement.coverage == "perimeter"
+            lost = True
+    trace = SearchTrace(probes, distance + s * mag, responses,
+                        end=Point2(c.real, c.imag), containment_lost=lost)
+    if not adversarial:
+        trace.success = s * abs(q) <= 1.0 + _EPS
+        trace.found_poi = target if trace.success else -1
+    return trace
+
+
+def _random_world(rng, n, k):
+    """k POIs at uniform angle and uniform distance in [1, n]."""
+    angle = rng.uniform(0.0, 2.0 * math.pi, k)
+    dist = rng.uniform(1.0, n, k)
+    return World(n, [Point2(r * math.cos(a), r * math.sin(a))
+                     for a, r in zip(angle, dist)])
+
+
+class TestScalarKernelOracle:
+    """``run_single`` and ``find_all`` against ``_reference_run_single``
+    and ``_reference_find_all``, field for field."""
+
+    @pytest.mark.parametrize("log2_n", [10, 20, 30, 40, 48, 52])
+    def test_run_single(self, placements_dir, log2_n):
+        n = 2.0 ** log2_n
+        rng = np.random.default_rng(100 + log2_n)
+        for aid in GOLDEN:
+            placement = execution_layer(load_placement(placements_dir
+                                                       / f"{aid}.json"))
+            for _ in range(8):
+                world = _random_world(rng, n, 3)
+                # a follow-up start: a power-of-two area about a point of
+                # the region, the searcher at its center or off it
+                center = Point2(*rng.uniform(-n / 2.0, n / 2.0, 2))
+                radius = 2.0 ** int(rng.integers(1, log2_n + 2))
+                world.pois[1] = Point2(center.x + radius / 3.0, center.y)
+                off = Point2(center.x, center.y - radius / 5.0)
+                starts = [None, SearchState(center, radius, center),
+                          SearchState(center, radius, off)]
+                for start in starts:
+                    for adversarial in (False, True):
+                        got = run_single(placement, world, start, adversarial)
+                        want = _reference_run_single(placement, world, start,
+                                                     adversarial)
+                        assert got == want, (aid, start, adversarial)
+
+    @pytest.mark.parametrize("log2_n", [10, 24, 40, 52])
+    def test_find_all(self, placements_dir, log2_n):
+        n = 2.0 ** log2_n
+        rng = np.random.default_rng(200 + log2_n)
+        for aid in GOLDEN_DISK:
+            placement = execution_layer(load_placement(placements_dir
+                                                       / f"{aid}.json"))
+            for _ in range(6):
+                world = _random_world(rng, n, int(rng.integers(1, 7)))
+                assert find_all(placement, world) == _reference_find_all(
+                    placement, world), aid
+
+
+    def test_nearest_tie_goes_to_first_index(self, layers):
+        # POIs 1 and 2 coincide, so the follow-up search after POI 0 ties;
+        # it targets the first index, as _target_poi does
+        placement = execution_layer(layers["ALG3"])
+        world = World(2.0 ** 12, [Point2(100.0, 37.0), Point2(900.0, -4.0),
+                                  Point2(900.0, -4.0)])
+        result = find_all(placement, world)
+        assert result.found == [0, 1, 2]
+        assert result == _reference_find_all(placement, world)
+
+
+class TestFrameCache:
+    def test_same_object_same_frame(self, layers):
+        placement = execution_layer(layers["ALG3"])
+        assert _frame(placement) is _frame(placement)
+
+    def test_equal_placements_equal_results(self, layers):
+        a = execution_layer(layers["ALG5"])
+        b = dataclasses.replace(a)
+        assert a is not b and a == b
+        assert _frame(a) == _frame(b)
+        world = World(2.0 ** 16, [Point2(1234.5, -987.25),
+                                  Point2(-3000.0, 17.0)])
+        assert run_single(a, world) == run_single(b, world)
+        assert find_all(a, world) == find_all(b, world)
+
+    def test_never_grows_past_its_cap(self, layers):
+        placements = [dataclasses.replace(layers["ALG1"])
+                      for _ in range(3 * _FRAME_CACHE)]
+        for placement in placements:
+            frame = _frame(placement)
+            assert len(simulator._frames) <= _FRAME_CACHE
+            assert simulator._frames[id(placement)] == (placement, frame)
+
+    def test_threads_share_the_cache(self, layers):
+        # more threads than cores, switching often, miss and evict at once
+        placements = [dataclasses.replace(layers["ALG2"])
+                      for _ in range(4 * _FRAME_CACHE)]
+        want = _frame(layers["ALG2"])
+        errors = []
+
+        def work():
+            try:
+                for placement in placements:
+                    assert _frame(placement) == want
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(simulator._frames) <= _FRAME_CACHE
+
+    def test_hexfam_layer_runs(self):
+        n = 2.0 ** 10
+        layer = hexfam_layer(2, n)
+        world = World(n, [Point2(300.0, -200.0)])
+        trace = run_single(layer, world)
+        assert trace.success
+        assert trace.responses <= 2
+        assert _frame(layer) is _frame(layer)
+        assert run_single(layer, world) == trace
 
 
 class TestTspReference:
@@ -406,6 +580,18 @@ class TestRunBatch:
                 assert np.array_equal(got[key], want[key]), (aid, key)
             assert got["D"] == pytest.approx(want["D"], rel=1e-12)
 
+    @pytest.mark.parametrize("log2_n", [20, 30, 40, 48, 52])
+    def test_junction_poi(self, placements_dir, log2_n):
+        # TestRunSingle::test_junction_poi for the batch kernel
+        placement = execution_layer(load_placement(placements_dir
+                                                   / "alg2.json"))
+        n = 2.0 ** log2_n
+        out = run_batch(placement, n, np.array([[n / 2.0, 0.0]]))
+        assert out["success"][0]
+        assert not out["lost"][0]
+        trace = run_single(placement, World(n, [Point2(n / 2.0, 0.0)]))
+        assert (out["P"][0], out["R"][0]) == (trace.probes, trace.responses)
+
     @pytest.mark.parametrize("log2_n", [50, 52])
     def test_large_n_keeps_the_poi(self, layers, log2_n):
         # absolute coordinates lost hundreds of these POIs at 2^52
@@ -457,7 +643,9 @@ class TestFirstHitTable:
                    + 1j * np.where(zy - y0 > y1 - zy, y0, y1))
             sel = k < p  # disks past the table's answer are never tested
             pts += [np.where(sel, pts[4], near), np.where(sel, pts[4], far)]
-        for tol in (0.0, _EPS):
+        # the descent's tolerance _EPS / s, floored, lies in
+        # [_TOL_FLOOR, _EPS)
+        for tol in (0.0, _TOL_FLOOR, _EPS):
             for col in pts:
                 assert np.array_equal(self._first_hit(col, z, reach, tol), k)
         # each cell's centre maps to that cell
@@ -473,7 +661,9 @@ class TestFirstHitTable:
                                                        / f"{aid}.json")))
 
     def test_margin_above_every_tolerance(self):
-        assert _MARGIN > _EPS
+        assert _MARGIN > _EPS > _TOL_FLOOR
+        # the floor stays far above the rounding of frame coordinates
+        assert _TOL_FLOOR > 1000 * np.finfo(float).eps
 
     def test_outside_points_land_in_the_border(self):
         side = _GRID + 2
@@ -498,6 +688,22 @@ class TestFirstHitTable:
         assert self._first_hit(corner_pt, z, reach, 0.0)[0] == 1
         table = _hit_table(z, reach)
         assert table[i * (_GRID + 2) + j] == -1
+
+    def test_corner_within_floor_stays_undecided(self):
+        # as above, with disk 0 missing the corner by _TOL_FLOOR / 2: the
+        # floored tolerance of a large area answers 0
+        h = 2.0 / _GRID
+        i, j = 70, 40
+        corner = complex(-1.0 + (i - 1) * h, -1.0 + (j - 1) * h)
+        r = 0.3
+        z = np.array([corner - (r + _TOL_FLOOR / 2) * (1 + 1j)
+                      * math.sqrt(0.5), 0j])
+        reach = np.array([r, math.inf])
+        corner_pt = np.array([corner])
+        tol = max(_EPS / 2.0 ** 40, _TOL_FLOOR)
+        assert self._first_hit(corner_pt, z, reach, tol)[0] == 0
+        assert self._first_hit(corner_pt, z, reach, 0.0)[0] == 1
+        assert _hit_table(z, reach)[i * (_GRID + 2) + j] == -1
 
 
 GOLDEN = ("alg1", "alg2", "alg3", "alg4", "alg5", "alg6", "alg7", "alg8")
