@@ -82,6 +82,9 @@ class LayerPlacement:
     rho1: float | None
     certified: bool
     coverage: str = "disk"
+    # the simulator's per-layer search constants, built on first use
+    _frame: object = field(default=None, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self) -> None:
         if len(self.probes) < 2:

@@ -13,12 +13,17 @@ area scaled to the unit disk and turned so the first probe faces the
 searcher.  Positions stay relative to the area, so float64 resolves them
 up to n = 2**52.  The kernels read the same per-layer constants
 (``_frame``, built once per layer object) and round alike, so they agree
-trial for trial.
+trial for trial, except on a POI whose disk test falls within an ulp:
+NumPy's complex absolute value rounds apart from Python's.
+
+A level's disk tests allow the absolute tolerance ``_EPS``.  In an area
+larger than about 1e7 that is below the rounding of frame coordinates, and
+a POI on a probe junction can test outside every probe; such a level is
+decided again with a slack floored at ``_TOL_FLOOR`` (``_rescue``).
 """
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -30,15 +35,13 @@ from .geometry import Point2
 from .placements import LayerPlacement
 
 _EPS = 1e-9
-# floor of the descent tolerance _EPS / s in frame units: above s of about
-# 1e7, _EPS / s falls below the rounding of frame coordinates, and a POI on
-# a probe junction would fall outside both touching probes
+# least slack of _rescue in frame units, far above the rounding of frame
+# coordinates and of the stored probes
 _TOL_FLOOR = 2.0 ** -40
-_FRAME_CACHE = 16  # layers whose _frame is kept
 _BATCH_CHUNK = 8192  # POIs per slice of run_batch
 # run_batch's first-hit table: _GRID cells per side over [-1, 1]^2; a cell
 # is decided only with this margin on every disk test, far above float64
-# rounding and above every descent tolerance (at most _EPS)
+# rounding and above every descent tolerance (_EPS / s < _EPS)
 _GRID = 128
 _MARGIN = 1e-7
 # largest search radius: above 2**52 adjacent float64 values lie more than
@@ -142,25 +145,13 @@ def _facing(face: complex | None, z0: complex,
     return mag, turn, abs(z0 - w * turn)
 
 
-# id(placement) -> (placement, its _Frame); holding the placement keeps its
-# id from being reused while the entry lives.  The lock guards eviction.
-_frames: dict[int, tuple[LayerPlacement, _Frame]] = {}
-_frames_lock = threading.Lock()
-
-
 def _frame(placement: LayerPlacement) -> _Frame:
-    """The ``_Frame`` of a layer, as Python lists, built once per placement
-    object: keyed by identity, as hashing a placement by value costs a
-    third of building its frame.  The ``_FRAME_CACHE`` frames built last
-    are kept."""
-    entry = _frames.get(id(placement))
-    if entry is not None:
-        return entry[1]
-    frame = _build_frame(placement)
-    with _frames_lock:
-        if len(_frames) >= _FRAME_CACHE:
-            del _frames[next(iter(_frames))]
-        _frames[id(placement)] = (placement, frame)
+    """The ``_Frame`` of a layer, as Python lists, built on first use and
+    kept on the placement object for its lifetime."""
+    frame = placement._frame
+    if frame is None:
+        frame = _build_frame(placement)
+        object.__setattr__(placement, "_frame", frame)
     return frame
 
 
@@ -181,6 +172,25 @@ def _build_frame(placement: LayerPlacement) -> _Frame:
              mag[k], turn[k], leg[k], turn[k].conjugate())
             for k, j in ((k, min(k, m - 2)) for k in range(m))]
     return _Frame(z, rho, reach, cum, face, mag, turn, leg, hits)
+
+
+def _rescue(z: Sequence[complex], rho: Sequence[float],
+            q: np.ndarray) -> np.ndarray:
+    """For each frame point ``q`` of a level whose disk tests left it
+    outside its area, the first probe, the omitted one included, that holds
+    it within a slack, or -1 where none does.
+
+    The slack is ``q``'s distance outside the unit disk plus
+    ``_TOL_FLOOR``.  The probes cover the disk, so the probe that holds the
+    disk's point nearest ``q`` holds ``q`` within that distance; the floor
+    takes up rounding.  The next level sees the POI at most the slack over
+    ``rho`` outside its area and, should its tests miss again, grants that
+    much.  Both kernels call this one function, so they agree.
+    """
+    slack = np.maximum(np.abs(q) - 1.0, 0.0) + _TOL_FLOOR
+    inside = np.abs(q[:, None] - np.asarray(z)) <= (np.asarray(rho)
+                                                     + slack[:, None])
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
 def _target_poi(world: World, state: SearchState) -> int:
@@ -228,9 +238,10 @@ def _run_single(placement: LayerPlacement, frame: _Frame, world: World,
 
     The search lives in the frame of its current area, as in
     ``_descend``: ``q`` is the POI in that frame, ``s`` the area's
-    absolute radius, ``tol`` the tolerance in frame units, ``o`` the
-    frame's absolute rotation and ``c`` the area's absolute center, which
-    only ``SearchTrace.end`` reads.
+    absolute radius, ``tol`` the tolerance ``_EPS / s`` in frame units,
+    ``o`` the frame's absolute rotation and ``c`` the area's absolute
+    center, which only ``SearchTrace.end`` reads.  A level whose tests
+    leave the POI outside its next area is decided by ``_rescue``.
     """
     z, reach, face, hits = frame.z, frame.reach, frame.face, frame.hits
     last = len(z) - 2  # the last issued probe
@@ -249,8 +260,6 @@ def _run_single(placement: LayerPlacement, frame: _Frame, world: World,
     distance = 0.0
     lost = False
     tol = _EPS / s
-    if tol < _TOL_FLOOR:
-        tol = _TOL_FLOOR
 
     while s > 1.0:
         if face is not None:
@@ -268,20 +277,26 @@ def _run_single(placement: LayerPlacement, frame: _Frame, world: World,
                 hit += 1
         zk, inv_rho, rho_k, cum, issued, answered, mag, turn, next_leg, \
             turn_c = hits[hit]
+        q_next = (q - zk) * inv_rho
+        tol = _EPS / (s * rho_k)
+        if not adversarial and abs(q_next) > 1.0 + tol:
+            k = int(_rescue(z, frame.rho, np.array([q]))[0])
+            if k >= 0:
+                zk, inv_rho, rho_k, cum, issued, answered, mag, turn, \
+                    next_leg, turn_c = hits[k]
+                q_next = (q - zk) * inv_rho
+                tol = _EPS / (s * rho_k)
+            elif placement.coverage != "perimeter":
+                raise RuntimeError("POI escaped the search area: geometry bug")
+            else:
+                lost = True
         distance += s * (leg + cum)
         leg = next_leg
         probes += issued
         responses += answered
         c += s * o * zk
-        q = (q - zk) * inv_rho
+        q = q_next
         s = s * rho_k
-        tol = _EPS / s
-        if tol < _TOL_FLOOR:
-            tol = _TOL_FLOOR
-        if not adversarial and abs(q) > 1.0 + tol:
-            if placement.coverage != "perimeter":
-                raise RuntimeError("POI escaped the search area: geometry bug")
-            lost = True
 
     # the last leg walks to the final area's center
     trace = SearchTrace(probes, distance + s * mag, responses,
@@ -479,12 +494,12 @@ def _descend(frame: _Frame, table: np.ndarray, n: float, poi: np.ndarray,
     frame so the first probe faces the searcher (``q <- q * turn``), then
     moves into the first probe holding the POI: ``q <- (q - z[hit]) /
     rho[hit]``, ``s <- s * rho[hit]``.  The tolerance is the absolute
-    ``_EPS``, ``tol = _EPS / s`` in frame units, floored at ``_TOL_FLOOR``
-    as in ``_run_single``.  A level reads that probe from the layer's
-    first-hit ``table`` (``_hit_table``) at ``q``'s cell; only trials in
-    undecided cells run the exact disk tests, which the table's margin
-    guarantees it agrees with.  Finished trials are written out and
-    dropped.
+    ``_EPS``, ``_EPS / s`` in frame units.  A level reads that probe from
+    the layer's first-hit ``table`` (``_hit_table``) at ``q``'s cell; only
+    trials in undecided cells run the exact disk tests, which the table's
+    margin guarantees it agrees with.  Trials that the tests leave outside
+    their next area are decided by ``_rescue``, as in ``_run_single``.
+    Finished trials are written out and dropped.
     """
     z, rho, reach, cum, face, mags, turns, legs, _ = frame
     m = z.size
@@ -493,7 +508,6 @@ def _descend(frame: _Frame, table: np.ndarray, n: float, poi: np.ndarray,
     at = np.full(poi.size, m)  # the searcher starts at the area's center
     o = np.ones(poi.size, dtype=complex)
     s = np.full(poi.size, n)
-    tol = np.full(poi.size, max(_EPS / n, _TOL_FLOOR))
     P = np.zeros(poi.size, dtype=np.int64)
     D = np.zeros(poi.size)
     R = np.zeros(poi.size, dtype=np.int64)
@@ -511,13 +525,12 @@ def _descend(frame: _Frame, table: np.ndarray, n: float, poi: np.ndarray,
             out["lost"][i] = lost[done]
             keep = ~done
             idx, q, at, o, s = idx[keep], q[keep], at[keep], o[keep], s[keep]
-            tol = tol[keep]
             P, D, R, lost = P[keep], D[keep], R[keep], lost[keep]
         if idx.size == 0:
             return
         if face is not None:
             # a searcher at the area's center keeps absolute rotation 0
-            centred = mags[at] < tol
+            centred = mags[at] < _EPS / s
             turn = np.where(centred, o, turns[at])
             o = np.where(centred, 1.0 + 0j, _cmul(o, np.conj(turn)))
             q = _cmul(q, turn)
@@ -525,18 +538,28 @@ def _descend(frame: _Frame, table: np.ndarray, n: float, poi: np.ndarray,
         open_ = np.flatnonzero(hit < 0)
         if open_.size:
             inside = (np.abs(q[open_, None] - z)
-                      <= reach + tol[open_, None])
+                      <= reach + (_EPS / s[open_])[:, None])
             hit[open_] = inside.argmax(axis=1)
+        q_next = (q - z[hit]) / rho[hit]
+        s_next = s * rho[hit]
+        escaped = np.abs(q_next) > 1.0 + _EPS / s_next
+        if escaped.any():
+            e = np.flatnonzero(escaped)
+            k = _rescue(z, rho, q[e])
+            e, k = e[k >= 0], k[k >= 0]
+            hit[e] = k
+            q_next[e] = (q[e] - z[k]) / rho[k]
+            s_next[e] = s[e] * rho[k]
+            escaped[e] = False
+        lost |= escaped
         stop = np.minimum(hit, m - 2)
         D += s * (legs[at] + cum[stop])
         P += stop + 1
         R += hit < m - 1
-        at = hit
-        q = (q - z[hit]) / rho[hit]
-        s = s * rho[hit]
-        tol = _EPS / s
-        np.maximum(tol, _TOL_FLOOR, out=tol)
-        lost |= np.abs(q) > 1.0 + tol
+        at, q, s = hit, q_next, s_next
+        # drop the second names, which would hold the unfiltered arrays
+        # through the next level's filtering of finished trials
+        del q_next, s_next
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

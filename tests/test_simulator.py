@@ -5,8 +5,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from marcopolo import simulator
 from marcopolo.simulator import (
     _BATCH_CHUNK,
     _EPS,
-    _FRAME_CACHE,
     _GRID,
     _MARGIN,
     _TOL_FLOOR,
@@ -33,6 +30,7 @@ from marcopolo.simulator import (
     _cells,
     _frame,
     _hit_table,
+    _rescue,
     _target_poi,
     find_all,
     probe,
@@ -145,15 +143,85 @@ class TestRunSingle:
     def test_junction_poi(self, placements_dir, log2_n):
         # (n/2, 0) lies where ALG2's probes touch.  The absolute tolerance
         # _EPS is _EPS / s in an area of radius s, below float64 resolution
-        # once s passes about 1e7; without the floor _TOL_FLOOR, from
-        # n = 2^30 the POI fell outside both touching probes and the search
-        # raised "POI escaped the search area"
+        # once s passes about 1e7; without _rescue, from n = 2^30 the POI
+        # fell outside both touching probes and the search raised "POI
+        # escaped the search area"
         placement = execution_layer(load_placement(placements_dir
                                                    / "alg2.json"))
         n = 2.0 ** log2_n
         trace = run_single(placement, World(n, [Point2(n / 2.0, 0.0)]))
         assert trace.success
         assert not trace.containment_lost
+
+    @pytest.mark.parametrize("log2_n", [20, 40])
+    def test_poi_just_outside_the_first_probe(self, placements_dir, log2_n):
+        # the POI misses ALG1's first probe by 1.5 * 2^-41 of the area, far
+        # more than _EPS, and lies in the omitted last probe: both kernels
+        # trace it as the level loop without _rescue does
+        placement = execution_layer(load_placement(placements_dir
+                                                   / "alg1.json"))
+        first, omitted = placement.probes[0], placement.probes[-1]
+        n = 2.0 ** log2_n
+        q = (complex(omitted.center.x, omitted.center.y)
+             - complex(first.center.x, first.center.y))
+        q = (complex(first.center.x, first.center.y)
+             + q / abs(q) * (first.rho + 1.5 * 2.0 ** -41))
+        world = World(n, [Point2(n * q.real, n * q.imag)])
+        trace = run_single(placement, world)
+        assert trace == _reference_run_single(placement, world)
+        assert trace.success and not trace.containment_lost
+        out = run_batch(placement, n, np.array([[n * q.real, n * q.imag]]))
+        assert (out["P"][0], out["R"][0], out["D"][0], out["success"][0],
+                out["lost"][0]) == (trace.probes, trace.responses,
+                                    trace.distance, True, False)
+
+    @pytest.mark.parametrize("log2_n", [24, 30, 40, 52])
+    def test_probe_circle_crossings(self, placements_dir, log2_n):
+        # every point where two probe circles of a golden layer cross inside
+        # the unit disk, as a POI: each kernel finds it
+        n = 2.0 ** log2_n
+        for aid in GOLDEN:
+            placement = execution_layer(load_placement(placements_dir
+                                                       / f"{aid}.json"))
+            pts = _crossings(placement)
+            assert pts, aid
+            poi = np.array([[n * p.real, n * p.imag] for p in pts])
+            out = run_batch(placement, n, poi)
+            assert out["success"].all() and not out["lost"].any(), aid
+            for x, y in poi:
+                trace = run_single(placement, World(n, [Point2(x, y)]))
+                assert trace.success and not trace.containment_lost, aid
+
+
+def _crossings(placement):
+    """The points inside the unit disk where two probe circles cross."""
+    pts = []
+    for a, b in itertools.combinations(placement.probes, 2):
+        za = complex(a.center.x, a.center.y)
+        zb = complex(b.center.x, b.center.y)
+        d = abs(zb - za)
+        if not abs(a.rho - b.rho) <= d <= a.rho + b.rho or d == 0.0:
+            continue
+        x = (d * d + a.rho * a.rho - b.rho * b.rho) / (2.0 * d)
+        h = math.sqrt(max(a.rho * a.rho - x * x, 0.0))
+        u = (zb - za) / d
+        pts += [p for p in (za + u * (x + 1j * h), za + u * (x - 1j * h))
+                if abs(p) <= 1.0]
+    return pts
+
+
+class TestRescue:
+    def test_slack_is_the_distance_outside_plus_the_floor(self):
+        z = [0j, 0.5 + 0j]
+        rho = [0.5, 0.5]
+        q = np.array([
+            1.001 + 0j,  # 1e-3 outside the disk and the second probe
+            1.001 + 0.3j,  # 0.045 outside the disk, 0.084 outside the second
+            0.25 + 0.1j,  # inside the first
+            -0.5 - _TOL_FLOOR / 2,  # in the disk, just outside the first
+            -0.5 - 2.0 * _TOL_FLOOR,  # in the disk, beyond the floor
+        ])
+        assert _rescue(z, rho, q).tolist() == [1, -1, 0, 0, -1]
 
 
 class TestHexfamSearch:
@@ -281,7 +349,8 @@ def _reference_find_all(placement, world):
 def _reference_run_single(placement, world, start=None, adversarial=False):
     """``run_single`` as one level loop that reads each constant of the
     ``_frame`` lists by index and divides out the tolerance at each use,
-    kept as the reference for the kernel's per-probe records."""
+    without ``_rescue``: the reference for the kernel's per-probe records
+    wherever no level's tests leave the POI outside its area."""
     z, rho, reach, cum, face, mags, turns, legs, _ = _frame(placement)
     m = len(z)
     state = start or SearchState(Point2(0.0, 0.0), world.n, Point2(0.0, 0.0))
@@ -303,7 +372,7 @@ def _reference_run_single(placement, world, start=None, adversarial=False):
     lost = False
     while s > 1.0:
         if face is not None:
-            if mag < max(_EPS / s, _TOL_FLOOR):
+            if mag < _EPS / s:
                 turn, o = o, 1.0 + 0j
             else:
                 o = o * turn.conjugate()
@@ -311,7 +380,7 @@ def _reference_run_single(placement, world, start=None, adversarial=False):
         if adversarial:
             hit = last
         else:
-            tol = max(_EPS / s, _TOL_FLOOR)
+            tol = _EPS / s
             hit = 0
             while abs(q - z[hit]) > reach[hit] + tol:
                 hit += 1
@@ -323,8 +392,9 @@ def _reference_run_single(placement, world, start=None, adversarial=False):
         q = (q - z[hit]) * (1.0 / rho[hit])
         s = s * rho[hit]
         mag, turn, leg = mags[hit], turns[hit], legs[hit]
-        if not adversarial and abs(q) > 1.0 + max(_EPS / s, _TOL_FLOOR):
-            assert placement.coverage == "perimeter"
+        if not adversarial and abs(q) > 1.0 + _EPS / s:
+            if placement.coverage != "perimeter":
+                raise RuntimeError("POI escaped the search area")
             lost = True
     trace = SearchTrace(probes, distance + s * mag, responses,
                         end=Point2(c.real, c.imag), containment_lost=lost)
@@ -382,7 +452,6 @@ class TestScalarKernelOracle:
                 assert find_all(placement, world) == _reference_find_all(
                     placement, world), aid
 
-
     def test_nearest_tie_goes_to_first_index(self, layers):
         # POIs 1 and 2 coincide, so the follow-up search after POI 0 ties;
         # it targets the first index, as _target_poi does
@@ -395,6 +464,8 @@ class TestScalarKernelOracle:
 
 
 class TestFrameCache:
+    """``_frame`` is built once per placement object and kept on it."""
+
     def test_same_object_same_frame(self, layers):
         placement = execution_layer(layers["ALG3"])
         assert _frame(placement) is _frame(placement)
@@ -409,41 +480,14 @@ class TestFrameCache:
         assert run_single(a, world) == run_single(b, world)
         assert find_all(a, world) == find_all(b, world)
 
-    def test_never_grows_past_its_cap(self, layers):
-        placements = [dataclasses.replace(layers["ALG1"])
-                      for _ in range(3 * _FRAME_CACHE)]
-        for placement in placements:
-            frame = _frame(placement)
-            assert len(simulator._frames) <= _FRAME_CACHE
-            assert simulator._frames[id(placement)] == (placement, frame)
-
-    def test_threads_share_the_cache(self, layers):
-        # more threads than cores, switching often, miss and evict at once
-        placements = [dataclasses.replace(layers["ALG2"])
-                      for _ in range(4 * _FRAME_CACHE)]
-        want = _frame(layers["ALG2"])
-        errors = []
-
-        def work():
-            try:
-                for placement in placements:
-                    assert _frame(placement) == want
-            except Exception as exc:  # reported by the main thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(simulator._frames) <= _FRAME_CACHE
+    def test_frame_is_not_part_of_the_value(self, layers):
+        a = execution_layer(layers["ALG4"])
+        b = dataclasses.replace(a)
+        _frame(a)
+        assert a._frame is not None and b._frame is None
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        # a placement built from another does not inherit its frame
+        assert dataclasses.replace(a)._frame is None
 
     def test_hexfam_layer_runs(self):
         n = 2.0 ** 10
@@ -643,9 +687,7 @@ class TestFirstHitTable:
                    + 1j * np.where(zy - y0 > y1 - zy, y0, y1))
             sel = k < p  # disks past the table's answer are never tested
             pts += [np.where(sel, pts[4], near), np.where(sel, pts[4], far)]
-        # the descent's tolerance _EPS / s, floored, lies in
-        # [_TOL_FLOOR, _EPS)
-        for tol in (0.0, _TOL_FLOOR, _EPS):
+        for tol in (0.0, _EPS):
             for col in pts:
                 assert np.array_equal(self._first_hit(col, z, reach, tol), k)
         # each cell's centre maps to that cell
@@ -661,9 +703,7 @@ class TestFirstHitTable:
                                                        / f"{aid}.json")))
 
     def test_margin_above_every_tolerance(self):
-        assert _MARGIN > _EPS > _TOL_FLOOR
-        # the floor stays far above the rounding of frame coordinates
-        assert _TOL_FLOOR > 1000 * np.finfo(float).eps
+        assert _MARGIN > _EPS
 
     def test_outside_points_land_in_the_border(self):
         side = _GRID + 2
@@ -688,22 +728,6 @@ class TestFirstHitTable:
         assert self._first_hit(corner_pt, z, reach, 0.0)[0] == 1
         table = _hit_table(z, reach)
         assert table[i * (_GRID + 2) + j] == -1
-
-    def test_corner_within_floor_stays_undecided(self):
-        # as above, with disk 0 missing the corner by _TOL_FLOOR / 2: the
-        # floored tolerance of a large area answers 0
-        h = 2.0 / _GRID
-        i, j = 70, 40
-        corner = complex(-1.0 + (i - 1) * h, -1.0 + (j - 1) * h)
-        r = 0.3
-        z = np.array([corner - (r + _TOL_FLOOR / 2) * (1 + 1j)
-                      * math.sqrt(0.5), 0j])
-        reach = np.array([r, math.inf])
-        corner_pt = np.array([corner])
-        tol = max(_EPS / 2.0 ** 40, _TOL_FLOOR)
-        assert self._first_hit(corner_pt, z, reach, tol)[0] == 0
-        assert self._first_hit(corner_pt, z, reach, 0.0)[0] == 1
-        assert _hit_table(z, reach)[i * (_GRID + 2) + j] == -1
 
 
 GOLDEN = ("alg1", "alg2", "alg3", "alg4", "alg5", "alg6", "alg7", "alg8")
