@@ -70,7 +70,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"--poi {args.poi!r} is not X,Y") from None
     layer = placements.load_placement(args.placement)
-    world = simulator.World(args.n, [Point2(x, y)], [True])
+    world = simulator.World(args.n, [Point2(x, y)])
     trace = simulator.run_single(placements.execution_layer(layer), world,
                                  adversarial=args.adversarial)
     print(f"probes:     {trace.probes}")
@@ -92,8 +92,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         files[algorithm] = path
     config = experiments.ExperimentConfig(
         n=args.n, trials=args.trials, algorithms=algorithms,
-        seed=args.seed, output_dir=args.out, placement_files=files)
-    written = experiments.run_experiment(config)
+        seed=args.seed, placement_files=files)
+    written = experiments.run_experiment(config, args.out)
     for path in written:
         print(path)
     return 0

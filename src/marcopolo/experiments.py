@@ -42,7 +42,6 @@ class ExperimentConfig:
     trials: int = 100_000
     algorithms: tuple[str, ...] = tuple(f"ALG{i}" for i in range(1, 7))
     seed: int = 0
-    output_dir: str | None = None
     placement_files: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -128,9 +127,10 @@ def _placement_for(algorithm: str,
     return generate_layer(algorithm)
 
 
-def _rows_for(algorithm: str, placement: LayerPlacement, n: float,
-              samples: dict[str, np.ndarray]) -> list[StatsRow]:
-    executed = execution_layer(placement)
+def _rows_for(algorithm: str, placement: LayerPlacement,
+              executed: LayerPlacement, n: float,
+              samples: Mapping[tuple[str, str], np.ndarray]) -> list[StatsRow]:
+    """Summary rows of ``placement``, searched as ``executed``."""
     logn = math.ceil(math.log2(n))
     c_table = probe_coefficient(placement)
     c_exec = probe_coefficient(executed)
@@ -148,7 +148,7 @@ def _rows_for(algorithm: str, placement: LayerPlacement, n: float,
               "D": 0.0, "R": c_resp * l_max / logn}
     rows = []
     for metric in _METRICS:
-        vals = samples[metric]
+        vals = samples[(algorithm, metric)]
         rows.append(StatsRow(
             algorithm=algorithm,
             metric=metric,
@@ -162,35 +162,35 @@ def _rows_for(algorithm: str, placement: LayerPlacement, n: float,
     return rows
 
 
-def monte_carlo(config: ExperimentConfig,
-                collect_samples: dict | None = None) -> list[StatsRow]:
-    """Summary rows for every configured algorithm.
+def monte_carlo(config: ExperimentConfig
+                ) -> tuple[list[StatsRow], dict[tuple[str, str], np.ndarray]]:
+    """Summary rows for every configured algorithm, and the normalized
+    per-trial samples keyed by (algorithm, metric).
 
     Each trial places one POI drawn by ``_poi_array`` and runs the
     single-POI search (vectorized); all algorithms see the same worlds.
-    Placements must be certified.  When ``collect_samples`` is given, the
-    raw normalized per-trial arrays are stored into it keyed by
-    (algorithm, metric), for histogram emission.
+    Placements must be certified.
     """
     poi = _poi_array(config.seed, config.trials, config.n)
     logn = math.ceil(math.log2(config.n))
     rows: list[StatsRow] = []
+    samples: dict[tuple[str, str], np.ndarray] = {}
     for algorithm in config.algorithms:
         placement = _placement_for(algorithm, config)
         if not placement.certified:
             raise ValueError(f"placement for {algorithm} is not certified")
-        out = run_batch(execution_layer(placement), config.n, poi)
+        executed = execution_layer(placement)
+        out = run_batch(executed, config.n, poi)
         if placement.coverage == "disk":
             if out["lost"].any() or not out["success"].all():
                 raise RuntimeError(
                     f"{algorithm}: search failed on a certified placement")
-        samples = {"P": out["P"] / logn, "D": out["D"] / config.n,
-                   "R": out["R"] / logn}
-        rows.extend(_rows_for(algorithm, placement, config.n, samples))
-        if collect_samples is not None:
-            for metric in _METRICS:
-                collect_samples[(algorithm, metric)] = samples[metric]
-    return rows
+        samples.update({(algorithm, "P"): out["P"] / logn,
+                        (algorithm, "D"): out["D"] / config.n,
+                        (algorithm, "R"): out["R"] / logn})
+        rows.extend(_rows_for(algorithm, placement, executed, config.n,
+                              samples))
+    return rows, samples
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +221,9 @@ def bold_best(rows: Sequence[StatsRow]) -> set[tuple[str, str, str]]:
 
 
 def emit_report(rows: Sequence[StatsRow], output_dir: str | Path,
-                samples: Mapping[tuple[str, str], np.ndarray] | None = None,
-                ) -> list[Path]:
+                samples: Mapping[tuple[str, str], np.ndarray]) -> list[Path]:
     """Write ``table.csv`` (comparison-table layout, best cells wrapped
-    in ``**``) and, when raw samples are given, one histogram CSV per
+    in ``**``) and, from the per-trial samples, one histogram CSV per
     metric with per-bin counts plus mean and stddev footer rows."""
     if not rows:
         raise ValueError("no rows to report")
@@ -252,39 +251,32 @@ def emit_report(rows: Sequence[StatsRow], output_dir: str | Path,
             writer.writerow(line)
     written.append(table)
 
-    if samples:
-        for metric in _METRICS:
-            algs = [a for a in algorithms if (a, metric) in samples]
-            if not algs:
-                continue
-            hi = max(max(float(samples[(a, metric)].max()),
-                         by_key[(a, metric)].bound) for a in algs)
-            edges = np.linspace(0.0, hi * (1.0 + 1e-12), _HIST_BINS + 1)
-            counts = {a: np.histogram(samples[(a, metric)], bins=edges)[0]
-                      for a in algs}
-            path = out / f"hist_{metric}.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["bin_lo", "bin_hi"] + algs)
-                for b in range(_HIST_BINS):
-                    writer.writerow(
-                        [f"{edges[b]:.6f}", f"{edges[b + 1]:.6f}"]
-                        + [int(counts[a][b]) for a in algs])
-                writer.writerow(["mean", ""] +
-                                [f"{samples[(a, metric)].mean():.6f}"
-                                 for a in algs])
-                writer.writerow(["stddev", ""] +
-                                [f"{samples[(a, metric)].std():.6f}"
-                                 for a in algs])
-            written.append(path)
+    for metric in _METRICS:
+        hi = max(max(float(samples[(a, metric)].max()),
+                     by_key[(a, metric)].bound) for a in algorithms)
+        edges = np.linspace(0.0, hi * (1.0 + 1e-12), _HIST_BINS + 1)
+        counts = {a: np.histogram(samples[(a, metric)], bins=edges)[0]
+                  for a in algorithms}
+        path = out / f"hist_{metric}.csv"
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["bin_lo", "bin_hi"] + algorithms)
+            for b in range(_HIST_BINS):
+                writer.writerow(
+                    [f"{edges[b]:.6f}", f"{edges[b + 1]:.6f}"]
+                    + [int(counts[a][b]) for a in algorithms])
+            writer.writerow(["mean", ""] +
+                            [f"{samples[(a, metric)].mean():.6f}"
+                             for a in algorithms])
+            writer.writerow(["stddev", ""] +
+                            [f"{samples[(a, metric)].std():.6f}"
+                             for a in algorithms])
+        written.append(path)
     return written
 
 
-def run_experiment(config: ExperimentConfig) -> list[Path]:
-    """Full campaign: Monte Carlo plus report files in
-    ``config.output_dir`` (which must be set)."""
-    if config.output_dir is None:
-        raise ValueError("config.output_dir is required")
-    samples: dict[tuple[str, str], np.ndarray] = {}
-    rows = monte_carlo(config, collect_samples=samples)
-    return emit_report(rows, config.output_dir, samples)
+def run_experiment(config: ExperimentConfig,
+                   output_dir: str | Path) -> list[Path]:
+    """Full campaign: Monte Carlo plus report files in ``output_dir``."""
+    rows, samples = monte_carlo(config)
+    return emit_report(rows, output_dir, samples)

@@ -304,6 +304,10 @@ def generate_layer(algorithm_id: str) -> LayerPlacement:
 # Response-limited hexagonal family
 # ---------------------------------------------------------------------------
 
+# most hexagons a hexfam_layer lattice may have
+_HEXFAM_MAX = 2 ** 20
+
+
 def hexfam_layers(r_max: int, n: float) -> int:
     """Lattice layer count L for a response budget R_max and radius n."""
     return math.ceil((2.0 * n ** (1.0 / r_max) + 2.0) / 3.0)
@@ -315,11 +319,17 @@ def hexfam_layer(r_max: int, n: float) -> LayerPlacement:
     Probes are the circumscribed circles of the hexagons of the L-layer
     lattice over the unit disk (``hex_lattice``), ring by ring
     counterclockwise with the center hexagon last; the per-layer shrink
-    factor is (3L - 2) / 2.
+    factor is (3L - 2) / 2.  A lattice of more than ``_HEXFAM_MAX``
+    hexagons is rejected before it is built.
     """
     if r_max < 1 or (n > 1 and r_max > math.ceil(math.log2(n))):
         raise ValueError(f"R_max={r_max} outside [1, ceil(log2 n)]")
-    probes = tuple(hex_lattice(hexfam_layers(r_max, n)))
+    big_l = hexfam_layers(r_max, n)
+    count = 1 + 3 * big_l * (big_l - 1)
+    if count > _HEXFAM_MAX:
+        raise ValueError(f"R_max={r_max} at n={n} needs a lattice of {count} "
+                         f"hexagons, above the limit of {_HEXFAM_MAX}")
+    probes = tuple(hex_lattice(big_l))
     return LayerPlacement("HEXFAM", probes, None, certified=True,
                           coverage="disk")
 

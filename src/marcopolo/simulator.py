@@ -24,8 +24,8 @@ decided again with a slack floored at ``_TOL_FLOOR`` (``_rescue``).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -51,21 +51,20 @@ _MAX_N = 2.0 ** 52
 
 @dataclass
 class World:
-    """Hidden ground truth: search radius and POI positions."""
+    """Hidden ground truth: the search radius n and the POIs, each within
+    n of the region's center, the origin."""
 
     n: float
     pois: list[Point2]
-    active: list[bool] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         _check_radius(self.n)
-        if not self.active:
-            self.active = [True] * len(self.pois)
-        if not any(self.active):
-            raise ValueError("world needs at least one active POI")
-        if all(math.hypot(p.x, p.y) > self.n + _EPS
-               for p, a in zip(self.pois, self.active) if a):
-            raise ValueError("no active POI inside the search region")
+        if not self.pois:
+            raise ValueError("world needs at least one POI")
+        for p in self.pois:
+            if math.hypot(p.x, p.y) > self.n + _EPS:
+                raise ValueError(f"POI ({p.x}, {p.y}) lies outside the "
+                                 f"search region of radius {self.n}")
 
 
 def _check_resolvable(n: float) -> None:
@@ -83,13 +82,6 @@ def _check_radius(n: float) -> None:
 
 
 @dataclass
-class SearchState:
-    area_center: Point2
-    area_radius: float
-    delta_pos: Point2
-
-
-@dataclass
 class SearchTrace:
     probes: int = 0
     distance: float = 0.0
@@ -101,11 +93,11 @@ class SearchTrace:
 
 
 def probe(world: World, center: Point2, d: float) -> bool:
-    """True iff an active POI lies within closed distance d of center."""
+    """True iff a POI lies within closed distance d of center."""
     if d <= 0:
         raise ValueError("probe radius must be positive")
-    return any(a and math.hypot(p.x - center.x, p.y - center.y) <= d + _EPS
-               for p, a in zip(world.pois, world.active))
+    return any(math.hypot(p.x - center.x, p.y - center.y) <= d + _EPS
+               for p in world.pois)
 
 
 class _Frame(NamedTuple):
@@ -193,21 +185,24 @@ def _rescue(z: Sequence[complex], rho: Sequence[float],
     return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
-def _target_poi(world: World, state: SearchState) -> int:
-    best, best_d = -1, math.inf
-    for i, (p, a) in enumerate(zip(world.pois, world.active)):
-        if not a:
-            continue
-        d = math.hypot(p.x - state.area_center.x, p.y - state.area_center.y)
-        if d <= state.area_radius + _EPS and d < best_d:
-            best, best_d = i, d
-    return best
+def _nearest(pois: Sequence[Point2], indices: Iterable[int],
+             at: Point2) -> tuple[float, int]:
+    """The distance from ``at`` to the nearest ``pois[i]``, i in
+    ``indices``, and that i, the first on ties; ``(inf, -1)`` for none."""
+    x, y = at.x, at.y
+    nearest, target = math.inf, -1
+    for i in indices:
+        p = pois[i]
+        d = math.hypot(p.x - x, p.y - y)
+        if d < nearest:
+            nearest, target = d, i
+    return nearest, target
 
 
 def run_single(placement: LayerPlacement, world: World,
-               start: SearchState | None = None,
                adversarial: bool = False) -> SearchTrace:
-    """Recursive single-POI descent with last-probe omission.
+    """Recursive single-POI descent with last-probe omission, over the
+    whole region from its center, for the POI nearest that center.
 
     Probes 1..m-1 are issued in order (the searcher walks the straight legs
     between probe centers); on the first positive response the search
@@ -222,19 +217,23 @@ def run_single(placement: LayerPlacement, world: World,
     that only certify perimeter coverage may lose containment through an
     interior gap, which is reported via ``containment_lost`` instead.
     """
-    state = start or SearchState(Point2(0.0, 0.0), world.n, Point2(0.0, 0.0))
-    target = _target_poi(world, state)
-    if target < 0 and not adversarial:
-        raise ValueError("no active POI inside the start area")
-    return _run_single(placement, _frame(placement), world, state,
-                       adversarial, target)
+    origin = Point2(0.0, 0.0)
+    frame = _frame(placement)
+    if adversarial:
+        return _run_single(placement, frame, None, origin, world.n)
+    target = _nearest(world.pois, range(len(world.pois)), origin)[1]
+    trace = _run_single(placement, frame, world.pois[target], origin, world.n)
+    if trace.success:
+        trace.found_poi = target
+    return trace
 
 
-def _run_single(placement: LayerPlacement, frame: _Frame, world: World,
-                state: SearchState, adversarial: bool,
-                target: int) -> SearchTrace:
-    """``run_single`` on the ``_frame`` of ``placement``, searching for
-    POI ``target`` of ``world`` (-1 for none, in adversarial mode).
+def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
+                center: Point2, s: float) -> SearchTrace:
+    """The descent of ``run_single`` on the ``_frame`` of ``placement``,
+    for ``poi`` (None for the adversarial worst case), in the area of
+    radius ``s`` about ``center`` with the searcher at its center.  The
+    trace leaves ``found_poi`` to the caller.
 
     The search lives in the frame of its current area, as in
     ``_descend``: ``q`` is the POI in that frame, ``s`` the area's
@@ -245,15 +244,12 @@ def _run_single(placement: LayerPlacement, frame: _Frame, world: World,
     """
     z, reach, face, hits = frame.z, frame.reach, frame.face, frame.hits
     last = len(z) - 2  # the last issued probe
-    s = state.area_radius
-    c = complex(state.area_center.x, state.area_center.y)
-    inv = 1.0 / s  # divide as NumPy does, see _frame
-    q = 0j
-    if target >= 0:
-        p = world.pois[target]
-        q = (complex(p.x, p.y) - c) * inv
-    mag, turn, leg = _facing(
-        face, z[0], (complex(state.delta_pos.x, state.delta_pos.y) - c) * inv)
+    adversarial = poi is None
+    c = complex(center.x, center.y)
+    # divide as NumPy does, see _frame
+    q = 0j if adversarial else (complex(poi.x, poi.y) - c) * (1.0 / s)
+    # the searcher starts at the area's center: the frame's last entry
+    mag, turn, leg = frame.mag[-1], frame.turn[-1], frame.leg[-1]
     turn_c = turn.conjugate()
     o = 1.0 + 0j
     probes = responses = 0
@@ -303,7 +299,6 @@ def _run_single(placement: LayerPlacement, frame: _Frame, world: World,
                         end=Point2(c.real, c.imag), containment_lost=lost)
     if not adversarial:
         trace.success = s * abs(q) <= 1.0 + _EPS
-        trace.found_poi = target if trace.success else -1
     return trace
 
 
@@ -326,59 +321,54 @@ class FindAllResult:
 
 
 def find_all(placement: LayerPlacement, world: World) -> FindAllResult:
-    """Find every active POI: single-POI search, shut off, then doubling
-    probes from the searcher's position until the next POI responds.
+    """Find every POI, memorylessly: a single-POI search over the region
+    from its center; then, from the searcher's position delta after each
+    POI, probes of radius 2, 4, 8, ... until one answers, and a single-POI
+    search in that probe's disk, with the searcher at its center.
 
-    Termination (the paper leaves it open): once a doubling probe of radius
-    at least 2n is negative, a final radius-2n probe at the original origin
-    confirms no active POI remains; these probes are counted separately.
+    Termination (the paper leaves it open): the ladder's last rung is
+    twice the least power of two at least 2n, so at least 4n.  A search
+    ends within 1 of the POI it found, and every POI lies within n of the
+    region's center, so a POI left lies within 2n + 1, plus rounding, of
+    delta: inside that rung.  When the last rung misses, no POI is left,
+    and the failed rungs count as ``termination_probes``.
     """
     frame = _frame(placement)
-    work = World(world.n, list(world.pois), list(world.active))
-    origin = SearchState(Point2(0.0, 0.0), world.n, Point2(0.0, 0.0))
-    trace0 = _run_single(placement, frame, work, origin, False,
-                         _target_poi(work, origin))
-    if not trace0.success:
-        raise RuntimeError("initial single-POI search failed")
-    result = FindAllResult(trace0.probes, trace0.distance, 0, [], [trace0],
-                           [trace0.found_poi])
-    # the ladder's last rung, the least power of two at least 2n
+    # the ladder's last rung
     frac, e = math.frexp(2.0 * world.n)
-    top = math.ldexp(0.5 if frac == 0.5 else 1.0, e)
-    delta = trace0.end
+    top = math.ldexp(1.0 if frac == 0.5 else 2.0, e)
+    left = list(range(len(world.pois)))
+    result = FindAllResult(0, 0.0, 0, [], [], [])
+    # the first search covers the region
+    delta, radius = Point2(0.0, 0.0), world.n
     while True:
-        work.active[result.found[-1]] = False
-        # probe(work, delta, radius) answers iff the nearest active POI
-        # lies within radius + _EPS, so one scan finds the first rung that
-        # answers and the POI the next search targets (the first nearest)
-        nearest, target = math.inf, -1
-        for i, (p, a) in enumerate(zip(work.pois, work.active)):
-            if a:
-                d = math.hypot(p.x - delta.x, p.y - delta.y)
-                if d < nearest:
-                    nearest, target = d, i
-        # every rung 2**j below the greatest power of two at most nearest
-        # misses, as 2**j + _EPS < 2**(j + 1); start the ladder there
-        radius = min(top, max(2.0, math.ldexp(0.5, math.frexp(nearest)[1])))
-        while nearest > radius + _EPS and radius < 2.0 * world.n:
-            radius *= 2.0
-        rungs = math.frexp(radius)[1] - 1  # radius = 2**rungs
-        if nearest > radius + _EPS:
-            # the failed doubling ladder becomes termination overhead
-            if probe(work, Point2(0.0, 0.0), 2.0 * world.n):
-                raise RuntimeError("termination check missed an active POI")
-            result.termination_probes += rungs + 1
-            return result
-        result.p_tot += rungs  # the failed rungs and the positive one
-        result.gaps.append(radius)
-        trace = _run_single(placement, frame, work,
-                            SearchState(delta, radius, delta), False, target)
+        # probe(world, delta, radius) on the POIs left answers iff the
+        # nearest lies within radius + _EPS, so one scan finds the first
+        # rung that answers and the POI the next search targets
+        nearest, target = _nearest(world.pois, left, delta)
+        if result.traces:
+            # every rung 2**j below the greatest power of two at most
+            # nearest misses, as 2**j + _EPS < 2**(j + 1); start there
+            radius = min(top, max(2.0, math.ldexp(0.5,
+                                                  math.frexp(nearest)[1])))
+            while nearest > radius + _EPS and radius < top:
+                radius *= 2.0
+            rungs = math.frexp(radius)[1] - 1  # radius = 2**rungs
+            if nearest > radius + _EPS:
+                result.termination_probes = rungs
+                return result
+            result.p_tot += rungs  # the failed rungs and the positive one
+            result.gaps.append(radius)
+        trace = _run_single(placement, frame, world.pois[target], delta,
+                            radius)
         if not trace.success:
-            raise RuntimeError("follow-up single-POI search failed")
+            raise RuntimeError("single-POI search failed")
+        trace.found_poi = target
         result.p_tot += trace.probes
         result.d_tot += trace.distance
         result.traces.append(trace)
-        result.found.append(trace.found_poi)
+        result.found.append(target)
+        left.remove(target)
         delta = trace.end
 
 

@@ -135,7 +135,7 @@ def test_criterion_5_monte_carlo_campaign(capsys):
         "R": [0.89, 1.11, 1.99, 1.94, 2.49, 1.96],
     }
     rel_tol = {"P": 0.05, "D": 0.10, "R": 0.05}
-    rows = monte_carlo(ExperimentConfig())  # n=2^20, 1e5 trials, ALG1-6
+    rows, _ = monte_carlo(ExperimentConfig())  # n=2^20, 1e5 trials, ALG1-6
     by_key = {(r.algorithm, r.metric): r for r in rows}
     checks = []
     worst = -math.inf

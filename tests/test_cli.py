@@ -118,6 +118,16 @@ class TestSimulate:
                      "--n", "4", "--poi", "100,200"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_poi_on_and_just_outside_the_boundary(self, alg3_file, capsys):
+        assert main(["simulate", "--placement", str(alg3_file),
+                     "--n", "1024", "--poi", "0,-1024"]) == 0
+        assert "success:    True" in capsys.readouterr().out
+        assert main(["simulate", "--placement", str(alg3_file),
+                     "--n", "1024", "--poi", "0,-1024.000001"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "outside the search region" in err
+
     @pytest.mark.parametrize("poi", ["100", "a,b", "1,2,3"])
     def test_malformed_poi(self, alg3_file, capsys, poi):
         assert main(["simulate", "--placement", str(alg3_file),

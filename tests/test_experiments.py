@@ -97,7 +97,7 @@ class TestMonteCarlo:
     def test_small_campaign(self):
         config = ExperimentConfig(n=2.0 ** 8, trials=200,
                                   algorithms=("ALG1", "ALG3"))
-        rows = monte_carlo(config)
+        rows, _ = monte_carlo(config)
         assert len(rows) == 6  # two algorithms x three metrics
         for row in rows:
             assert row.min <= row.avg <= row.max
@@ -106,7 +106,7 @@ class TestMonteCarlo:
     def test_single_trial_degenerate_stats(self):
         config = ExperimentConfig(n=2.0 ** 6, trials=1,
                                   algorithms=("ALG3",))
-        rows = monte_carlo(config)
+        rows, _ = monte_carlo(config)
         for row in rows:
             assert row.min == row.avg == row.max
             assert row.stddev == 0.0
@@ -114,9 +114,11 @@ class TestMonteCarlo:
     def test_seed_determinism(self):
         config = ExperimentConfig(n=2.0 ** 8, trials=100,
                                   algorithms=("ALG5",), seed=3)
-        r1 = monte_carlo(config)
-        r2 = monte_carlo(config)
+        r1, s1 = monte_carlo(config)
+        r2, s2 = monte_carlo(config)
         assert [(r.avg, r.max) for r in r1] == [(r.avg, r.max) for r in r2]
+        assert s1.keys() == s2.keys()
+        assert all(np.array_equal(s1[k], s2[k]) for k in s1)
 
     def test_optimized_algorithms_need_files(self):
         config = ExperimentConfig(n=2.0 ** 8, trials=10,
@@ -125,10 +127,9 @@ class TestMonteCarlo:
             monte_carlo(config)
 
     def test_collects_samples(self):
-        samples: dict = {}
         config = ExperimentConfig(n=2.0 ** 8, trials=50,
                                   algorithms=("ALG1",))
-        rows = monte_carlo(config, collect_samples=samples)
+        rows, samples = monte_carlo(config)
         for metric in ("P", "D", "R"):
             arr = samples[("ALG1", metric)]
             assert arr.shape == (50,)
@@ -156,10 +157,9 @@ class TestBoldBest:
 
 class TestEmitReport:
     def test_table_and_histograms(self, tmp_path):
-        samples: dict = {}
         config = ExperimentConfig(n=2.0 ** 8, trials=100,
                                   algorithms=("ALG1", "ALG3"))
-        rows = monte_carlo(config, collect_samples=samples)
+        rows, samples = monte_carlo(config)
         written = emit_report(rows, tmp_path, samples)
         names = {p.name for p in written}
         assert names == {"table.csv", "hist_P.csv", "hist_D.csv",
@@ -182,17 +182,12 @@ class TestEmitReport:
 
     def test_requires_rows(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_report([], tmp_path)
+            emit_report([], tmp_path, {})
 
 
 class TestRunExperiment:
     def test_end_to_end(self, tmp_path):
         config = ExperimentConfig(n=2.0 ** 8, trials=60,
-                                  algorithms=("ALG5",),
-                                  output_dir=str(tmp_path / "out"))
-        written = run_experiment(config)
+                                  algorithms=("ALG5",))
+        written = run_experiment(config, tmp_path / "out")
         assert all(p.exists() for p in written)
-
-    def test_requires_output_dir(self):
-        with pytest.raises(ValueError):
-            run_experiment(ExperimentConfig(trials=1, n=4.0))

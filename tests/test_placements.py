@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
+from marcopolo import placements
 from marcopolo.geometry import Point2, Probe
 from marcopolo.placements import (
     ABUT_MARGIN,
@@ -208,6 +210,24 @@ class TestHexfam:
             hexfam_layer(0, 4.0)
         with pytest.raises(ValueError):
             hexfam_layer(5, 4.0)
+
+    def test_lattice_size_limit(self, monkeypatch):
+        # L = 43,692 layers, 1 + 3L(L - 1) hexagons: rejected before any
+        # is built (building them ran for minutes)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"R_max=1 at n=65536 .* "
+                                             r"5726841517 hexagons"):
+            hexfam_layer(1, 2 ** 16)
+        assert time.perf_counter() - t0 < 1.0
+        # L = 44: 5677 hexagons, of which 5251 meet the unit disk
+        assert hexfam_layers(1, 64) == 44
+        assert hexfam_layer(1, 64).m == 5251
+        # the limit itself is allowed
+        monkeypatch.setattr(placements, "_HEXFAM_MAX", 5677)
+        assert hexfam_layer(1, 64).m == 5251
+        monkeypatch.setattr(placements, "_HEXFAM_MAX", 5676)
+        with pytest.raises(ValueError, match="5677 hexagons"):
+            hexfam_layer(1, 64)
 
 
 class TestPlacementFiles:
