@@ -13,8 +13,7 @@ area scaled to the unit disk and turned so the first probe faces the
 searcher.  Positions stay relative to the area, so float64 resolves them
 up to n = 2**52.  The kernels read the same per-layer constants
 (``_frame``, built once per layer object) and round alike, so they agree
-trial for trial, except on a POI whose disk test falls within an ulp:
-NumPy's complex absolute value rounds apart from Python's.
+trial for trial.
 
 A level's disk tests allow the absolute tolerance ``_EPS``.  In an area
 larger than about 1e7 that is below the rounding of frame coordinates, and
@@ -44,6 +43,9 @@ _BATCH_CHUNK = 8192  # POIs per slice of run_batch
 # rounding and above every descent tolerance (_EPS / s < _EPS)
 _GRID = 128
 _MARGIN = 1e-7
+# the table's cell (i, j) is entry i + _ROW * j: read as a little-endian
+# uint16, the bytes i and j of _cells are that index (so _GRID + 1 < _ROW)
+_ROW = 256
 # largest search radius: above 2**52 adjacent float64 values lie more than
 # 1 apart, the unit localization radius
 _MAX_N = 2.0 ** 52
@@ -109,7 +111,9 @@ class _Frame(NamedTuple):
     level finds it, indexed by k; their last entry, m, describes a searcher
     at the area's center.  Both kernels read the same values, so they round
     alike: ``run_single`` as Python lists, which are cheaper to index one
-    probe at a time, and ``run_batch`` as NumPy arrays.
+    probe at a time, and ``run_batch`` as the NumPy tables of ``_Batch``,
+    among them the first-hit table that decides most of its levels with
+    neither disk tests nor an escape check.
     """
 
     z: Sequence[complex]  # probe centers
@@ -422,11 +426,7 @@ def run_batch(placement: LayerPlacement, n: float,
     POIs are searched in slices of ``_BATCH_CHUNK`` rows.
     """
     _check_radius(n)
-    lists = _frame(placement)
-    # the fields _descend reads, as arrays
-    frame = lists._replace(**{f: np.array(getattr(lists, f)) for f in (
-        "z", "rho", "reach", "cum", "mag", "turn", "leg")})
-    table = _hit_table(frame.z, frame.reach)
+    batch = _batch(_frame(placement))
     t = poi_xy.shape[0]
     out = {"P": np.zeros(t, dtype=np.int64), "D": np.zeros(t),
            "R": np.zeros(t, dtype=np.int64),
@@ -434,118 +434,189 @@ def run_batch(placement: LayerPlacement, n: float,
     for lo in range(0, t, _BATCH_CHUNK):
         chunk = poi_xy[lo:lo + _BATCH_CHUNK]
         part = {k: v[lo:lo + _BATCH_CHUNK] for k, v in out.items()}
-        _descend(frame, table, float(n), chunk[:, 0] + 1j * chunk[:, 1], part)
+        _descend(batch, float(n), chunk[:, 0] + 1j * chunk[:, 1], part)
     return out
 
 
-def _hit_table(z: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """First-hit table of the disks ``z``, ``reach``, flattened.
+class _Batch(NamedTuple):
+    """Per-layer arrays of ``_descend``, built by ``_batch`` from a layer's
+    ``_Frame`` once per ``run_batch`` call.  ``at`` indexes the searcher
+    as in ``_Frame``: the previous level's probe, or m at the center."""
 
-    Row i, column j of the (_GRID + 2) x (_GRID + 2) table is the cell
-    [-1 + (i - 1) h, -1 + i h] x [-1 + (j - 1) h, -1 + j h], h = 2 / _GRID.
-    A cell holds k when disk k contains the whole cell and every earlier
-    disk misses it, each by ``_MARGIN``; every other cell, the border ring
-    among them, holds -1.  A cell leaves the scan at its first disk that
-    does not miss it, so each disk costs only the cells still open.
+    table: np.ndarray  # the first-hit table of the probes' disks
+    z: np.ndarray  # probe centers
+    reach: np.ndarray  # rho, with inf for the omitted last probe
+    rho: np.ndarray  # probe radii
+    inv_rho: np.ndarray  # 1 / rho: NumPy divides a complex by a real so
+    rotates: bool  # the layer turns toward the searcher (face is not None)
+    # per at, whether the searcher sits at its area's center (mag == 0);
+    # None when some mag lies in (0, _EPS), where the test needs s
+    centred: np.ndarray | None
+    mag: np.ndarray  # per at
+    turn: np.ndarray  # per at
+    leg: np.ndarray  # per at
+    cum: np.ndarray  # per hit: the walk to its last issued probe
+    counts: np.ndarray  # per hit: probes issued + (responses << 32)
+
+
+def _batch(frame: _Frame) -> _Batch:
+    z, rho, mag = np.array(frame.z), np.array(frame.rho), np.array(frame.mag)
+    m = z.size
+    stop = np.minimum(np.arange(m), m - 2)
+    counts = stop + 1 + ((np.arange(m) < m - 1).astype(np.int64) << 32)
+    exact = ((mag > 0.0) & (mag < _EPS)).any()
+    return _Batch(_hit_table(z, rho), z, np.array(frame.reach), rho,
+                  1.0 / rho, frame.face is not None,
+                  None if exact else mag == 0.0, mag, np.array(frame.turn),
+                  np.array(frame.leg), np.array(frame.cum)[stop], counts)
+
+
+def _hit_table(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """First-hit table of the disks ``z``, ``rho``.
+
+    Entry i + _ROW * j, for i and j in 0.._GRID + 1, is the cell [-1 +
+    (i - 1) h, -1 + i h] x [-1 + (j - 1) h, -1 + j h], h = 2 / _GRID.  A
+    cell holds k when disk k contains the whole cell and every earlier disk
+    misses it, each by ``_MARGIN``; every other entry, the border ring
+    among them, holds -1.  Built from every probe's real radius, the
+    omitted last one's included, a decided cell lies inside its disk by
+    ``_MARGIN``: a POI there stays inside its next area, so ``_descend``
+    runs neither the disk tests nor the escape check for it, and a cell
+    outside every disk, such as a perimeter layer's gap, stays undecided.
+    A cell leaves the scan at its first disk that does not miss it, so
+    each disk costs only the cells still open.
     """
     h = 2.0 / _GRID
-    side = _GRID + 2
-    table = np.full(side * side, -1, dtype=np.intp)
+    table = np.full(_ROW * (_GRID + 2), -1, dtype=np.intp)
     inner = np.arange(1, _GRID + 1)
-    cells = (inner[:, None] * side + inner).ravel()
+    cells = (inner[:, None] + _ROW * inner).ravel()
     mid = -1.0 + (inner - 0.5) * h
     c = (mid[:, None] + 1j * mid).ravel()
     half = h * math.sqrt(0.5)  # half the cell's diagonal
     for k in range(z.size):
         d = np.abs(c - z[k])
-        table[cells[d + half + _MARGIN < reach[k]]] = k
-        open_ = d - half - _MARGIN > reach[k]
+        table[cells[d + half + _MARGIN < rho[k]]] = k
+        open_ = d - half - _MARGIN > rho[k]
         cells, c = cells[open_], c[open_]
     return table
 
 
 def _cells(q: np.ndarray) -> np.ndarray:
-    """Index of the ``_hit_table`` cell of each frame point ``q``; points
-    outside [-1, 1]^2 land in the border ring."""
-    w = q * (_GRID / 2) + (_GRID / 2 + 1) * (1 + 1j)
-    i = np.clip(w.real, 0, _GRID + 1).astype(np.intp)
-    j = np.clip(w.imag, 0, _GRID + 1).astype(np.intp)
-    return i * (_GRID + 2) + j
+    """The ``_hit_table`` entry of each frame point ``q``; points outside
+    [-1, 1]^2 land in the border ring."""
+    w = q.view(float) * (_GRID / 2) + (_GRID / 2 + 1)
+    return np.clip(w, 0, _GRID + 1, out=w).astype(np.uint8).view("<u2")
 
 
-def _descend(frame: _Frame, table: np.ndarray, n: float, poi: np.ndarray,
+def _abs(d: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """``abs(d)`` of complex ``d``, rounded as Python's ``abs`` rounds it
+    wherever that could change the comparison with ``bound``.
+
+    ``np.abs`` is fast but may round two ulps away from ``math.hypot``,
+    which Python's ``abs`` is; only the entries within 2**-49 of
+    ``bound``, relative, are taken again from ``np.hypot``.
+    """
+    a = np.abs(d)
+    near = np.abs(a - bound) <= a * 2.0 ** -49
+    if near.any():
+        a[near] = np.hypot(d.real[near], d.imag[near])
+    return a
+
+
+def _first_hit(batch: _Batch, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The first probe whose disk test holds, at tolerance ``_EPS / s``,
+    for each frame point ``q`` of an area of radius ``s``: the omitted
+    last probe where no issued one does."""
+    bound = batch.reach + (_EPS / s)[:, None]
+    return (_abs(q[:, None] - batch.z, bound) <= bound).argmax(axis=1)
+
+
+def _into(batch: _Batch, q: np.ndarray, s: np.ndarray,
+          k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame point ``q`` and area radius ``s`` in probe k's disk:
+    ``(q - z[k]) / rho[k]``, rounded as NumPy divides, and ``s * rho[k]``."""
+    return ((q - batch.z.take(k)) * batch.inv_rho.take(k),
+            s * batch.rho.take(k))
+
+
+def _descend(batch: _Batch, n: float, poi: np.ndarray,
              out: dict[str, np.ndarray]) -> None:
     """``run_batch`` on one slice of POIs, writing into the views ``out``.
 
     Each trial lives in the frame of its current search area, whose
     center is 0 and radius 1: ``q`` is the POI in that frame, ``s`` the
     area's absolute radius, ``o`` the frame's absolute rotation and ``at``
-    the ``frame`` entry that describes the searcher.  A level turns the
+    the ``batch`` entry that describes the searcher.  A level turns the
     frame so the first probe faces the searcher (``q <- q * turn``), then
     moves into the first probe holding the POI: ``q <- (q - z[hit]) /
-    rho[hit]``, ``s <- s * rho[hit]``.  The tolerance is the absolute
-    ``_EPS``, ``_EPS / s`` in frame units.  A level reads that probe from
-    the layer's first-hit ``table`` (``_hit_table``) at ``q``'s cell; only
-    trials in undecided cells run the exact disk tests, which the table's
-    margin guarantees it agrees with.  Trials that the tests leave outside
-    their next area are decided by ``_rescue``, as in ``_run_single``.
-    Finished trials are written out and dropped.
+    rho[hit]``, ``s <- s * rho[hit]``.  It reads that probe from the
+    layer's first-hit ``table`` (``_hit_table``) at ``q``'s cell, and its
+    walk and counts from per-layer tables.  A trial in a decided cell runs
+    neither the disk tests nor the escape check: the cell lies inside its
+    probe's disk by ``_MARGIN``.  Only trials in undecided cells run the
+    exact disk tests, at the tolerance ``_EPS / s``, and the escape check;
+    those the tests leave outside their next area are decided by
+    ``_rescue``, as in ``_run_single``.  Distances in these tests round as
+    Python's ``abs``, so the kernels agree.  Finished trials are written
+    out and dropped.
     """
-    z, rho, reach, cum, face, mags, turns, legs, _ = frame
-    m = z.size
     idx = np.arange(poi.size)
     q = poi / n
-    at = np.full(poi.size, m)  # the searcher starts at the area's center
+    # the searcher starts at the area's center
+    at = np.full(poi.size, batch.z.size)
     o = np.ones(poi.size, dtype=complex)
     s = np.full(poi.size, n)
-    P = np.zeros(poi.size, dtype=np.int64)
+    PR = np.zeros(poi.size, dtype=np.int64)  # probes + (responses << 32)
     D = np.zeros(poi.size)
-    R = np.zeros(poi.size, dtype=np.int64)
-    lost = np.zeros(poi.size, dtype=bool)
 
     while True:
         done = s <= 1.0
         if done.any():
-            i = idx[done]
-            out["P"][i] = P[done]
-            out["R"][i] = R[done]
+            f = np.flatnonzero(done)
+            i = idx.take(f)
+            pr, s_f, q_f = PR.take(f), s.take(f), q.take(f)
+            out["P"][i] = pr & 0xFFFFFFFF
+            out["R"][i] = pr >> 32
             # the last leg walks to the final area's center
-            out["D"][i] = D[done] + s[done] * mags[at[done]]
-            out["success"][i] = s[done] * np.abs(q[done]) <= 1.0 + _EPS
-            out["lost"][i] = lost[done]
-            keep = ~done
-            idx, q, at, o, s = idx[keep], q[keep], at[keep], o[keep], s[keep]
-            P, D, R, lost = P[keep], D[keep], R[keep], lost[keep]
+            out["D"][i] = D.take(f) + s_f * batch.mag.take(at.take(f))
+            out["success"][i] = (s_f * np.hypot(q_f.real, q_f.imag)
+                                 <= 1.0 + _EPS)
+            keep = np.flatnonzero(~done)
+            idx, q, at, o, s, PR, D = (
+                v.take(keep) for v in (idx, q, at, o, s, PR, D))
         if idx.size == 0:
             return
-        if face is not None:
-            # a searcher at the area's center keeps absolute rotation 0
-            centred = mags[at] < _EPS / s
-            turn = np.where(centred, o, turns[at])
-            o = np.where(centred, 1.0 + 0j, _cmul(o, np.conj(turn)))
-            q = _cmul(q, turn)
-        hit = table[_cells(q)]
-        open_ = np.flatnonzero(hit < 0)
-        if open_.size:
-            inside = (np.abs(q[open_, None] - z)
-                      <= reach + (_EPS / s[open_])[:, None])
-            hit[open_] = inside.argmax(axis=1)
-        q_next = (q - z[hit]) / rho[hit]
-        s_next = s * rho[hit]
-        escaped = np.abs(q_next) > 1.0 + _EPS / s_next
-        if escaped.any():
-            e = np.flatnonzero(escaped)
-            k = _rescue(z, rho, q[e])
-            e, k = e[k >= 0], k[k >= 0]
-            hit[e] = k
-            q_next[e] = (q[e] - z[k]) / rho[k]
-            s_next[e] = s[e] * rho[k]
-            escaped[e] = False
-        lost |= escaped
-        stop = np.minimum(hit, m - 2)
-        D += s * (legs[at] + cum[stop])
-        P += stop + 1
-        R += hit < m - 1
+        if batch.rotates:
+            # a searcher at the area's center turns by o and goes back to
+            # absolute rotation 0; one with o == 1 there needs no turn, as
+            # q * 1 is q
+            if batch.centred is None:
+                centred = batch.mag.take(at) < _EPS / s
+            else:
+                centred = batch.centred.take(at)
+            r = np.flatnonzero(~centred | (o != 1.0))
+            if r.size:
+                c, o_r = centred[r], o[r]
+                turn = np.where(c, o_r, batch.turn[at[r]])
+                o[r] = np.where(c, 1.0 + 0j, _cmul(o_r, np.conj(turn)))
+                q[r] = _cmul(q[r], turn)
+        hit = batch.table.take(_cells(q))
+        u = np.flatnonzero(hit < 0)
+        if u.size:
+            hit[u] = _first_hit(batch, q.take(u), s.take(u))
+        q_next, s_next = _into(batch, q, s, hit)
+        if u.size:
+            # only a trial in an undecided cell can leave its next area
+            q_u = q_next.take(u)
+            e = u[np.hypot(q_u.real, q_u.imag) > 1.0 + _EPS / s_next.take(u)]
+            if e.size:
+                k = _rescue(batch.z, batch.rho, q[e])
+                out["lost"][idx[e[k < 0]]] = True
+                e, k = e[k >= 0], k[k >= 0]
+                hit[e] = k
+                q_next[e], s_next[e] = _into(batch, q[e], s[e], k)
+        D += s * (batch.leg.take(at) + batch.cum.take(hit))
+        PR += batch.counts.take(hit)
         at, q, s = hit, q_next, s_next
         # drop the second names, which would hold the unfiltered arrays
         # through the next level's filtering of finished trials

@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from marcopolo.geometry import Point2
+from marcopolo.geometry import Point2, Probe
 from marcopolo.placements import (
+    LayerPlacement,
     execution_layer,
     hexfam_layer,
     hexfam_layers,
@@ -22,6 +23,7 @@ from marcopolo.simulator import (
     _EPS,
     _GRID,
     _MARGIN,
+    _ROW,
     _TOL_FLOOR,
     FindAllResult,
     SearchTrace,
@@ -181,7 +183,8 @@ class TestRunSingle:
     @pytest.mark.parametrize("log2_n", [24, 30, 40, 52])
     def test_probe_circle_crossings(self, placements_dir, log2_n):
         # every point where two probe circles of a golden layer cross inside
-        # the unit disk, as a POI: each kernel finds it
+        # the unit disk, as a POI: each kernel finds it, and their disk
+        # tests, which fall within an ulp there, decide alike
         n = 2.0 ** log2_n
         for aid in GOLDEN:
             placement = execution_layer(load_placement(placements_dir
@@ -191,9 +194,11 @@ class TestRunSingle:
             poi = np.array([[n * p.real, n * p.imag] for p in pts])
             out = run_batch(placement, n, poi)
             assert out["success"].all() and not out["lost"].any(), aid
-            for x, y in poi:
+            for i, (x, y) in enumerate(poi):
                 trace = run_single(placement, World(n, [Point2(x, y)]))
                 assert trace.success and not trace.containment_lost, aid
+                assert (out["P"][i], out["R"][i], out["D"][i]) == (
+                    trace.probes, trace.responses, trace.distance), (aid, i)
 
 
 def _crossings(placement):
@@ -599,8 +604,8 @@ class TestRunBatch:
     @pytest.mark.parametrize("log2_n", [10, 12, 20, 30, 40, 48, 52])
     def test_agrees_with_run_single(self, placements_dir, log2_n):
         # both kernels round alike, so they agree trial for trial up to
-        # 2^52; at 2^12 and 2^20 the origin and points on probe circles,
-        # where the searcher restarts from an area's center, are included
+        # 2^52, also at the origin and on probe circles, where the searcher
+        # restarts from an area's center and disk tests fall within an ulp
         n = 2.0 ** log2_n
         rng = np.random.default_rng(log2_n)
         angle = rng.uniform(0.0, 2.0 * math.pi, 150)
@@ -610,9 +615,7 @@ class TestRunBatch:
         for aid in GOLDEN:
             placement = execution_layer(load_placement(placements_dir
                                                        / f"{aid}.json"))
-            poi = random_poi
-            if log2_n in (12, 20):
-                poi = np.concatenate([poi, _circle_points(placement, n)])
+            poi = np.concatenate([random_poi, _circle_points(placement, n)])
             out = run_batch(placement, n, poi)
             for i in range(poi.shape[0]):
                 trace = run_single(placement,
@@ -624,6 +627,34 @@ class TestRunBatch:
                 assert out["lost"][i] == trace.containment_lost, where
                 assert out["D"][i] == pytest.approx(trace.distance,
                                                     rel=1e-12), where
+
+    @pytest.mark.parametrize("log2_n", [10, 20])
+    def test_searcher_within_tolerance_of_the_center(self, placements_dir,
+                                                     log2_n):
+        # the omitted probe sits 1e-10 from the last issued one, so a
+        # searcher it leaves lies off its area's center by less than _EPS:
+        # whether the layer turns for it depends on the area's radius, and
+        # the batch kernel decides that from s, as run_single does
+        alg3 = execution_layer(load_placement(placements_dir / "alg3.json"))
+        *issued, omitted = alg3.probes
+        last = issued[-1].center
+        probes = (*issued, Probe(Point2(last.x + 1e-10, last.y), omitted.rho))
+        placement = LayerPlacement("near", probes, None, False, "perimeter")
+        frame = _frame(placement)
+        assert frame.face is not None and 0.0 < frame.mag[-2] < _EPS
+        n = 2.0 ** log2_n
+        rng = np.random.default_rng(log2_n)
+        angle = rng.uniform(0.0, 2.0 * math.pi, 400)
+        dist = rng.uniform(0.0, n, 400)
+        poi = np.stack([dist * np.cos(angle), dist * np.sin(angle)], axis=1)
+        poi = np.concatenate([poi, _circle_points(placement, n)])
+        out = run_batch(placement, n, poi)
+        for i, (x, y) in enumerate(poi):
+            trace = run_single(placement, World(n, [Point2(x, y)]))
+            assert (out["P"][i], out["R"][i], out["D"][i], out["success"][i],
+                    out["lost"][i]) == (trace.probes, trace.responses,
+                                        trace.distance, trace.success,
+                                        trace.containment_lost), i
 
     @pytest.mark.parametrize("n", [math.nan, math.inf, 2.0 ** 60, 0.5])
     def test_rejects_radius_world_rejects(self, layers, monkeypatch, n):
@@ -680,6 +711,52 @@ class TestRunBatch:
         trace = run_single(placement, World(n, [Point2(n / 2.0, 0.0)]))
         assert (out["P"][0], out["R"][0]) == (trace.probes, trace.responses)
 
+    def test_lost_in_a_perimeter_gap(self, layers):
+        # ALG4 certifies only the unit circle: one interior face of area
+        # 1.5e-4 stays uncovered, and the points of an 801 x 801 grid in it
+        # are lost by every kernel, alike
+        placement = execution_layer(layers["ALG4"])
+        z = np.array([complex(p.center.x, p.center.y)
+                      for p in placement.probes])
+        rho = np.array([p.rho for p in placement.probes])
+        g = np.linspace(-1.0, 1.0, 801)
+        pts = (g[:, None] + 1j * g).ravel()
+        pts = pts[(np.abs(pts[:, None] - z) > rho).all(axis=1)
+                  & (np.abs(pts) <= 1.0)]
+        assert pts.size == 25
+        n = 2.0 ** 20
+        poi = np.stack([n * pts.real, n * pts.imag], axis=1)
+        out = run_batch(placement, n, poi)
+        want = _absolute_run_batch(placement, n, poi)
+        assert out["lost"].all() and want["lost"].all()
+        for key in ("P", "R"):
+            assert np.array_equal(out[key], want[key]), key
+        assert out["D"] == pytest.approx(want["D"], rel=1e-12)
+        for i, (x, y) in enumerate(poi):
+            trace = run_single(placement, World(n, [Point2(x, y)]))
+            assert trace.containment_lost, i
+            assert (out["P"][i], out["R"][i], out["D"][i]) == (
+                trace.probes, trace.responses, trace.distance), i
+
+    def test_lost_in_a_hole_wider_than_a_cell(self):
+        # six probes of radius 0.55 about 0.8 e^(i k pi / 3) cover the unit
+        # circle and leave a hole of radius 0.25 about the center, many
+        # table cells wide: a POI there misses every probe, the omitted
+        # last one too, so the kernel tests it and reports it lost
+        probes = tuple(Probe(Point2(0.8 * math.cos(a), 0.8 * math.sin(a)),
+                             0.55)
+                       for a in np.arange(6) * math.pi / 3)
+        placement = LayerPlacement("ring", probes, None, False, "perimeter")
+        n = 2.0 ** 20
+        poi = np.array([[0.0, 0.0], [0.1 * n, -0.05 * n]])
+        out = run_batch(placement, n, poi)
+        assert out["lost"].all()
+        for i, (x, y) in enumerate(poi):
+            trace = run_single(placement, World(n, [Point2(x, y)]))
+            assert (out["P"][i], out["R"][i], out["D"][i], out["lost"][i]) == (
+                trace.probes, trace.responses, trace.distance,
+                trace.containment_lost), i
+
     @pytest.mark.parametrize("log2_n", [50, 52])
     def test_large_n_keeps_the_poi(self, layers, log2_n):
         # absolute coordinates lost hundreds of these POIs at 2^52
@@ -697,7 +774,8 @@ class TestRunBatch:
 class TestFirstHitTable:
     """``_hit_table`` against the exact disk test: every decided cell gets
     the table's first hit at the points of the cell nearest to and farthest
-    from each disk the table's answer depends on."""
+    from each disk the table's answer depends on, and lies inside its own
+    disk by ``_MARGIN``."""
 
     @staticmethod
     def _first_hit(pts, z, reach, tol):
@@ -705,11 +783,21 @@ class TestFirstHitTable:
         inside = np.abs(pts[..., None] - z) <= reach + tol
         return inside.argmax(axis=-1)
 
+    @staticmethod
+    def _grid(table):
+        """The table as a (_GRID + 2) x (_GRID + 2) array indexed [i, j];
+        the entries past column _GRID + 1 of each row are never read."""
+        side = _GRID + 2
+        rows = table.reshape(side, _ROW)
+        assert (rows[:, side:] == -1).all()
+        return rows[:, :side].T
+
     def _check(self, placement):
         frame = _frame(placement)
-        z, reach = np.array(frame.z), np.array(frame.reach)
+        z, rho = np.array(frame.z), np.array(frame.rho)
+        reach = np.array(frame.reach)
         side = _GRID + 2
-        table = _hit_table(z, reach).reshape(side, side)
+        table = self._grid(_hit_table(z, rho))
         ring = np.ones((side, side), dtype=bool)
         ring[1:-1, 1:-1] = False
         assert (table[ring] == -1).all()
@@ -734,12 +822,18 @@ class TestFirstHitTable:
         for tol in (0.0, _EPS):
             for col in pts:
                 assert np.array_equal(self._first_hit(col, z, reach, tol), k)
+        # every checked point lies inside disk k by the margin, so a POI
+        # there stays inside its next area
+        for col in pts:
+            assert (np.abs(col - z[k]) <= rho[k] - _MARGIN).all()
         # each cell's centre maps to that cell
-        assert np.array_equal(_cells(pts[4]), i * side + j)
+        assert np.array_equal(_cells(pts[4]), i + _ROW * j)
+        return np.count_nonzero(k == z.size - 1)
 
     def test_generated_layers(self, layers):
+        # the checks cover cells decided as the omitted last probe
         for aid in sorted(layers):
-            self._check(execution_layer(layers[aid]))
+            assert self._check(execution_layer(layers[aid])) > 0, aid
 
     def test_golden_layers(self, placements_dir):
         for aid in GOLDEN:
@@ -753,7 +847,7 @@ class TestFirstHitTable:
         side = _GRID + 2
         q = np.array([1.0 + 0j, complex(-1.0 - 1e-12, 0.3), 1.5 + 0.2j,
                       -0.3 - 7.0j, 2.0 ** 60 + 0j])
-        i, j = np.divmod(_cells(q), side)
+        j, i = np.divmod(_cells(q), _ROW)
         assert ((i == 0) | (i == side - 1) | (j == 0) | (j == side - 1)).all()
 
     def test_corner_within_tolerance_stays_undecided(self):
@@ -770,8 +864,23 @@ class TestFirstHitTable:
         corner_pt = np.array([corner])
         assert self._first_hit(corner_pt, z, reach, _EPS)[0] == 0
         assert self._first_hit(corner_pt, z, reach, 0.0)[0] == 1
-        table = _hit_table(z, reach)
-        assert table[i * (_GRID + 2) + j] == -1
+        table = _hit_table(z, np.array([r, 2.0]))
+        assert table[i + _ROW * j] == -1
+
+    def test_cell_across_the_last_circle_stays_undecided(self):
+        # the cell misses the one issued disk and straddles the omitted
+        # last probe's circle: a POI there may lie outside every disk, as
+        # in a perimeter layer's gap, so the kernel must test it
+        h = 2.0 / _GRID
+        i, j = 90, 70
+        centre = complex(-1.0 + (i - 0.5) * h, -1.0 + (j - 0.5) * h)
+        z = np.array([-0.5 + 0j, 0j])
+        rho = np.array([0.3, abs(centre)])
+        assert abs(centre - z[0]) - h > rho[0]
+        table = _hit_table(z, rho)
+        assert table[i + _ROW * j] == -1
+        # cells well inside the last disk are decided as it
+        assert table[(_GRID // 2) + _ROW * (_GRID // 2 + 20)] == 1
 
 
 GOLDEN = ("alg1", "alg2", "alg3", "alg4", "alg5", "alg6", "alg7", "alg8")
