@@ -76,7 +76,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"probes:     {trace.probes}")
     print(f"distance:   {trace.distance:.4f}")
     print(f"responses:  {trace.responses}")
-    print(f"success:    {trace.success}")
+    if args.adversarial:
+        # the worst-case responses follow no POI, so nothing is found
+        print("success:    n/a (adversarial responses)")
+    else:
+        print(f"success:    {trace.success}")
     if trace.containment_lost:
         print("warning: containment lost through an uncovered gap")
     return 0

@@ -19,6 +19,13 @@ A level's disk tests allow the absolute tolerance ``_EPS``.  In an area
 larger than about 1e7 that is below the rounding of frame coordinates, and
 a POI on a probe junction can test outside every probe; such a level is
 decided again with a slack floored at ``_TOL_FLOOR`` (``_rescue``).
+Each kernel skips that escape check where it cannot fire.  ``run_batch``
+skips it for a POI in a decided cell of its first-hit table.
+``run_single`` skips it where the POI lies no farther than ``rho * (1 -
+2**-45)`` from its probe's center: the move into the probe's disk and its
+length round by less than 2**-50, relative, so the POI stays inside.  A
+searcher at its area's center whose frame is not turned (rotation exactly
+1) is not turned again, in either kernel.
 """
 from __future__ import annotations
 
@@ -37,6 +44,9 @@ _EPS = 1e-9
 # least slack of _rescue in frame units, far above the rounding of frame
 # coordinates and of the stored probes
 _TOL_FLOOR = 2.0 ** -40
+# relative margin under a probe's radius within which run_single's escape
+# check cannot fire (see _run_single)
+_SURE = 2.0 ** -45
 _BATCH_CHUNK = 8192  # POIs per slice of run_batch
 # run_batch's first-hit table: _GRID cells per side over [-1, 1]^2; a cell
 # is decided only with this margin on every disk test, far above float64
@@ -94,14 +104,6 @@ class SearchTrace:
     containment_lost: bool = False
 
 
-def probe(world: World, center: Point2, d: float) -> bool:
-    """True iff a POI lies within closed distance d of center."""
-    if d <= 0:
-        raise ValueError("probe radius must be positive")
-    return any(math.hypot(p.x - center.x, p.y - center.y) <= d + _EPS
-               for p in world.pois)
-
-
 class _Frame(NamedTuple):
     """Per-layer constants of the frame-relative descent.
 
@@ -119,6 +121,7 @@ class _Frame(NamedTuple):
     z: Sequence[complex]  # probe centers
     rho: Sequence[float]  # probe radii
     reach: Sequence[float]  # rho, with inf for the omitted last probe
+    margin: Sequence[float]  # rho * (1 - _SURE), see _run_single
     cum: Sequence[float]  # walk from the first issued probe to probe k
     face: complex | None  # the first probe's direction; None if centred
     mag: Sequence[float]  # the searcher's distance from the area's center
@@ -156,6 +159,7 @@ def _build_frame(placement: LayerPlacement) -> _Frame:
     rho = [p.rho for p in placement.probes]
     m = len(z)
     reach = rho[:m - 1] + [math.inf]
+    margin = [r * (1.0 - _SURE) for r in rho]
     cum = [0.0, *accumulate(abs(b - a) for a, b in zip(z, z[1:m - 1]))]
     d1 = abs(z[0])
     face = z[0] * (1.0 / d1) if d1 >= _EPS else None
@@ -167,7 +171,7 @@ def _build_frame(placement: LayerPlacement) -> _Frame:
     hits = [(z[k], 1.0 / rho[k], rho[k], cum[j], j + 1, k <= m - 2,
              mag[k], turn[k], leg[k], turn[k].conjugate())
             for k, j in ((k, min(k, m - 2)) for k in range(m))]
-    return _Frame(z, rho, reach, cum, face, mag, turn, leg, hits)
+    return _Frame(z, rho, reach, margin, cum, face, mag, turn, leg, hits)
 
 
 def _rescue(z: Sequence[complex], rho: Sequence[float],
@@ -243,10 +247,20 @@ def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
     ``_descend``: ``q`` is the POI in that frame, ``s`` the area's
     absolute radius, ``tol`` the tolerance ``_EPS / s`` in frame units,
     ``o`` the frame's absolute rotation and ``c`` the area's absolute
-    center, which only ``SearchTrace.end`` reads.  A level whose tests
-    leave the POI outside its next area is decided by ``_rescue``.
+    center, which only ``SearchTrace.end`` reads.  A searcher at its
+    area's center with ``o`` exactly 1 is not turned: ``q * 1`` could
+    differ from ``q`` only in the sign of a zero part, which no test sees.
+
+    A level moves into probe k as ``q <- w / rho[k]``, with ``w = q -
+    z[k]`` and its length ``d`` kept from the last disk test.  The escape
+    check, whether the move left the POI outside the next area, runs only
+    where ``d`` exceeds ``margin[k] = rho[k] * (1 - 2**-45)``.  Below it
+    the check cannot fire: the move and ``abs`` round by less than 2**-50,
+    relative, so ``abs(q) <= (d / rho[k]) * (1 + 2**-50) < 1``.  A level
+    whose check fires is decided by ``_rescue``.
     """
-    z, reach, face, hits = frame.z, frame.reach, frame.face, frame.hits
+    z, reach, margin, face, hits = (frame.z, frame.reach, frame.margin,
+                                    frame.face, frame.hits)
     last = len(z) - 2  # the last issued probe
     adversarial = poi is None
     c = complex(center.x, center.y)
@@ -263,29 +277,33 @@ def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
 
     while s > 1.0:
         if face is not None:
-            if mag < tol:
-                # a searcher at the area's center keeps absolute rotation 0
-                turn, o = o, 1.0 + 0j
-            else:
+            if mag >= tol:
                 o = o * turn_c
-            q = q * turn
+                q = q * turn
+            elif o != 1.0:
+                # a searcher at the area's center keeps absolute rotation 0
+                q = q * o
+                o = 1.0 + 0j
         if adversarial:
-            hit = last
+            # the POI is never read: d = 0 skips the escape check
+            hit, w, d = last, 0j, 0.0
         else:
             hit = 0
-            while abs(q - z[hit]) > reach[hit] + tol:
+            while (d := abs(w := q - z[hit])) > reach[hit] + tol:
                 hit += 1
         zk, inv_rho, rho_k, cum, issued, answered, mag, turn, next_leg, \
             turn_c = hits[hit]
-        q_next = (q - zk) * inv_rho
-        tol = _EPS / (s * rho_k)
-        if not adversarial and abs(q_next) > 1.0 + tol:
+        s_next = s * rho_k
+        tol = _EPS / s_next
+        q_next = w * inv_rho
+        if d > margin[hit] and abs(q_next) > 1.0 + tol:
             k = int(_rescue(z, frame.rho, np.array([q]))[0])
             if k >= 0:
                 zk, inv_rho, rho_k, cum, issued, answered, mag, turn, \
                     next_leg, turn_c = hits[k]
+                s_next = s * rho_k
+                tol = _EPS / s_next
                 q_next = (q - zk) * inv_rho
-                tol = _EPS / (s * rho_k)
             elif placement.coverage != "perimeter":
                 raise RuntimeError("POI escaped the search area: geometry bug")
             else:
@@ -296,7 +314,7 @@ def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
         responses += answered
         c += s * o * zk
         q = q_next
-        s = s * rho_k
+        s = s_next
 
     # the last leg walks to the final area's center
     trace = SearchTrace(probes, distance + s * mag, responses,
@@ -346,9 +364,9 @@ def find_all(placement: LayerPlacement, world: World) -> FindAllResult:
     # the first search covers the region
     delta, radius = Point2(0.0, 0.0), world.n
     while True:
-        # probe(world, delta, radius) on the POIs left answers iff the
-        # nearest lies within radius + _EPS, so one scan finds the first
-        # rung that answers and the POI the next search targets
+        # a rung of radius r at delta answers iff the nearest POI left
+        # lies within r + _EPS, so one scan finds the first rung that
+        # answers and the POI the next search targets
         nearest, target = _nearest(world.pois, left, delta)
         if result.traces:
             # every rung 2**j below the greatest power of two at most

@@ -136,6 +136,24 @@ class TestSimulate:
         assert err.startswith("error:")
         assert "--poi" in err and "X,Y" in err
 
+    def test_adversarial_has_no_success(self, alg3_file, capsys):
+        # the worst-case responses follow no POI: success does not apply
+        assert main(["simulate", "--placement", str(alg3_file), "--n", "1024",
+                     "--poi", "100,200", "--adversarial"]) == 0
+        out = capsys.readouterr().out
+        assert "success:    n/a (adversarial responses)" in out
+        assert "False" not in out and "True" not in out
+        assert "warning" not in out
+
+    def test_containment_lost_in_a_pinhole(self, placements_dir, capsys):
+        # the POI lies in one of ALG4's interior pinhole faces, which its
+        # perimeter-only certification leaves uncovered
+        assert main(["simulate", "--placement",
+                     str(placements_dir / "alg4.json"), "--n", "1024",
+                     "--poi", "481.28,-348.16"]) == 0
+        out = capsys.readouterr().out
+        assert "warning: containment lost through an uncovered gap" in out
+
     def test_probe_count_off_issue_order(self, tmp_path, layers, capsys):
         # a covering ALG1 file with one probe too many has no issue order
         layer = layers["ALG1"]

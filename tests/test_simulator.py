@@ -33,7 +33,6 @@ from marcopolo.simulator import (
     _hit_table,
     _rescue,
     find_all,
-    probe,
     run_batch,
     run_single,
     tsp_reference,
@@ -43,6 +42,18 @@ from marcopolo.verifier import (
     probe_coefficient,
     response_bound,
 )
+
+GOLDEN = ("alg1", "alg2", "alg3", "alg4", "alg5", "alg6", "alg7", "alg8")
+GOLDEN_DISK = ("alg1", "alg2", "alg3", "alg5", "alg6", "alg7", "alg8")
+
+
+def probe(world, center, d):
+    """True iff a POI lies within closed distance d of center: the
+    reference find-all's oracle for a doubling rung."""
+    if d <= 0:
+        raise ValueError("probe radius must be positive")
+    return any(math.hypot(p.x - center.x, p.y - center.y) <= d + _EPS
+               for p in world.pois)
 
 
 class TestWorld:
@@ -232,6 +243,59 @@ class TestRescue:
         assert _rescue(z, rho, q).tolist() == [1, -1, 0, 0, -1]
 
 
+class TestEscapeMargin:
+    """``_run_single`` skips the escape check where the POI lies within
+    ``margin[k]`` of probe k's center; there the check cannot fire."""
+
+    @pytest.mark.parametrize("aid", GOLDEN)
+    def test_skipped_check_cannot_fire(self, placements_dir, aid):
+        frame = _frame(execution_layer(load_placement(placements_dir
+                                                      / f"{aid}.json")))
+        rng = np.random.default_rng(7)
+        skipped = checked = 0
+        for zk, rho, margin, hit in zip(frame.z, frame.rho, frame.margin,
+                                        frame.hits):
+            inv_rho = hit[1]
+            angle = rng.uniform(0.0, 2.0 * math.pi, 96)
+            # within 2^-40 of the circle, across the margin at 2^-45, and
+            # just inside, 2^-52 to 2^-20 of the radius
+            r = np.concatenate([
+                1.0 + rng.uniform(-1.0, 1.0, 32) * 2.0 ** -40,
+                1.0 - rng.uniform(0.5, 2.0, 32) * 2.0 ** -45,
+                1.0 - rng.uniform(0.0, 1.0, 32)
+                * 2.0 ** -rng.integers(20, 53, 32).astype(float)])
+            for a, t in zip(angle, r):
+                q = zk + rho * t * complex(math.cos(a), math.sin(a))
+                w = q - zk
+                if abs(w) > margin:
+                    checked += 1
+                    continue
+                skipped += 1
+                moved = abs(w * inv_rho)
+                for log2_n in (1, 10, 20, 40, 52):
+                    tol = _EPS / (2.0 ** log2_n * rho)
+                    assert moved <= 1.0 + tol, (aid, q, log2_n)
+        assert skipped > 0 and checked > 0
+
+    def test_check_runs_beyond_the_margin(self, placements_dir,
+                                          monkeypatch):
+        # ALG2's junction POI at 2^52 tests outside both touching probes:
+        # its level runs the check, which fires and calls _rescue
+        calls = []
+
+        def rescue(*args):
+            calls.append(args)
+            return _rescue(*args)
+
+        monkeypatch.setattr(simulator, "_rescue", rescue)
+        placement = execution_layer(load_placement(placements_dir
+                                                   / "alg2.json"))
+        n = 2.0 ** 52
+        trace = run_single(placement, World(n, [Point2(n / 2.0, 0.0)]))
+        assert trace.success and not trace.containment_lost
+        assert calls
+
+
 class TestHexfamSearch:
     def test_response_budget(self):
         for r_max, n in ((1, 4.0), (2, 16.0), (3, 64.0)):
@@ -416,7 +480,7 @@ def _reference_search(placement, poi, center, s):
     ``_frame`` lists by index and divides out the tolerance at each use,
     without ``_rescue``: the reference for the kernel's per-probe records
     wherever no level's tests leave the POI outside its area."""
-    z, rho, reach, cum, face, mags, turns, legs, _ = _frame(placement)
+    z, rho, reach, _, cum, face, mags, turns, legs, _ = _frame(placement)
     m = len(z)
     adversarial = poi is None
     c = complex(center.x, center.y)
@@ -881,10 +945,6 @@ class TestFirstHitTable:
         assert table[i + _ROW * j] == -1
         # cells well inside the last disk are decided as it
         assert table[(_GRID // 2) + _ROW * (_GRID // 2 + 20)] == 1
-
-
-GOLDEN = ("alg1", "alg2", "alg3", "alg4", "alg5", "alg6", "alg7", "alg8")
-GOLDEN_DISK = ("alg1", "alg2", "alg3", "alg5", "alg6", "alg7", "alg8")
 
 
 def _circle_points(placement, n):
