@@ -77,7 +77,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"distance:   {trace.distance:.4f}")
     print(f"responses:  {trace.responses}")
     if args.adversarial:
-        # the worst-case responses follow no POI, so nothing is found
+        # the adversarial responses follow no POI, so nothing is found
         print("success:    n/a (adversarial responses)")
     else:
         print(f"success:    {trace.success}")
@@ -127,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--placement", required=True)
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--poi", required=True, metavar="X,Y")
-    p.add_argument("--adversarial", action="store_true")
+    p.add_argument("--adversarial", action="store_true",
+                   help="the last issued probe always answers (a fixed "
+                        "response sequence, not the worst case)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("montecarlo", help="Monte Carlo campaign with report")

@@ -12,7 +12,7 @@ loops, give the exact area and the faces of what they leave uncovered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,16 +71,15 @@ class Probe:
 
 @dataclass
 class CoverageReport:
-    certified_covered: bool
     # (circle, start, end) per uncovered arc, counterclockwise angles in
     # radians about the circle's center with 0 <= start < 2*pi and
     # start < end; circle -1 is the unit circle and k the circle of probe
     # k dilated by the 1e-9 tolerance
-    uncovered_arcs: list = field(default_factory=list)
+    uncovered_arcs: list
 
-    def __post_init__(self):
-        if self.certified_covered:
-            assert not self.uncovered_arcs
+    @property
+    def certified_covered(self) -> bool:
+        return not self.uncovered_arcs
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,8 @@ def certify_coverage(placement, min_cell: float = 1e-4) -> CoverageReport:
     ``placement`` is either a sequence of probes or an object with a
     ``probes`` attribute.
     """
-    arcs = _uncovered_arcs(*_probe_arrays(_probe_list(placement)))
-    return CoverageReport(not arcs, arcs)
+    return CoverageReport(_uncovered_arcs(*_probe_arrays(
+        _probe_list(placement))))
 
 
 def uncovered_faces(placement) -> tuple[bool, float, list[Face]]:
@@ -236,9 +235,8 @@ def _probe_list(placement):
     return probes
 
 
-def _uncovered_arcs(px: np.ndarray, py: np.ndarray, pr: np.ndarray,
-                    probe_circles: bool = True
-                    ) -> list[tuple[int, float, float]]:
+def _uncovered_arcs(px: np.ndarray, py: np.ndarray,
+                    pr: np.ndarray) -> list[tuple[int, float, float]]:
     """Arcs that break the Huang-Tseng coverage criterion for the probe
     disks dilated by the 1e-9 tolerance, as (circle, start, end) in the
     convention of ``CoverageReport.uncovered_arcs``; empty iff they cover
@@ -247,28 +245,23 @@ def _uncovered_arcs(px: np.ndarray, py: np.ndarray, pr: np.ndarray,
     All m + 1 circles go through one pass: row 0 is the unit circle, which
     the probe disks must cover, and row k + 1 the dilated circle of probe
     k, which the other probe disks must cover inside the open unit disk.
-    Without ``probe_circles`` only the unit circle is checked.
     """
     r = pr + _TOL
-    if not probe_circles:
-        center, half = _covered_arcs(np.zeros(1), np.zeros(1), np.ones(1),
-                                     px, py, r)
-    else:
-        cx = np.concatenate(([0.0], px))
-        cy = np.concatenate(([0.0], py))
-        cr = np.concatenate(([1.0], r))
-        # the last column is the unit disk itself
-        center, half = _covered_arcs(cx, cy, cr, np.append(px, 0.0),
-                                     np.append(py, 0.0), np.append(r, 1.0))
-        # a probe covers neither its own circle nor an identical probe's
-        same = (px == cx[:, None]) & (py == cy[:, None]) & (r == cr[:, None])
-        same[0] = False
-        half[:, :-1][same] = 0.0
-        # the part of a probe circle outside the open unit disk needs no
-        # cover: the complement of the arc the unit disk covers, which is
-        # empty for the unit circle
-        half[:, -1] = math.pi - half[:, -1]
-        center[:, -1] += math.pi
+    cx = np.concatenate(([0.0], px))
+    cy = np.concatenate(([0.0], py))
+    cr = np.concatenate(([1.0], r))
+    # the last column is the unit disk itself
+    center, half = _covered_arcs(cx, cy, cr, np.append(px, 0.0),
+                                 np.append(py, 0.0), np.append(r, 1.0))
+    # a probe covers neither its own circle nor an identical probe's
+    same = (px == cx[:, None]) & (py == cy[:, None]) & (r == cr[:, None])
+    same[0] = False
+    half[:, :-1][same] = 0.0
+    # the part of a probe circle outside the open unit disk needs no
+    # cover: the complement of the arc the unit disk covers, which is
+    # empty for the unit circle
+    half[:, -1] = math.pi - half[:, -1]
+    center[:, -1] += math.pi
     row, col = np.nonzero(half > 0.0)
     h = half[row, col]
     circle, start, end = _circle_gaps(

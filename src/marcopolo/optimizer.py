@@ -18,7 +18,6 @@ from .geometry import (
     Face,
     Point2,
     Probe,
-    certify_coverage,
     uncovered_faces,
     _TOL,
     _convex_hull,
@@ -376,15 +375,17 @@ def greedy_fill(initial: LayerPlacement) -> LayerPlacement:
     Repeatedly measures the uncovered faces of the current probes, takes
     the largest, and adds the next schedule probe (radius rho1^(m+1))
     through the pair of points on the face's convex hull whose disk holds
-    the most uncovered grid points.  Raises :class:`CertificationError`
-    when the remaining schedule cannot close the gaps; the partial
-    placement is attached to the error as ``placement``.
+    the most uncovered grid points, until ``uncovered_faces``, whose
+    verdict is that of ``certify_coverage``, finds the disk covered.
+    Raises :class:`CertificationError` when the remaining schedule cannot
+    close the gaps; the partial placement is attached to the error as
+    ``placement``.
     """
     if initial.rho1 is None:
         raise ValueError("greedy_fill needs a geometric-schedule placement")
     rho1 = initial.rho1
     probes, ok, _ = _greedy_core(initial.probes, rho1)
-    if ok and certify_coverage(probes).certified_covered:
+    if ok:
         return LayerPlacement(initial.algorithm_id, tuple(probes), rho1,
                               True, "disk")
     err = CertificationError(
@@ -484,10 +485,11 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
     (angle, radial distance) pair per probe; radii are pinned to the
     geometric schedule rho1^k.  Fitness is the probe coefficient of the
     greedy-filled layer with a +100 penalty for uncovered results.  Each
-    slot keeps its filled probes, and the best slot's are certified and
-    returned; the run is bit-reproducible for a fixed seed.  Raises
-    :class:`CertificationError` with the best slot's placement attached
-    as ``placement`` when no slot covers the disk.
+    slot keeps its filled probes, and the best slot's are returned: a
+    fitness below the penalty means the fill's own coverage pass found
+    them covering the disk.  The run is bit-reproducible for a fixed
+    seed.  Raises :class:`CertificationError` with the best slot's
+    placement attached as ``placement`` when no slot covers the disk.
     """
     config = config or OptimizerConfig()
     rng = np.random.default_rng(config.seed)
@@ -524,7 +526,7 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
 
     best = min(range(_POPULATION), key=fitness.__getitem__)
     rho1, probes = float(population[best][0]), tuple(filled[best])
-    if fitness[best] < _PENALTY and certify_coverage(probes).certified_covered:
+    if fitness[best] < _PENALTY:
         return LayerPlacement("ALG8", probes, rho1, True, "disk")
     err = CertificationError(
         f"no certified individual after all generations; the best stalled "

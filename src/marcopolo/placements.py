@@ -27,8 +27,6 @@ from .geometry import (
     certify_coverage,
     chord_probe,
     hex_lattice,
-    _probe_arrays,
-    _uncovered_arcs,
 )
 
 SCHEMA_VERSION = 1
@@ -109,9 +107,10 @@ class LayerPlacement:
 
 def perimeter_covered(probes: Sequence[Probe]) -> bool:
     """Exact test that the union of probes, each dilated by the 1e-9
-    tolerance, covers the unit circle boundary: the unit-circle half of
-    the coverage certifier."""
-    return not _uncovered_arcs(*_probe_arrays(probes), probe_circles=False)
+    tolerance, covers the unit circle boundary: the coverage certifier
+    finds no uncovered arc on the unit circle (circle -1)."""
+    return all(circle >= 0 for circle, _, _
+               in certify_coverage(probes).uncovered_arcs)
 
 
 def _covers(probes: Sequence[Probe], coverage: str) -> bool:

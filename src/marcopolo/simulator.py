@@ -2,10 +2,9 @@
 
 Implements the single-POI recursive descent (with last-probe omission and
 rotation of each layer toward the searcher), the memoryless find-all
-protocol with doubling re-probes, a reference TSP value for competitive
-checks, and a vectorized batch of single-POI descents for Monte Carlo
-campaigns.  The response-limited hexagonal family runs through
-``run_single`` on a ``hexfam_layer``.
+protocol with doubling re-probes, and a vectorized batch of single-POI
+descents for Monte Carlo campaigns.  The response-limited hexagonal
+family runs through ``run_single`` on a ``hexfam_layer``.
 
 Each layer placement lives on the unit disk.  Both kernels, ``run_single``
 and ``run_batch``, keep a search in the frame of its current area: the
@@ -219,8 +218,10 @@ def run_single(placement: LayerPlacement, world: World,
     its first probe center faces the searcher's current position.  The
     searcher ends at the last area's center, ``SearchTrace.end``.
 
-    ``adversarial`` replaces the world's responses with the deterministic
-    worst case (the POI is always found in the last executed probe).
+    ``adversarial`` replaces the world's responses with a fixed sequence:
+    the last issued probe always answers.  That is not the worst case; a
+    random campaign can cost more probes, distance and responses (item 3
+    of ROADMAP.md plans the exact worst case).
     Containment of the target POI is asserted at every step; placements
     that only certify perimeter coverage may lose containment through an
     interior gap, which is reported via ``containment_lost`` instead.
@@ -239,7 +240,7 @@ def run_single(placement: LayerPlacement, world: World,
 def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
                 center: Point2, s: float) -> SearchTrace:
     """The descent of ``run_single`` on the ``_frame`` of ``placement``,
-    for ``poi`` (None for the adversarial worst case), in the area of
+    for ``poi`` (None for the adversarial responses), in the area of
     radius ``s`` about ``center`` with the searcher at its center.  The
     trace leaves ``found_poi`` to the caller.
 
@@ -392,43 +393,6 @@ def find_all(placement: LayerPlacement, world: World) -> FindAllResult:
         result.found.append(target)
         left.remove(target)
         delta = trace.end
-
-
-# ---------------------------------------------------------------------------
-# Reference tour length
-# ---------------------------------------------------------------------------
-
-def tsp_reference(pois: list[Point2]) -> float:
-    """Closed-tour length over 2 to 12 POIs, by the exact Held-Karp
-    dynamic program."""
-    k = len(pois)
-    if not 2 <= k <= 12:
-        raise ValueError("need two to twelve POIs")
-    pts = np.array([[p.x, p.y] for p in pois])
-    dist = np.hypot(pts[:, None, 0] - pts[None, :, 0],
-                    pts[:, None, 1] - pts[None, :, 1])
-    return _held_karp(dist)
-
-
-def _held_karp(dist: np.ndarray) -> float:
-    k = dist.shape[0]
-    full = 1 << (k - 1)  # subsets of cities 1..k-1; city 0 is the anchor
-    dp = np.full((full, k - 1), np.inf)
-    for j in range(k - 1):
-        dp[1 << j, j] = dist[0, j + 1]
-    for mask in range(1, full):
-        for j in range(k - 1):
-            if not mask & (1 << j) or not np.isfinite(dp[mask, j]):
-                continue
-            base = dp[mask, j]
-            for nxt in range(k - 1):
-                if mask & (1 << nxt):
-                    continue
-                new = base + dist[j + 1, nxt + 1]
-                nm = mask | (1 << nxt)
-                if new < dp[nm, nxt]:
-                    dp[nm, nxt] = new
-    return float(min(dp[full - 1, j] + dist[j + 1, 0] for j in range(k - 1)))
 
 
 # ---------------------------------------------------------------------------

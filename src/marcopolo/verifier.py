@@ -71,8 +71,9 @@ def distance_bound(placement) -> float:
     the 2 * d1 * rho_m round trip (the next layer is rotated so its first
     probe, at distance d1 * rho_m from the new center, faces the searcher).
 
-    The shortcut assumes the last two probes do not overlap significantly;
-    ``last_probes_overlap`` flags placements violating it.
+    The shortcut is exact when probe m - 1 lies at least d1 * rho_m from
+    probe m's center; ``last_probes_overlap`` flags placements where it
+    does not.
     """
     return max(_distance_rates(_probe_list(placement)))
 
@@ -95,12 +96,19 @@ def _distance_rates(probes: Sequence[Probe]) -> list[float]:
 
 
 def last_probes_overlap(placement) -> bool:
-    """True when the final two probes overlap by more than half the last
-    probe's radius, which undermines the omitted-probe travel shortcut."""
+    """True when the omitted-probe travel shortcut is optimistic.
+
+    A level that ends in the omitted probe m leaves the searcher at probe
+    m - 1, ``gap`` from probe m's center.  The next layer turns its first
+    probe, d1 * rho_m from that center, toward the searcher, who walks
+    |gap - d1 * rho_m|.  ``distance_bound`` charges gap - d1 * rho_m,
+    which is that walk iff gap >= d1 * rho_m.
+    """
     probes = _probe_list(placement)
     a, b = probes[-2], probes[-1]
     gap = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
-    return gap < a.rho + b.rho - 0.5 * b.rho
+    d1 = math.hypot(probes[0].center.x, probes[0].center.y)
+    return gap < d1 * b.rho
 
 
 def response_bound(placement) -> float:

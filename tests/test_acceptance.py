@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from marcopolo.experiments import ExperimentConfig, monte_carlo
-from marcopolo.geometry import Point2
+from marcopolo.geometry import Point2, certify_coverage
 from marcopolo.optimizer import OptimizerConfig, alg7_layer, evolve_initial
 from marcopolo.placements import (
     execution_layer,
@@ -29,7 +29,7 @@ from marcopolo.placements import (
     hexfam_layers,
     load_placement,
 )
-from marcopolo.simulator import World, find_all, run_batch, run_single, tsp_reference
+from marcopolo.simulator import World, find_all, run_batch, run_single
 from marcopolo.verifier import (
     distance_bound,
     lower_bound_constant,
@@ -110,10 +110,12 @@ def test_criterion_4_optimized_layers(capsys):
     seven = alg7_layer()
     c7 = probe_coefficient(seven)
     checks.append(seven.certified)
+    checks.append(certify_coverage(seven.probes).certified_covered)
     checks.append(c7 <= 3.10)
     eight = evolve_initial(OptimizerConfig())
     c8 = probe_coefficient(eight)
     checks.append(eight.certified)
+    checks.append(certify_coverage(eight.probes).certified_covered)
     checks.append(c8 <= 2.75)
     # evolution beats its warm-start seed, the 0.772 base
     checks.append(c8 < -1.0 / math.log2(0.772))
@@ -190,7 +192,7 @@ def test_criterion_6_response_limited_family(capsys):
     assert ok, checks
 
 
-def test_criterion_7_find_all_accounting(layers, capsys):
+def test_criterion_7_find_all_accounting(layers, tsp_reference, capsys):
     t0 = time.perf_counter()
     n = 2.0 ** 10
     placement = execution_layer(layers["ALG3"])

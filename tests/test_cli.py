@@ -36,6 +36,14 @@ class TestVerify:
         assert "ALG3" in out
         assert "4.08" in out
 
+    def test_alg6_has_no_shortcut_warning(self, placements_dir, capsys):
+        # ALG6's last two probes overlap, but its first probe is centred,
+        # so the travel shortcut takes nothing off
+        assert main(["verify", str(placements_dir / "alg6.json")]) == 0
+        out = capsys.readouterr().out
+        assert "ALG6" in out
+        assert "warning" not in out
+
     def test_uncovered_arcs_listed(self, tmp_path, capsys):
         # ALG3 below its minimal base leaves arcs uncovered
         path = tmp_path / "alg3_082.json"
@@ -137,7 +145,7 @@ class TestSimulate:
         assert "--poi" in err and "X,Y" in err
 
     def test_adversarial_has_no_success(self, alg3_file, capsys):
-        # the worst-case responses follow no POI: success does not apply
+        # the adversarial responses follow no POI: success does not apply
         assert main(["simulate", "--placement", str(alg3_file), "--n", "1024",
                      "--poi", "100,200", "--adversarial"]) == 0
         out = capsys.readouterr().out

@@ -149,9 +149,9 @@ class TestCertifyCoverage:
         arcs = certify_coverage(layer.probes).uncovered_arcs
         assert arcs[0][0] == -1
 
-    def test_report_invariants(self):
-        with pytest.raises(AssertionError):
-            CoverageReport(True, [(-1, 0.0, 1.0)])
+    def test_verdict_is_read_from_the_arcs(self):
+        assert CoverageReport([]).certified_covered
+        assert not CoverageReport([(-1, 0.0, 1.0)]).certified_covered
 
     def test_soundness_sampling(self, layers):
         # certified placements leave no uncovered random point

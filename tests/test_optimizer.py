@@ -60,6 +60,7 @@ class TestGreedyFill:
                                             layer.rho1, False, "disk"))
         assert filled.probes == layer.probes
         assert filled.certified
+        assert certify_coverage(filled.probes).certified_covered
 
     def test_requires_schedule_base(self, layers):
         bare = LayerPlacement("ALG1", layers["ALG1"].probes, None,
@@ -88,6 +89,7 @@ class TestAlg7Layer:
     def test_beats_published_coefficient(self):
         layer = alg7_layer()
         assert layer.certified
+        assert certify_coverage(layer.probes).certified_covered
         assert layer.rho1 == ALG7_RHO1
         c = probe_coefficient(layer)
         assert c <= 3.10
@@ -103,6 +105,7 @@ class TestEvolveInitial:
         config = OptimizerConfig(generations=0)
         layer = evolve_initial(config)
         assert layer.certified
+        assert certify_coverage(layer.probes).certified_covered
         # the schedule base stays inside its bounds, so the coefficient
         # cannot exceed the upper bound's closed form
         hi = optimizer._RHO1_BOUNDS[1]
@@ -130,6 +133,8 @@ class TestEvolveInitial:
                 layer = err.placement
             assert (fit < optimizer._PENALTY) == layer.certified
             assert tuple(filled) == layer.probes
+            assert certify_coverage(layer.probes).certified_covered \
+                == layer.certified
 
     def test_returns_best_individuals_fill(self, monkeypatch):
         # with no generations each individual is scored once, in slot order
@@ -146,6 +151,7 @@ class TestEvolveInitial:
         fit, filled = min(scored, key=lambda pair: pair[0])
         assert fit < optimizer._PENALTY
         assert layer.probes == tuple(filled)
+        assert certify_coverage(layer.probes).certified_covered
         assert probe_coefficient(layer) == pytest.approx(fit, abs=1e-12)
 
 

@@ -35,7 +35,6 @@ from marcopolo.simulator import (
     find_all,
     run_batch,
     run_single,
-    tsp_reference,
 )
 from marcopolo.verifier import (
     distance_bound,
@@ -614,16 +613,16 @@ class TestFrameCache:
 
 
 class TestTspReference:
-    def test_collinear(self):
+    def test_collinear(self, tsp_reference):
         length = tsp_reference([Point2(0.0, 0.0), Point2(2.0, 0.0)])
         assert length == pytest.approx(4.0, abs=1e-12)
 
-    def test_unit_square(self):
+    def test_unit_square(self, tsp_reference):
         pts = [Point2(0.0, 0.0), Point2(1.0, 0.0),
                Point2(1.0, 1.0), Point2(0.0, 1.0)]
         assert tsp_reference(pts) == pytest.approx(4.0, abs=1e-12)
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, tsp_reference):
         rng = np.random.default_rng(2)
         pts = [Point2(x, y) for x, y in rng.uniform(-5.0, 5.0, (8, 2))]
         tour = tsp_reference(pts)
@@ -635,11 +634,11 @@ class TestTspReference:
             best = min(best, length)
         assert tour == pytest.approx(best, abs=1e-9)
 
-    def test_needs_two_points(self):
+    def test_needs_two_points(self, tsp_reference):
         with pytest.raises(ValueError):
             tsp_reference([Point2(0.0, 0.0)])
 
-    def test_rejects_more_than_twelve_points(self):
+    def test_rejects_more_than_twelve_points(self, tsp_reference):
         pts = [Point2(float(i), 0.0) for i in range(13)]
         assert tsp_reference(pts[:12]) == pytest.approx(22.0, abs=1e-12)
         with pytest.raises(ValueError):

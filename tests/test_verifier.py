@@ -8,6 +8,10 @@ import pytest
 
 from marcopolo.geometry import Point2, Probe
 from marcopolo.placements import (
+    ALG3_RHO1,
+    ALG4_RHO1,
+    ALG5_RHO1,
+    ALG6_RHO1,
     construct_layer,
     execution_layer,
     load_placement,
@@ -22,6 +26,7 @@ from marcopolo.verifier import (
     probe_coefficient,
     response_bound,
 )
+from marcopolo.simulator import _frame
 
 
 def _chain(rhos, spacing=0.1):
@@ -126,6 +131,14 @@ class TestBoundsReport:
             BoundsReport(-1.0, 1.0, 0.5, {})
 
 
+def _golden_orders(placements_dir):
+    """Each golden layer in analysis order and as executed."""
+    for path in sorted(placements_dir.glob("alg*.json")):
+        layer = load_placement(path)
+        yield path.name, layer
+        yield f"{path.name} executed", execution_layer(layer)
+
+
 class TestLastProbesOverlap:
     def test_separated_chords(self, layers):
         assert not last_probes_overlap(layers["ALG3"])
@@ -134,10 +147,34 @@ class TestLastProbesOverlap:
         probes = [Probe(Point2(0.3, 0.0), 0.5), Probe(Point2(0.3, 0.0), 0.5)]
         assert last_probes_overlap(probes)
 
+    def test_no_golden_layer_is_flagged(self, placements_dir):
+        # ALG6's last two probes overlap, but its first probe is centred
+        for name, layer in _golden_orders(placements_dir):
+            assert not last_probes_overlap(layer), name
+
+    def test_frame_walks_the_shortcut(self, placements_dir):
+        # the searcher's walk after an omitted probe, as the search frame
+        # charges it, is |gap - d1 * rho_m|
+        for name, layer in _golden_orders(placements_dir):
+            first, a, b = layer.probes[0], layer.probes[-2], layer.probes[-1]
+            gap = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
+            reach = math.hypot(first.center.x, first.center.y) * b.rho
+            walk = _frame(layer).leg[layer.m - 1] * b.rho
+            assert walk == pytest.approx(abs(gap - reach), abs=1e-12), name
+
 
 class TestMinimalRho1:
     def test_alg3(self):
         assert minimal_rho1("ALG3") == pytest.approx(0.844, abs=0.002)
+
+    @pytest.mark.parametrize("scheme, base", [
+        ("ALG3", ALG3_RHO1), ("ALG4", ALG4_RHO1),
+        ("ALG5", ALG5_RHO1), ("ALG6", ALG6_RHO1),
+    ])
+    def test_frozen_bases(self, scheme, base):
+        # the frozen bases are the bisection's results, ALG4's the flip
+        # point of its perimeter verdict
+        assert minimal_rho1(scheme) == pytest.approx(base, abs=2e-4)
 
     def test_perimeter_only(self):
         assert minimal_rho1("PERIMETER_ONLY", tol=1e-5) == \
