@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -351,10 +351,10 @@ class PlacementFile:
     @classmethod
     def from_layer(cls, layer: LayerPlacement,
                    provenance: dict | None = None) -> "PlacementFile":
-        return cls(layer.algorithm_id, layer.rho1, layer.probes,
-                   layer.coverage,
-                   provenance or {"kind": "constructed", "seed": None,
-                                  "tool": TOOL_VERSION})
+        pf = cls(layer.algorithm_id, layer.rho1, layer.probes, layer.coverage)
+        if provenance:
+            pf.provenance = provenance
+        return pf
 
     def to_layer(self, certified: bool) -> LayerPlacement:
         return LayerPlacement(self.algorithm_id, self.probes, self.rho1,

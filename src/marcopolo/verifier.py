@@ -67,20 +67,22 @@ def _worst_index(values: Sequence[float]) -> int:
 
 def distance_bound(placement) -> float:
     """Distance coefficient b: travel legs accumulated from the area center
-    through the probe sequence; the omitted last probe's leg is shortened by
-    the 2 * d1 * rho_m round trip (the next layer is rotated so its first
-    probe, at distance d1 * rho_m from the new center, faces the searcher).
+    through the probe sequence, per unit of remaining radius.
 
-    The shortcut is exact when probe m - 1 lies at least d1 * rho_m from
-    probe m's center; ``last_probes_overlap`` flags placements where it
-    does not.
+    A level that ends in the omitted last probe m leaves the searcher at
+    probe m - 1, ``gap`` from probe m's center.  The accumulated legs walk
+    on to that center, and the next level walks d1 * rho_m from it to its
+    first probe; but the next layer is rotated so that probe faces the
+    searcher, who walks only |gap - d1 * rho_m|.  So the level is charged
+    its legs minus 2 * min(gap, d1 * rho_m), the walk the search makes.
     """
     return max(_distance_rates(_probe_list(placement)))
 
 
 def _distance_rates(probes: Sequence[Probe]) -> list[float]:
     """Travel paid per unit of remaining radius when the search ends at
-    probe k = 1..m: the accumulated leg over 1 - rho_k."""
+    probe k = 1..m: the accumulated legs over 1 - rho_k, the last level
+    charged as ``distance_bound`` says."""
     d1 = math.hypot(probes[0].center.x, probes[0].center.y)
     cum = 0.0
     cx = cy = 0.0
@@ -88,27 +90,13 @@ def _distance_rates(probes: Sequence[Probe]) -> list[float]:
     for i, p in enumerate(probes):
         if p.rho >= 1.0:
             raise ValueError("probe of radius 1 gives an unbounded distance")
-        cum += math.hypot(p.center.x - cx, p.center.y - cy)
-        d_k = cum - 2.0 * d1 * p.rho if i == len(probes) - 1 else cum
-        rates.append(d_k / (1.0 - p.rho))
+        leg = math.hypot(p.center.x - cx, p.center.y - cy)
+        cum += leg
+        if i == len(probes) - 1:
+            cum -= 2.0 * min(leg, d1 * p.rho)
+        rates.append(cum / (1.0 - p.rho))
         cx, cy = p.center.x, p.center.y
     return rates
-
-
-def last_probes_overlap(placement) -> bool:
-    """True when the omitted-probe travel shortcut is optimistic.
-
-    A level that ends in the omitted probe m leaves the searcher at probe
-    m - 1, ``gap`` from probe m's center.  The next layer turns its first
-    probe, d1 * rho_m from that center, toward the searcher, who walks
-    |gap - d1 * rho_m|.  ``distance_bound`` charges gap - d1 * rho_m,
-    which is that walk iff gap >= d1 * rho_m.
-    """
-    probes = _probe_list(placement)
-    a, b = probes[-2], probes[-1]
-    gap = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
-    d1 = math.hypot(probes[0].center.x, probes[0].center.y)
-    return gap < d1 * b.rho
 
 
 def response_bound(placement) -> float:

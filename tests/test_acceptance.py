@@ -18,7 +18,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from marcopolo.experiments import ExperimentConfig, monte_carlo
 from marcopolo.geometry import Point2, certify_coverage
@@ -35,7 +34,6 @@ from marcopolo.verifier import (
     lower_bound_constant,
     minimal_rho1,
     probe_coefficient,
-    response_bound,
 )
 
 _ALGS = ("ALG1", "ALG2", "ALG3", "ALG4", "ALG5", "ALG6")

@@ -14,6 +14,7 @@ import pytest
 import marcopolo
 
 from marcopolo.cli import main
+from marcopolo.geometry import Point2, Probe
 from marcopolo.placements import (
     PlacementFile,
     construct_layer,
@@ -36,12 +37,18 @@ class TestVerify:
         assert "ALG3" in out
         assert "4.08" in out
 
-    def test_alg6_has_no_shortcut_warning(self, placements_dir, capsys):
-        # ALG6's last two probes overlap, but its first probe is centred,
-        # so the travel shortcut takes nothing off
-        assert main(["verify", str(placements_dir / "alg6.json")]) == 0
+    def test_omitted_probe_near_the_last(self, tmp_path, capsys):
+        # probe 1 lies 0.1 from the omitted probe's center, inside the
+        # d1 * rho_m = 0.48 that the next layer's first probe sits from it:
+        # the level walks 0.7 - 2 * 0.1 = 0.5 over 1 - 0.8, so b = 2.5
+        path = tmp_path / "two.json"
+        save_placement(PlacementFile("TWO", None, (
+            Probe(Point2(0.6, 0.0), 0.5), Probe(Point2(0.5, 0.0), 0.8))),
+            path)
+        assert main(["verify", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "ALG6" in out
+        assert "certified:       False (disk)" in out
+        assert "distance coeff:  2.5000" in out
         assert "warning" not in out
 
     def test_uncovered_arcs_listed(self, tmp_path, capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marcopolo.geometry import Point2, Probe
 from marcopolo.placements import (
@@ -12,15 +14,16 @@ from marcopolo.placements import (
     ALG4_RHO1,
     ALG5_RHO1,
     ALG6_RHO1,
-    construct_layer,
+    LayerPlacement,
     execution_layer,
     load_placement,
 )
 from marcopolo.verifier import (
     BoundsReport,
+    _distance_rates,
+    _probe_rates,
     bounds_report,
     distance_bound,
-    last_probes_overlap,
     lower_bound_constant,
     minimal_rho1,
     probe_coefficient,
@@ -33,6 +36,12 @@ def _chain(rhos, spacing=0.1):
     """Probes along the x axis with the given radii."""
     return [Probe(Point2(spacing * (i + 1), 0.0), r)
             for i, r in enumerate(rhos)]
+
+
+# probe 1 lies 0.1 from the omitted probe's center, inside the d1 * rho_m
+# = 0.48 that the next layer's first probe sits from it
+_NEAR_LAST = [Probe(Point2(0.6, 0.0), 0.5), Probe(Point2(0.5, 0.0), 0.8)]
+_COINCIDENT = [Probe(Point2(0.3, 0.0), 0.5), Probe(Point2(0.3, 0.0), 0.5)]
 
 
 class TestProbeCoefficient:
@@ -75,6 +84,11 @@ class TestDistanceBound:
         # leg 2 (omitted): 1.5 travel minus the 2*d1*rho_m = 0.5 round
         # trip -> 1.0 / 0.5 = 2.0
         assert distance_bound(probes) == pytest.approx(2.0, abs=1e-12)
+
+    def test_omitted_probe_near_the_last(self):
+        # the level ending in probe 2 walks 0.6 + 0.1 to probe 2's center,
+        # less the 2 * 0.1 it overcounts, over 1 - 0.8
+        assert distance_bound(_NEAR_LAST) == pytest.approx(2.5, abs=1e-12)
 
     def test_execution_tours(self, layers):
         assert distance_bound(execution_layer(layers["ALG1"])) == \
@@ -139,28 +153,52 @@ def _golden_orders(placements_dir):
         yield f"{path.name} executed", execution_layer(layer)
 
 
-class TestLastProbesOverlap:
-    def test_separated_chords(self, layers):
-        assert not last_probes_overlap(layers["ALG3"])
+@st.composite
+def _random_probes(draw):
+    """Two to eight probes centred in the unit disk; the first at its
+    center or at least 1e-3 from it, since the search frame does not turn
+    below ``_EPS``."""
+    rho = st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)
+    angle = st.floats(0.0, 2.0 * math.pi)
+    radii = [0.0 if draw(st.booleans()) else draw(st.floats(1e-3, 1.0))]
+    radii += draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=7))
+    return [Probe(Point2(r * math.cos(t), r * math.sin(t)), draw(rho))
+            for r, t in ((r, draw(angle)) for r in radii)]
 
-    def test_coincident_probes(self):
-        probes = [Probe(Point2(0.3, 0.0), 0.5), Probe(Point2(0.3, 0.0), 0.5)]
-        assert last_probes_overlap(probes)
 
-    def test_no_golden_layer_is_flagged(self, placements_dir):
-        # ALG6's last two probes overlap, but its first probe is centred
+class TestRatesMatchTheSearchFrame:
+    """Per k, the verifier's rates against the search frame of ``_frame``:
+    a search whose every level ends in probe k issues ``hits[k]``'s count
+    per level, and walks leg[m] + cum[j] + rho_k * (leg[k] - leg[m]) per
+    unit of starting radius over 1 - rho_k (its first level starts at the
+    center, leg[m]; every later one where level k leaves it, leg[k])."""
+
+    @staticmethod
+    def _check(layer, name=""):
+        frame = _frame(layer)
+        m = layer.m
+        distance = _distance_rates(layer.probes)
+        probes = _probe_rates(layer.probes)
+        for k, (rho, hit) in enumerate(zip(frame.rho, frame.hits)):
+            walk = (frame.leg[m] + frame.cum[min(k, m - 2)]
+                    + rho * (frame.leg[k] - frame.leg[m]))
+            assert distance[k] == pytest.approx(
+                walk / (1.0 - rho), rel=0.0, abs=1e-12), (name, k)
+            assert probes[k] == hit[4] / -math.log2(rho), (name, k)
+
+    def test_golden_layers(self, placements_dir):
         for name, layer in _golden_orders(placements_dir):
-            assert not last_probes_overlap(layer), name
+            self._check(layer, name)
 
-    def test_frame_walks_the_shortcut(self, placements_dir):
-        # the searcher's walk after an omitted probe, as the search frame
-        # charges it, is |gap - d1 * rho_m|
-        for name, layer in _golden_orders(placements_dir):
-            first, a, b = layer.probes[0], layer.probes[-2], layer.probes[-1]
-            gap = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
-            reach = math.hypot(first.center.x, first.center.y) * b.rho
-            walk = _frame(layer).leg[layer.m - 1] * b.rho
-            assert walk == pytest.approx(abs(gap - reach), abs=1e-12), name
+    @pytest.mark.parametrize("probes", [_NEAR_LAST, _COINCIDENT],
+                             ids=["near-last", "coincident"])
+    def test_last_probe_near_the_omitted_one(self, probes):
+        self._check(LayerPlacement("TEST", tuple(probes), None, False))
+
+    @given(_random_probes())
+    @settings(max_examples=300, deadline=None)
+    def test_random_layers(self, probes):
+        self._check(LayerPlacement("TEST", tuple(probes), None, False))
 
 
 class TestMinimalRho1:
