@@ -339,21 +339,15 @@ def _circle_gaps(circle: np.ndarray, start: np.ndarray, length: np.ndarray,
 def _convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Convex hull of the points (x, y); CCW vertices without repetition.
 
-    Only the lowest and the highest point of each x column can be a
-    vertex, so Andrew's monotone chain walks at most two points per
-    column.
+    Andrew's plain monotone chain over the points in (x, y) order.  A
+    repeated point or one on a hull edge is popped like any other that
+    makes no left turn, so only when every point is the same does the
+    chain need a guard: the hull is then that one point.
     """
-    order = np.argsort(x)
-    x = x[order]
-    first = np.flatnonzero(np.diff(x, prepend=-np.inf))
-    low = np.minimum.reduceat(y[order], first)
-    high = np.maximum.reduceat(y[order], first)
-    ends = np.stack([np.column_stack([x[first], low]),
-                     np.column_stack([x[first], high])], axis=1)
-    pts = ends[np.column_stack([np.ones(first.size, dtype=bool),
-                                high > low])]
-    if pts.shape[0] <= 2:
-        return pts
+    order = np.lexsort((y, x))
+    pts = np.column_stack([x[order], y[order]])
+    if pts.shape[0] <= 1 or (pts[0] == pts[-1]).all():
+        return pts[:1]
 
     def half(seq):
         out = []

@@ -53,9 +53,6 @@ _SCORE_CHUNK = 1 << 16
 # this many in the box they are drawn from
 _FACE_POINTS = 4000
 _BOX_POINTS = 65536
-# columns tested on each side of an estimated end of a circle's run on a
-# grid row; the estimate is within one column of the exact end
-_BAND = 3
 
 
 # differential evolution: population size, mutation factor, crossover
@@ -94,17 +91,16 @@ def _densify_hull(hull: np.ndarray, spacing: float) -> np.ndarray:
     _HULL_CAP points; the output is not capped, since every hull edge
     contributes at least its start point.
     """
-    n = len(hull)
-    perimeter = sum(math.hypot(*(hull[(i + 1) % n] - hull[i]))
-                    for i in range(n))
-    spacing = max(spacing, perimeter / _HULL_CAP)
-    pts = []
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        steps = max(1, int(math.ceil(math.hypot(*(b - a)) / spacing)))
-        for t in range(steps):
-            pts.append(a + (b - a) * (t / steps))
-    return np.array(pts)
+    edge = np.roll(hull, -1, axis=0) - hull
+    length = [math.hypot(dx, dy) for dx, dy in edge.tolist()]
+    spacing = max(spacing, sum(length) / _HULL_CAP)
+    steps = np.maximum(1, np.ceil(np.array(length) / spacing)).astype(np.intp)
+    # edge i from a to b gives a + (b - a) * (t / steps), t < steps
+    start = np.cumsum(steps) - steps
+    t = np.arange(steps.sum()) - np.repeat(start, steps)
+    frac = t / np.repeat(steps, steps)
+    a = np.repeat(hull, steps, axis=0)
+    return a + np.repeat(edge, steps, axis=0) * frac[:, None]
 
 
 def _best_chord_probe(hull: np.ndarray, points: np.ndarray,
@@ -133,8 +129,9 @@ def _best_chord_probe(hull: np.ndarray, points: np.ndarray,
     equal count after it does not displace an earlier candidate.
     """
     pts = _densify_hull(hull, r / 2.0)
-    by_x = np.argsort(points[:, 0], kind="stable")
-    bx, by = points[by_x, 0], points[by_x, 1]
+    # row-major points, as _face_targets gives them, are already in y order
+    by_y = np.argsort(points[:, 1], kind="stable")
+    bx, by = points[by_y, 0], points[by_y, 1]
     # a point the exact test accepts lies within r of the center, up to
     # rounding far below this margin
     reach = r + 1e-9
@@ -167,18 +164,21 @@ def _best_chord_probe(hull: np.ndarray, points: np.ndarray,
         cut = np.flatnonzero((np.diff(tx[order]) != 0)
                              | (np.diff(ty[order]) != 0)) + 1
         # tile t holds the candidates order[first[t]:stop[t]]; its box of
-        # centers, widened by reach, bounds its near points
+        # centers, widened by reach, bounds its near points: those with
+        # x_lo <= x < x_hi and y_lo <= y <= y_hi, taken from the slab of
+        # rows between y_lo and y_hi
         first = np.concatenate([[0], cut])
         stop = np.append(cut, order.size).tolist()
         sx, sy = cx[order], cy[order]
-        x_lo = np.searchsorted(bx, np.minimum.reduceat(sx, first) - reach)
-        x_hi = np.searchsorted(bx, np.maximum.reduceat(sx, first) + reach)
-        y_lo = (np.minimum.reduceat(sy, first) - reach).tolist()
-        y_hi = (np.maximum.reduceat(sy, first) + reach).tolist()
+        x_lo = (np.minimum.reduceat(sx, first) - reach).tolist()
+        x_hi = (np.maximum.reduceat(sx, first) + reach).tolist()
+        y_lo = np.searchsorted(by, np.minimum.reduceat(sy, first) - reach)
+        y_hi = np.searchsorted(by, np.maximum.reduceat(sy, first) + reach,
+                               side="right")
         spans = []
         bound = np.empty(first.size)
-        for t, (lo, hi) in enumerate(zip(x_lo.tolist(), x_hi.tolist())):
-            near = (by[lo:hi] >= y_lo[t]) & (by[lo:hi] <= y_hi[t])
+        for t, (lo, hi) in enumerate(zip(y_lo.tolist(), y_hi.tolist())):
+            near = (bx[lo:hi] >= x_lo[t]) & (bx[lo:hi] < x_hi[t])
             spans.append((lo, hi, near))
             bound[t] = np.count_nonzero(near)
         # skipped candidates score -inf; witness[0] is best_score and
@@ -249,11 +249,18 @@ def _face_targets(face: Face, probes: list[Probe],
     (cx, cy, R) when (x - cx)**2 + (y - cy)**2 <= R**2, evaluated in
     float64 as written; each rounding step is monotone, so the test is
     monotone in |x - cx| and the points a circle holds on one grid row
-    form one run of columns.  sqrt(R**2 - dy**2) gives the ends of each
-    run to within a column, clipped to the grid, and the exact test on
-    the columns up to _BAND away from each end fixes them.  The kept
-    points are the gaps between the removed runs (the probes' runs and
-    the columns outside the unit disk's run), merged over the whole grid.
+    form one run of columns.  The half-width sqrt(R**2 - dy**2) puts each
+    end of a run within one column of the exact end, and ``_run_end``
+    fixes it by the exact test on the estimated column and its two
+    neighbours.  One column of slack suffices: the exact test's bound on
+    |x - cx| exceeds the half-width by at most sqrt(ulp(R**2) / 2), under
+    1.5e-8 for R <= 1 + 1e-9, while the spacing is at least 2r/256, the
+    box being at least 2r wide and tall: 3.1e-8 at the filler's floor
+    r >= 4e-6.  The rest of the column arithmetic rounds by far less,
+    though it can tip an estimate that falls on a column to the next.
+    The kept points are the gaps between the removed runs (the probes'
+    runs and the columns outside the unit disk's run), merged over the
+    whole grid.
     """
     xs, ys = [], []
     for circle, a, b in face.arcs:
@@ -328,12 +335,17 @@ def _face_targets(face: Face, probes: list[Probe],
 
 def _run_end(xs: np.ndarray, cx: np.ndarray, dy2: np.ndarray,
              r2: np.ndarray, guess: np.ndarray, low: bool) -> np.ndarray:
-    """Per run, the first (``low``) or last column within _BAND of
-    ``guess``, clipped to the grid, whose point passes the exact test
-    dx*dx + dy2 <= r2; nx (first) or -1 (last) where none does."""
+    """Per run, the first (``low``) or last of the columns guess - 1,
+    guess and guess + 1, clipped to the grid, whose point passes the
+    exact test dx*dx + dy2 <= r2; nx (first) or -1 (last) where none does.
+
+    The test is monotone in |dx|, so this is the run's exact end within
+    the grid whenever ``guess`` lies within one column of the end on the
+    unclipped grid, which ``_face_targets`` shows its estimate does.
+    """
     nx = xs.size
-    cols = np.clip(guess.astype(np.intp)[:, None]
-                   + np.arange(-_BAND, _BAND + 1), 0, nx - 1)
+    cols = np.clip(guess.astype(np.intp)[:, None] + np.arange(-1, 2),
+                   0, nx - 1)
     dx = xs[cols] - cx[:, None]
     inside = dx * dx + dy2[:, None] <= r2[:, None]
     if low:

@@ -351,6 +351,8 @@ class PlacementFile:
     @classmethod
     def from_layer(cls, layer: LayerPlacement,
                    provenance: dict | None = None) -> "PlacementFile":
+        if provenance is not None and not isinstance(provenance, dict):
+            raise TypeError("provenance is not a dict")
         pf = cls(layer.algorithm_id, layer.rho1, layer.probes, layer.coverage)
         if provenance:
             pf.provenance = provenance
@@ -387,6 +389,8 @@ class PlacementFile:
                 raise ValueError(f"placement file lacks {key!r}")
         if payload["rho1"] is not None and not _is_number(payload["rho1"]):
             raise ValueError("rho1 is neither a number nor null")
+        if not isinstance(payload["provenance"], dict):
+            raise ValueError("provenance is not a JSON object")
         coverage = payload.get("coverage", "disk")
         if coverage not in ("disk", "perimeter"):
             raise ValueError(f"unknown coverage {coverage!r}")

@@ -25,8 +25,7 @@ from marcopolo.placements import (
 @pytest.fixture()
 def alg3_file(tmp_path, layers):
     path = tmp_path / "alg3.json"
-    save_placement(PlacementFile.from_layer(layers["ALG3"], "constructed"),
-                   path)
+    save_placement(PlacementFile.from_layer(layers["ALG3"]), path)
     return path
 
 
@@ -87,9 +86,11 @@ class TestVerify:
                       + doc["probes"][1:]},
          "probe 1 lacks"),
         (lambda doc: {**doc, "coverage": "annulus"}, "unknown coverage"),
+        (lambda doc: {**doc, "provenance": "constructed"},
+         "provenance is not a JSON object"),
     ], ids=["not-object", "no-algorithm-id", "no-rho1", "no-probes",
             "no-provenance", "probe-without-rho", "string-coordinate",
-            "unknown-coverage"])
+            "unknown-coverage", "string-provenance"])
     def test_malformed_file(self, alg3_file, tmp_path, capsys, change,
                             message):
         path = tmp_path / "bad.json"

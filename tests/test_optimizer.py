@@ -38,6 +38,7 @@ from marcopolo.optimizer import (
     _best_chord_probe,
     _densify_hull,
     _face_targets,
+    _run_end,
 )
 from marcopolo.verifier import probe_coefficient
 
@@ -157,6 +158,39 @@ class TestEvolveInitial:
 
 def _hull(points):
     return _convex_hull(points[:, 0], points[:, 1])
+
+
+def _reference_densify(hull, spacing):
+    """The points of ``_densify_hull``, one edge and one point at a time."""
+    n = len(hull)
+    perimeter = sum(math.hypot(*(hull[(i + 1) % n] - hull[i]))
+                    for i in range(n))
+    spacing = max(spacing, perimeter / optimizer._HULL_CAP)
+    pts = []
+    for i in range(n):
+        a, b = hull[i], hull[(i + 1) % n]
+        steps = max(1, int(math.ceil(math.hypot(*(b - a)) / spacing)))
+        for t in range(steps):
+            pts.append(a + (b - a) * (t / steps))
+    return np.array(pts)
+
+
+class TestDensifyHull:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_point_loop(self, seed):
+        # edges longer and shorter than the spacing, and the spacing
+        # widened to perimeter / _HULL_CAP
+        rng = np.random.default_rng(seed)
+        hull = _hull(rng.normal(size=(200, 2)))
+        for spacing in (0.01, 0.2, 5.0):
+            got = _densify_hull(hull, spacing)
+            assert np.array_equal(got, _reference_densify(hull, spacing))
+
+    def test_point_and_segment(self):
+        for hull in (np.array([[0.3, 0.4]]),
+                     np.array([[0.0, 0.0], [0.1, 0.05]])):
+            got = _densify_hull(hull, 0.01)
+            assert np.array_equal(got, _reference_densify(hull, 0.01))
 
 
 def _reference_chord_scores(hull, points, r):
@@ -338,6 +372,20 @@ class TestBestChordProbe:
         assert _reference_chord_probe(hull, points, r) == first
         assert _best_chord_probe(hull, points, r) == first
 
+    def test_point_order_does_not_matter(self):
+        # each fill step of ALG7 scores its points in the row-major order
+        # _face_targets gives; shuffled, they pick the same probe
+        probes = list(alg7_layer().probes)
+        rng = np.random.default_rng(0)
+        for m in range(4, len(probes)):
+            r = ALG7_RHO1 ** (m + 1)
+            face = uncovered_faces(probes[:m])[2][0]
+            hull, points = _face_targets(face, probes[:m], r)
+            shuffled = points[rng.permutation(len(points))]
+            center = (probes[m].center.x, probes[m].center.y)
+            assert _best_chord_probe(hull, points, r) == center
+            assert _best_chord_probe(hull, shuffled, r) == center
+
     def test_no_candidate(self):
         # candidates along the hull of one large square never reach its
         # center, so every count is zero and no center wins
@@ -477,3 +525,105 @@ class TestFaceTargets:
         assert xs.size == 0
         points = _assert_same_targets(face, [], 0.1)
         assert points.shape == (0, 2)
+
+
+def _scan_ends(xs, cx, dy2, r2):
+    """First and last column of one grid row whose point passes the exact
+    test, by a scan of the whole row; nx and -1 when none does."""
+    dx = xs - cx
+    cols = np.flatnonzero(dx * dx + dy2 <= r2)
+    return (int(cols[0]), int(cols[-1])) if cols.size else (xs.size, -1)
+
+
+def _tangent_circle(xs, ys, radius):
+    """A circle of the given radius, centered on the middle grid column,
+    whose lowest point lies on a grid row: dy*dy == R*R exactly there, so
+    that row's run is one column.  Returns (cx, cy, R) and the row.  A
+    power-of-two radius makes cy - y exact on most rows."""
+    cx = float(xs[xs.size // 2])
+    for j in range(ys.size // 2):
+        cy = float(ys[j]) + radius
+        dy = float(ys[j]) - cy
+        if dy * dy == radius * radius:
+            return (cx, cy, radius), j
+    raise AssertionError("no tangent row")
+
+
+class TestRunEnd:
+    """``_run_end`` finds the exact end of a run from any estimate within
+    one column of it, and the half-width estimate of ``_face_targets``
+    is within one column of every end the grid does not clip."""
+
+    def _check(self, xs, ys, h, circles, tangent_radius):
+        """Every run of ``circles`` and of a circle with a tangent row,
+        from the exact end and estimates one column off; returns how many
+        runs start left of the grid, end right of it, or are empty, and
+        how many ends lie inside it."""
+        nx = xs.size
+        (cx, cy, radius), j = _tangent_circle(xs, ys, tangent_radius)
+        dy = float(ys[j]) - cy
+        assert _scan_ends(xs, cx, dy * dy, radius * radius) == \
+            (nx // 2, nx // 2)
+        circles = circles + [(cx, cy, radius)]
+        rows = {True: ([], []), False: ([], [])}
+        seen = {"left": 0, "right": 0, "empty": 0, "interior": 0}
+        for cx, cy, radius in circles:
+            r2 = radius * radius
+            for y in ys.tolist():
+                dy = y - cy
+                dy2 = dy * dy
+                if dy2 > r2:
+                    continue
+                first, last = _scan_ends(xs, cx, dy2, r2)
+                half = math.sqrt(r2 - dy2)
+                estimate = {True: math.ceil((cx - half - xs[0]) / h),
+                            False: math.floor((cx + half - xs[0]) / h)}
+                if first > last:
+                    seen["empty"] += 1
+                seen["left"] += first == 0 and estimate[True] < 0
+                seen["right"] += last == nx - 1 and estimate[False] >= nx
+                for low, end in ((True, first), (False, last)):
+                    # the estimate exactly and one column off either way;
+                    # an empty run has no end, and any estimate finds none
+                    near = end if first <= last else estimate[low]
+                    if 0 < end < nx - 1:
+                        seen["interior"] += 1
+                        assert abs(estimate[low] - end) <= 1
+                    args, want = rows[low]
+                    for guess in (near - 1, near, near + 1):
+                        args.append((cx, dy2, r2, guess))
+                        want.append(end)
+        for low, (args, want) in rows.items():
+            cx, dy2, r2, guess = np.array(args).T
+            got = _run_end(xs, cx, dy2, r2, guess, low)
+            assert np.array_equal(got, want)
+        return seen
+
+    def test_coarse_grid(self):
+        # runs that start left of the grid or end right of it, runs
+        # inside it, small circles between columns and a tangent row
+        h = 0.01
+        xs = np.arange(-0.7 + 0.5 * h, 0.7, h)
+        ys = np.arange(-0.6 + 0.5 * h, 0.6, h)
+        circles = [(0.0, 0.0, 1.0), (-0.65, 0.1, 0.3), (0.6, -0.2, 0.4),
+                   (0.1, 0.2, 0.25), (0.3, 0.305, 0.004),
+                   (-0.2, -0.305, 0.0045)]
+        seen = self._check(xs, ys, h, circles, 2.0 ** -4)
+        assert all(count > 0 for count in seen.values()), seen
+
+    def test_finest_spacing(self):
+        # h = 1e-7, as in the tiniest face the schedule floor allows: the
+        # unit circle and a probe boundary through the box, a tangent row
+        # and circles narrower than a column
+        h = 1e-7
+        a = 0.5
+        x0, y0 = math.cos(a) - 200 * h, math.sin(a) - 200 * h
+        xs = np.arange(x0 + 0.5 * h, x0 + 400 * h, h)
+        ys = np.arange(y0 + 0.5 * h, y0 + 400 * h, h)
+        probe = (0.8 * math.cos(a), 0.8 * math.sin(a), 0.2 - 2e-6 + _TOL)
+        small = [(float(xs[k]) + 0.5 * h, float(ys[60]), 0.45 * h)
+                 for k in (50, 150)]
+        seen = self._check(xs, ys, h, [(0.0, 0.0, 1.0), probe] + small,
+                           2.0 ** -18)
+        assert seen["left"] > 0 and seen["empty"] > 0
+        assert seen["interior"] > 0

@@ -233,8 +233,7 @@ class TestHexfam:
 class TestPlacementFiles:
     def test_round_trip(self, tmp_path, layers):
         path = tmp_path / "alg3.json"
-        save_placement(PlacementFile.from_layer(layers["ALG3"], "constructed"),
-                       path)
+        save_placement(PlacementFile.from_layer(layers["ALG3"]), path)
         loaded = load_placement(path)
         assert loaded.algorithm_id == "ALG3"
         assert loaded.certified
@@ -245,7 +244,7 @@ class TestPlacementFiles:
         import json
 
         path = tmp_path / "bad.json"
-        pf = PlacementFile.from_layer(layers["ALG3"], "constructed")
+        pf = PlacementFile.from_layer(layers["ALG3"])
         doc = json.loads(pf.to_json())
         doc["probes"][0]["x"] += 0.4  # shift a probe, opening a gap
         path.write_text(json.dumps(doc))
@@ -255,15 +254,30 @@ class TestPlacementFiles:
     def test_uncertified_requires_flag(self, tmp_path):
         layer = construct_layer("ALG3", rho1=0.8)  # does not cover
         path = tmp_path / "uncov.json"
-        save_placement(PlacementFile.from_layer(layer, "constructed"), path)
+        save_placement(PlacementFile.from_layer(layer), path)
         with pytest.raises(CertificationError):
             load_placement(path)
         loose = load_placement(path, allow_uncertified=True)
         assert not loose.certified
 
+    def test_provenance_must_be_an_object(self, tmp_path, layers):
+        import json
+
+        # every program path writes a {kind, seed, tool} dict
+        pf = PlacementFile.from_layer(layers["ALG3"])
+        assert set(pf.provenance) == {"kind", "seed", "tool"}
+        doc = json.loads(pf.to_json())
+        doc["provenance"] = "constructed"
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="provenance"):
+            load_placement(path)
+        with pytest.raises(TypeError, match="provenance"):
+            PlacementFile.from_layer(layers["ALG3"], "constructed")
+
     def test_schema_version_checked(self, tmp_path, layers):
         path = tmp_path / "old.json"
-        pf = PlacementFile.from_layer(layers["ALG1"], "constructed")
+        pf = PlacementFile.from_layer(layers["ALG1"])
         path.write_text(pf.to_json().replace('"schema_version": 1',
                                              '"schema_version": 99'))
         with pytest.raises(ValueError):
