@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import experiments, optimizer, placements, simulator, verifier
@@ -145,7 +146,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout early shows here, not at shutdown
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader wanted no more output, which is no failure; stdout
+        # goes to devnull so the interpreter's last flush does not fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,7 +46,10 @@ _TOL_FLOOR = 2.0 ** -40
 # relative margin under a probe's radius within which run_single's escape
 # check cannot fire (see _run_single)
 _SURE = 2.0 ** -45
-_BATCH_CHUNK = 8192  # POIs per slice of run_batch
+# run_batch's slices hold about this many POIs: t POIs go in k = max(1,
+# round(t / _BATCH_CHUNK)) slices of ceil(t / k) rows, as each level of a
+# slice's descent pays a fixed NumPy cost however few rows it holds
+_BATCH_CHUNK = 8192
 # run_batch's first-hit table: _GRID cells per side over [-1, 1]^2; a cell
 # is decided only with this margin on every disk test, far above float64
 # rounding and above every descent tolerance (_EPS / s < _EPS)
@@ -405,7 +408,11 @@ def run_batch(placement: LayerPlacement, n: float,
 
     Equivalent to ``run_single`` per row of ``poi_xy`` (shape (t, 2));
     returns arrays P (probes), D (distance), R (responses), success, lost.
-    POIs are searched in slices of ``_BATCH_CHUNK`` rows.
+    The t POIs are searched in k = max(1, round(t / _BATCH_CHUNK)) slices
+    of ceil(t / k) rows, the last one shorter by less than k: each level
+    of a slice's descent pays a fixed NumPy cost however few rows it
+    holds, so a short last slice would cost a whole descent for a few
+    trials.  Trials are independent, so the slicing changes no output.
     """
     _check_radius(n)
     batch = _batch(_frame(placement))
@@ -413,9 +420,11 @@ def run_batch(placement: LayerPlacement, n: float,
     out = {"P": np.zeros(t, dtype=np.int64), "D": np.zeros(t),
            "R": np.zeros(t, dtype=np.int64),
            "success": np.zeros(t, dtype=bool), "lost": np.zeros(t, dtype=bool)}
-    for lo in range(0, t, _BATCH_CHUNK):
-        chunk = poi_xy[lo:lo + _BATCH_CHUNK]
-        part = {k: v[lo:lo + _BATCH_CHUNK] for k, v in out.items()}
+    slices = max(1, round(t / _BATCH_CHUNK))
+    rows = max(1, -(-t // slices))  # 0 POIs still step
+    for lo in range(0, t, rows):
+        chunk = poi_xy[lo:lo + rows]
+        part = {k: v[lo:lo + rows] for k, v in out.items()}
         _descend(batch, float(n), chunk[:, 0] + 1j * chunk[:, 1], part)
     return out
 
@@ -487,7 +496,10 @@ def _cells(q: np.ndarray) -> np.ndarray:
     """The ``_hit_table`` entry of each frame point ``q``; points outside
     [-1, 1]^2 land in the border ring."""
     w = q.view(float) * (_GRID / 2) + (_GRID / 2 + 1)
-    return np.clip(w, 0, _GRID + 1, out=w).astype(np.uint8).view("<u2")
+    # np.clip(w, 0, _GRID + 1), without the wrapper's cost per call
+    np.maximum(w, 0, out=w)
+    np.minimum(w, _GRID + 1, out=w)
+    return w.astype(np.uint8).view("<u2")
 
 
 def _abs(d: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -499,8 +511,8 @@ def _abs(d: np.ndarray, bound: np.ndarray) -> np.ndarray:
     ``bound``, relative, are taken again from ``np.hypot``.
     """
     a = np.abs(d)
-    near = np.abs(a - bound) <= a * 2.0 ** -49
-    if near.any():
+    near = (np.abs(a - bound) <= a * 2.0 ** -49).nonzero()
+    if near[0].size:
         a[near] = np.hypot(d.real[near], d.imag[near])
     return a
 
@@ -517,8 +529,9 @@ def _into(batch: _Batch, q: np.ndarray, s: np.ndarray,
           k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each frame point ``q`` and area radius ``s`` in probe k's disk:
     ``(q - z[k]) / rho[k]``, rounded as NumPy divides, and ``s * rho[k]``."""
-    return ((q - batch.z.take(k)) * batch.inv_rho.take(k),
-            s * batch.rho.take(k))
+    q_k = q - batch.z.take(k)
+    q_k *= batch.inv_rho.take(k)
+    return q_k, s * batch.rho.take(k)
 
 
 def _descend(batch: _Batch, n: float, poi: np.ndarray,
@@ -553,8 +566,8 @@ def _descend(batch: _Batch, n: float, poi: np.ndarray,
 
     while True:
         done = s <= 1.0
-        if done.any():
-            f = np.flatnonzero(done)
+        f = done.nonzero()[0]
+        if f.size:
             i = idx.take(f)
             pr, s_f, q_f = PR.take(f), s.take(f), q.take(f)
             out["P"][i] = pr & 0xFFFFFFFF
@@ -563,7 +576,7 @@ def _descend(batch: _Batch, n: float, poi: np.ndarray,
             out["D"][i] = D.take(f) + s_f * batch.mag.take(at.take(f))
             out["success"][i] = (s_f * np.hypot(q_f.real, q_f.imag)
                                  <= 1.0 + _EPS)
-            keep = np.flatnonzero(~done)
+            keep = (~done).nonzero()[0]
             idx, q, at, o, s, PR, D = (
                 v.take(keep) for v in (idx, q, at, o, s, PR, D))
         if idx.size == 0:
@@ -576,14 +589,14 @@ def _descend(batch: _Batch, n: float, poi: np.ndarray,
                 centred = batch.mag.take(at) < _EPS / s
             else:
                 centred = batch.centred.take(at)
-            r = np.flatnonzero(~centred | (o != 1.0))
+            r = (~centred | (o != 1.0)).nonzero()[0]
             if r.size:
-                c, o_r = centred[r], o[r]
-                turn = np.where(c, o_r, batch.turn[at[r]])
+                c, o_r = centred.take(r), o.take(r)
+                turn = np.where(c, o_r, batch.turn.take(at.take(r)))
                 o[r] = np.where(c, 1.0 + 0j, _cmul(o_r, np.conj(turn)))
-                q[r] = _cmul(q[r], turn)
+                q[r] = _cmul(q.take(r), turn)
         hit = batch.table.take(_cells(q))
-        u = np.flatnonzero(hit < 0)
+        u = (hit < 0).nonzero()[0]
         if u.size:
             hit[u] = _first_hit(batch, q.take(u), s.take(u))
         q_next, s_next = _into(batch, q, s, hit)
@@ -597,19 +610,24 @@ def _descend(batch: _Batch, n: float, poi: np.ndarray,
                 e, k = e[k >= 0], k[k >= 0]
                 hit[e] = k
                 q_next[e], s_next[e] = _into(batch, q[e], s[e], k)
-        D += s * (batch.leg.take(at) + batch.cum.take(hit))
+        # s * (leg + cum), bit for bit: IEEE products commute
+        walk = batch.leg.take(at)
+        walk += batch.cum.take(hit)
+        walk *= s
+        D += walk
         PR += batch.counts.take(hit)
         at, q, s = hit, q_next, s_next
         # drop the second names, which would hold the unfiltered arrays
         # through the next level's filtering of finished trials
-        del q_next, s_next
+        del q_next, s_next, walk
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` rounded as Python's complex product rounds it.  NumPy's
-    own complex product may fuse a multiply into the add; written out, the
-    frame turns of ``_descend`` and ``_run_single`` round alike."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    """``a * b``, of equal shapes, rounded as Python's complex product
+    rounds it.  NumPy's own complex product may fuse a multiply into the
+    add; written out, the frame turns of ``_descend`` and ``_run_single``
+    round alike."""
+    out = np.empty(a.shape, dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out

@@ -244,3 +244,22 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [["verify", "alg1.json"], ["lowerbound"]])
+def test_reader_closing_stdout_early(placements_dir, argv):
+    # a reader that stops reading, as `| grep -q` may, is no failure: the
+    # command exits 0 and writes nothing on stderr
+    src = str(Path(marcopolo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [str(placements_dir / a) if a.endswith(".json") else a
+            for a in argv]
+    read, write = os.pipe()
+    os.close(read)  # closed before the child writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "marcopolo.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -745,15 +745,14 @@ class TestRunBatch:
         # slice boundary, and the origin plus points on probe circles
         # (the searcher then restarts from an area's center) are included
         n = 2.0 ** 20
-        t = 2 * _BATCH_CHUNK + 1500
-        rng = np.random.default_rng(11)
-        angle = rng.uniform(0.0, 2.0 * math.pi, t)
-        dist = rng.uniform(0.0, n, t)
-        poi = np.stack([dist * np.cos(angle), dist * np.sin(angle)], axis=1)
+        t = 3 * _BATCH_CHUNK + 424
+        rows = _slice_rows(t)
+        assert rows < t / 2
+        poi = _random_poi(t, n, 11)
         poi[0] = 0.0
-        poi[_BATCH_CHUNK - 1] = (0.5 * n, 0.0)
-        poi[_BATCH_CHUNK] = (0.0, -0.25 * n)
-        poi[2 * _BATCH_CHUNK] = (-n, 0.0)
+        poi[rows - 1] = (0.5 * n, 0.0)
+        poi[rows] = (0.0, -0.25 * n)
+        poi[2 * rows] = (-n, 0.0)
         for aid in ("ALG1", "ALG2", "ALG3", "ALG4", "ALG5", "ALG6"):
             placement = execution_layer(layers[aid])
             got = run_batch(placement, n, poi)
@@ -761,6 +760,43 @@ class TestRunBatch:
             for key in ("P", "R", "success", "lost"):
                 assert np.array_equal(got[key], want[key]), (aid, key)
             assert got["D"] == pytest.approx(want["D"], rel=1e-12)
+
+    @pytest.mark.parametrize("t, sizes", [
+        (25_000, [8334, 8334, 8332]),
+        (100_000, [8334] * 11 + [8326]),
+        (1, [1]),
+        (8193, [8193]),
+    ])
+    def test_equal_slices(self, layers, monkeypatch, t, sizes):
+        # no slice is left short: each level of a slice's descent pays a
+        # fixed cost however few rows the slice holds
+        seen = []
+        descend = simulator._descend
+
+        def record(batch, n, poi, out):
+            seen.append(poi.size)
+            descend(batch, n, poi, out)
+
+        monkeypatch.setattr(simulator, "_descend", record)
+        n = 2.0 ** 10
+        run_batch(execution_layer(layers["ALG1"]), n, _random_poi(t, n, t))
+        assert seen == sizes
+        assert max(seen) == _slice_rows(t)
+
+    def test_slicing_changes_no_output(self, layers, monkeypatch):
+        # trials are independent: two slices of 10000 rows give what one
+        # slice of all 20000 gives, bit for bit
+        n = 2.0 ** 20
+        t = 20_000
+        poi = _random_poi(t, n, 12)
+        for aid in ("ALG1", "ALG3", "ALG5"):
+            placement = execution_layer(layers[aid])
+            sliced = run_batch(placement, n, poi)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "_BATCH_CHUNK", t + 1)
+                whole = run_batch(placement, n, poi)
+            for key in ("P", "D", "R", "success", "lost"):
+                assert np.array_equal(sliced[key], whole[key]), (aid, key)
 
     @pytest.mark.parametrize("log2_n", [20, 30, 40, 48, 52])
     def test_junction_poi(self, placements_dir, log2_n):
@@ -913,6 +949,28 @@ class TestFirstHitTable:
         j, i = np.divmod(_cells(q), _ROW)
         assert ((i == 0) | (i == side - 1) | (j == 0) | (j == side - 1)).all()
 
+    def test_cells_match_clip(self):
+        # _cells clamps with np.maximum and np.minimum: the entries of
+        # np.clip, on frame points, cell edges, +-1, just outside +-1,
+        # +-inf and 2^60, in either coordinate
+        h = 2.0 / _GRID
+        special = np.concatenate([
+            -1.0 + np.arange(_GRID + 1) * h,
+            [-1.0, 1.0], np.nextafter([-1.0, 1.0], [-2.0, 2.0]),
+            [math.inf, -math.inf, 2.0 ** 60, -2.0 ** 60]])
+        rng = np.random.default_rng(5)
+        x, y = rng.uniform(-1.0, 1.0, (2, 5000))
+        # built from the parts, as 1j * inf would put nan in the real part
+        re = np.concatenate([np.repeat(special, special.size), x, x,
+                             rng.choice(special, y.size)])
+        im = np.concatenate([np.tile(special, special.size), y,
+                             rng.choice(special, x.size), y])
+        q = np.column_stack([re, im]).view(complex).ravel()
+        assert not np.isnan(q.view(float)).any()
+        clip = np.clip(q.view(float) * (_GRID / 2) + (_GRID / 2 + 1), 0,
+                       _GRID + 1)
+        assert np.array_equal(_cells(q), clip.astype(np.uint8).view("<u2"))
+
     def test_corner_within_tolerance_stays_undecided(self):
         # disk 0 misses the cell's corner nearest to it by _EPS / 2: the
         # exact test answers 0 at tolerance _EPS and 1 at tolerance 0
@@ -957,6 +1015,19 @@ def _circle_points(placement, n):
             if math.hypot(x, y) <= n:
                 pts.append((x, y))
     return np.array(pts)
+
+
+def _slice_rows(t):
+    """The rows of ``run_batch``'s longest slice of t POIs."""
+    return -(-t // max(1, round(t / _BATCH_CHUNK)))
+
+
+def _random_poi(t, n, seed):
+    """t POIs uniform in angle and in distance from the center, within n."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * math.pi, t)
+    dist = rng.uniform(0.0, n, t)
+    return np.stack([dist * np.cos(angle), dist * np.sin(angle)], axis=1)
 
 
 def _absolute_run_batch(placement, n, poi_xy):
