@@ -29,7 +29,7 @@ __all__ = [
 
 _KNOWN = tuple(f"ALG{i}" for i in range(1, 9))
 _METRICS = ("P", "D", "R")
-_TOL = 1e-9
+_SUMMARY_SLACK = 1e-9  # rounding allowed in a row's ordering and bound
 _HIST_BINS = 64
 _POI_BLOCK = 4096  # trials per spawned random stream
 
@@ -84,9 +84,10 @@ class StatsRow:
     def __post_init__(self) -> None:
         if self.metric not in _METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        if not (self.min <= self.avg + _TOL and self.avg <= self.max + _TOL):
+        if not (self.min <= self.avg + _SUMMARY_SLACK
+                and self.avg <= self.max + _SUMMARY_SLACK):
             raise ValueError("summary ordering violated: min <= avg <= max")
-        if self.max > self.bound + self.slack + _TOL:
+        if self.max > self.bound + self.slack + _SUMMARY_SLACK:
             raise ValueError(
                 f"{self.algorithm} {self.metric}: observed max {self.max} "
                 f"exceeds bound {self.bound} + slack {self.slack}")

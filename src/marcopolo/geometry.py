@@ -31,9 +31,14 @@ __all__ = [
 # distance sqrt(3)*side), counterclockwise starting at 30 degrees.
 _RING_ANGLES = [math.radians(30 + 60 * i) for i in range(6)]
 
-# boundary tolerance of the coverage certifier: probe disks count as
-# dilated by this much, so that probes meeting tangentially still certify
-_TOL = 1e-9
+# the coverage tolerance, the one slack by which "covered" is decided: the
+# certifier counts every probe disk as dilated by this much, so that probes
+# meeting tangentially still certify, and a search's rescue
+# (simulator._rescue) grants it as its least slack.  A certified layer thus
+# covers the unit disk to within _TOL, so no search on it can escape its
+# area.  2**-40 lies far above the rounding of frame coordinates and of the
+# stored probes.
+_TOL = 2.0 ** -40
 _TWO_PI = 2.0 * math.pi
 
 
@@ -74,7 +79,7 @@ class CoverageReport:
     # (circle, start, end) per uncovered arc, counterclockwise angles in
     # radians about the circle's center with 0 <= start < 2*pi and
     # start < end; circle -1 is the unit circle and k the circle of probe
-    # k dilated by the 1e-9 tolerance
+    # k dilated by _TOL
     uncovered_arcs: list
 
     @property
@@ -148,16 +153,19 @@ def _probe_arrays(probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def certify_coverage(placement, min_cell: float = 1e-4) -> CoverageReport:
     """Whether the probes cover the closed unit disk, and where they do not.
 
-    The decision is exact up to the fixed 1e-9 tolerance: it certifies iff
-    the probe disks, each dilated by 1e-9, cover the closed unit disk.  By
-    the criterion of Huang and Tseng (WSNA 2003), closed disks cover a
-    convex region iff they cover its boundary and, for each disk, the
-    other disks cover the arc of its circle that lies inside the region;
-    ``_uncovered_arcs`` tests exactly that, so closed probe disks that
-    meet tangentially, as in the hexagonal lattices, still certify.
-    Identical probes do not count as covering each other's circles.  The
-    report lists the uncovered arcs; ``uncovered_faces`` measures the gaps
-    they bound.  ``min_cell`` is accepted for older callers and ignored.
+    The decision is exact up to the coverage tolerance ``_TOL``: it
+    certifies iff the probe disks, each dilated by ``_TOL``, cover the
+    closed unit disk.  A certified layer thus covers the disk to within
+    ``_TOL``, the least slack of a search's rescue, so no search on it can
+    escape its area.  By the criterion of Huang and Tseng (WSNA 2003),
+    closed disks cover a convex region iff they cover its boundary and,
+    for each disk, the other disks cover the arc of its circle that lies
+    inside the region; ``_uncovered_arcs`` tests exactly that, so closed
+    probe disks that meet tangentially, as in the hexagonal lattices,
+    still certify.  Identical probes do not count as covering each other's
+    circles.  The report lists the uncovered arcs; ``uncovered_faces``
+    measures the gaps they bound.  ``min_cell`` is accepted for older
+    callers and ignored.
 
     ``placement`` is either a sequence of probes or an object with a
     ``probes`` attribute.
@@ -238,9 +246,9 @@ def _probe_list(placement):
 def _uncovered_arcs(px: np.ndarray, py: np.ndarray,
                     pr: np.ndarray) -> list[tuple[int, float, float]]:
     """Arcs that break the Huang-Tseng coverage criterion for the probe
-    disks dilated by the 1e-9 tolerance, as (circle, start, end) in the
-    convention of ``CoverageReport.uncovered_arcs``; empty iff they cover
-    the closed unit disk.
+    disks dilated by ``_TOL``, as (circle, start, end) in the convention
+    of ``CoverageReport.uncovered_arcs``; empty iff they cover the closed
+    unit disk.
 
     All m + 1 circles go through one pass: row 0 is the unit circle, which
     the probe disks must cover, and row k + 1 the dilated circle of probe

@@ -240,10 +240,10 @@ def _face_targets(face: Face, probes: list[Probe],
 
     The hull is that of points r/4 apart along the face's arcs.  The
     scoring points are the points of a square grid that lie in the unit
-    disk and in no probe disk dilated by the 1e-9 tolerance, within the
-    hull's box widened by 2r, the reach of any candidate disk.  The grid
-    spacing gives the face about _FACE_POINTS points and the box at most
-    _BOX_POINTS.  The points come in row-major order.
+    disk and in no probe disk dilated by the coverage tolerance ``_TOL``,
+    within the hull's box widened by 2r, the reach of any candidate disk.
+    The grid spacing gives the face about _FACE_POINTS points and the box
+    at most _BOX_POINTS.  The points come in row-major order.
 
     The grid is never built whole.  A point (x, y) lies in the circle
     (cx, cy, R) when (x - cx)**2 + (y - cy)**2 <= R**2, evaluated in
@@ -254,7 +254,7 @@ def _face_targets(face: Face, probes: list[Probe],
     fixes it by the exact test on the estimated column and its two
     neighbours.  One column of slack suffices: the exact test's bound on
     |x - cx| exceeds the half-width by at most sqrt(ulp(R**2) / 2), under
-    1.5e-8 for R <= 1 + 1e-9, while the spacing is at least 2r/256, the
+    1.5e-8 for R <= 1 + _TOL, while the spacing is at least 2r/256, the
     box being at least 2r wide and tall: 3.1e-8 at the filler's floor
     r >= 4e-6.  The rest of the column arithmetic rounds by far less,
     though it can tip an estimate that falls on a column to the next.

@@ -106,9 +106,12 @@ class LayerPlacement:
 # ---------------------------------------------------------------------------
 
 def perimeter_covered(probes: Sequence[Probe]) -> bool:
-    """Exact test that the union of probes, each dilated by the 1e-9
-    tolerance, covers the unit circle boundary: the coverage certifier
-    finds no uncovered arc on the unit circle (circle -1)."""
+    """Exact test that the union of probes, each dilated by the coverage
+    tolerance ``geometry._TOL``, covers the unit circle boundary: the
+    coverage certifier finds no uncovered arc on the unit circle (circle
+    -1).  A perimeter-covering layer thus covers the circle to within
+    ``_TOL``; its interior may keep gaps, where a search loses its POI
+    (``SearchTrace.containment_lost``) rather than failing."""
     return all(circle >= 0 for circle, _, _
                in certify_coverage(probes).uncovered_arcs)
 

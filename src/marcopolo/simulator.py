@@ -17,7 +17,8 @@ trial for trial.
 A level's disk tests allow the absolute tolerance ``_EPS``.  In an area
 larger than about 1e7 that is below the rounding of frame coordinates, and
 a POI on a probe junction can test outside every probe; such a level is
-decided again with a slack floored at ``_TOL_FLOOR`` (``_rescue``).
+decided again with a slack floored at the coverage tolerance that certifies
+the layer, ``geometry._TOL`` (``_rescue``).
 Each kernel skips that escape check where it cannot fire.  ``run_batch``
 skips it for a POI in a decided cell of its first-hit table.
 ``run_single`` skips it where the POI lies no farther than ``rho * (1 -
@@ -36,13 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Point2
+from .geometry import Point2, _TOL
 from .placements import LayerPlacement
 
 _EPS = 1e-9
-# least slack of _rescue in frame units, far above the rounding of frame
-# coordinates and of the stored probes
-_TOL_FLOOR = 2.0 ** -40
 # relative margin under a probe's radius within which run_single's escape
 # check cannot fire (see _run_single)
 _SURE = 2.0 ** -45
@@ -182,14 +180,16 @@ def _rescue(z: Sequence[complex], rho: Sequence[float],
     outside its area, the first probe, the omitted one included, that holds
     it within a slack, or -1 where none does.
 
-    The slack is ``q``'s distance outside the unit disk plus
-    ``_TOL_FLOOR``.  The probes cover the disk, so the probe that holds the
-    disk's point nearest ``q`` holds ``q`` within that distance; the floor
-    takes up rounding.  The next level sees the POI at most the slack over
-    ``rho`` outside its area and, should its tests miss again, grants that
-    much.  Both kernels call this one function, so they agree.
+    The slack is ``q``'s distance outside the unit disk plus the
+    coverage tolerance ``_TOL``.  A certified layer covers the disk to
+    within ``_TOL`` (see ``geometry.certify_coverage``), so the probe that
+    holds the disk's point nearest ``q`` within ``_TOL`` holds ``q``
+    within the slack: no search on a certified layer escapes.  The next
+    level sees the POI at most the slack over ``rho`` outside its area
+    and, should its tests miss again, grants that much.  Both kernels call
+    this one function, so they agree.
     """
-    slack = np.maximum(np.abs(q) - 1.0, 0.0) + _TOL_FLOOR
+    slack = np.maximum(np.abs(q) - 1.0, 0.0) + _TOL
     inside = np.abs(q[:, None] - np.asarray(z)) <= (np.asarray(rho)
                                                      + slack[:, None])
     return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)

@@ -20,7 +20,7 @@ from marcopolo.geometry import (
     hex_lattice,
     uncovered_faces,
 )
-from marcopolo.geometry import _circle_gaps, _convex_hull
+from marcopolo.geometry import _TOL, _circle_gaps, _convex_hull
 from marcopolo.placements import (
     PlacementFile,
     construct_layer,
@@ -164,7 +164,7 @@ class TestCertifyCoverage:
             for p in placement.probes:
                 covered |= (np.hypot(pts[:, 0] - p.center.x,
                                      pts[:, 1] - p.center.y)
-                            <= p.rho + 1e-9)
+                            <= p.rho + _TOL)
             assert covered.all(), f"{aid} left uncovered samples"
 
 
@@ -313,7 +313,7 @@ def _arc_point(probes, circle: int, angle: float) -> np.ndarray:
     if circle < 0:
         return np.array([math.cos(angle), math.sin(angle)])
     p = probes[circle]
-    r = p.rho + 1e-9
+    r = p.rho + _TOL
     return np.array([p.center.x + r * math.cos(angle),
                      p.center.y + r * math.sin(angle)])
 
@@ -331,7 +331,7 @@ def _check_faces(probes) -> bool:
     r = np.sqrt(rng.uniform(0.0, 1.0, n))
     a = rng.uniform(0.0, 2.0 * math.pi, n)
     pts = np.column_stack([r * np.cos(a), r * np.sin(a)])
-    sampled = math.pi * float(np.mean(~_covered(probes, pts, 1e-9)))
+    sampled = math.pi * float(np.mean(~_covered(probes, pts, _TOL)))
     share = min(max(area / math.pi, 0.0), 1.0)
     error = math.pi * math.sqrt(share * (1.0 - share) / n)
     assert abs(area - sampled) <= 6.0 * error + 2.0 * math.pi / n
@@ -362,7 +362,7 @@ class TestArcCertifierOracle:
             a = rng.uniform(0.0, 2.0 * math.pi, 24_000)
             pts = np.column_stack([np.append(r, np.ones(4000)) * np.cos(a),
                                    np.append(r, np.ones(4000)) * np.sin(a)])
-            assert _covered(probes, pts, 1e-9).all()
+            assert _covered(probes, pts, _TOL).all()
         # each uncovered arc's midpoint gives a point of the disk that no
         # probe covers: just inside the unit circle, or on the dilated
         # circle, just outside the probe circle
@@ -370,12 +370,12 @@ class TestArcCertifierOracle:
             assert 0.0 <= start < 2.0 * math.pi and start < end
             mid = 0.5 * (start + end)
             if circle < 0:
-                x, y = (1.0 - 5e-10) * math.cos(mid), \
-                    (1.0 - 5e-10) * math.sin(mid)
+                x, y = (1.0 - _TOL / 2.0) * math.cos(mid), \
+                    (1.0 - _TOL / 2.0) * math.sin(mid)
             else:
                 p = probes[circle]
-                x = p.center.x + (p.rho + 1e-9) * math.cos(mid)
-                y = p.center.y + (p.rho + 1e-9) * math.sin(mid)
+                x = p.center.x + (p.rho + _TOL) * math.cos(mid)
+                y = p.center.y + (p.rho + _TOL) * math.sin(mid)
             assert math.hypot(x, y) <= 1.0 + 1e-15
             assert not _covered(probes, np.array([[x, y]]), 0.0).any()
 
@@ -435,7 +435,7 @@ class TestUncoveredFaces:
         assert not covered
         assert len(faces) == 1
         assert faces[0].area == pytest.approx(alone[1], rel=0.0, abs=1e-12)
-        hole = math.pi * (0.2 + 1e-9) ** 2
+        hole = math.pi * (0.2 + _TOL) ** 2
         assert area == pytest.approx(alone[1] - hole, rel=0.0, abs=1e-12)
         assert (1, 0.0, 2.0 * math.pi) not in faces[0].arcs
 
@@ -453,7 +453,7 @@ class TestUncoveredFaces:
         covered, area, faces = uncovered_faces([Probe(Point2(0.0, 0.0),
                                                       0.6)])
         assert not covered
-        assert area == pytest.approx(math.pi * (1.0 - (0.6 + 1e-9) ** 2),
+        assert area == pytest.approx(math.pi * (1.0 - (0.6 + _TOL) ** 2),
                                      rel=0.0, abs=1e-12)
         assert len(faces) == 1
         assert faces[0].arcs == [(-1, 0.0, 2.0 * math.pi)]
@@ -462,7 +462,7 @@ class TestUncoveredFaces:
 
 def _reference_area_bounds(probes, min_cell: float) -> tuple[float, float]:
     """Lower and upper bounds on the area of the unit disk that the probe
-    disks, dilated by 1e-9, leave uncovered, from a quadtree that tests
+    disks, dilated by _TOL, leave uncovered, from a quadtree that tests
     its cells one probe at a time down to side ``min_cell``.
 
     A cell inside the disk that meets no probe counts in both bounds; a
@@ -470,7 +470,7 @@ def _reference_area_bounds(probes, min_cell: float) -> tuple[float, float]:
     the upper one."""
     px = np.array([p.center.x for p in probes])
     py = np.array([p.center.y for p in probes])
-    pr = np.array([p.rho for p in probes]) + 1e-9
+    pr = np.array([p.rho for p in probes]) + _TOL
     cx, cy, half = np.array([0.0]), np.array([0.0]), 1.0
     lower = upper = 0.0
     while cx.size:

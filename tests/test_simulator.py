@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from marcopolo.geometry import Point2, Probe
+from marcopolo import geometry
+from marcopolo.geometry import _TOL, Point2, Probe, uncovered_faces
+from marcopolo.optimizer import OptimizerConfig, alg7_layer, evolve_initial
 from marcopolo.placements import (
     LayerPlacement,
     execution_layer,
@@ -24,7 +26,6 @@ from marcopolo.simulator import (
     _GRID,
     _MARGIN,
     _ROW,
-    _TOL_FLOOR,
     FindAllResult,
     SearchTrace,
     World,
@@ -236,10 +237,67 @@ class TestRescue:
             1.001 + 0j,  # 1e-3 outside the disk and the second probe
             1.001 + 0.3j,  # 0.045 outside the disk, 0.084 outside the second
             0.25 + 0.1j,  # inside the first
-            -0.5 - _TOL_FLOOR / 2,  # in the disk, just outside the first
-            -0.5 - 2.0 * _TOL_FLOOR,  # in the disk, beyond the floor
+            -0.5 - _TOL / 2,  # in the disk, just outside the first
+            -0.5 - 2.0 * _TOL,  # in the disk, beyond the floor
         ])
         assert _rescue(z, rho, q).tolist() == [1, -1, 0, 0, -1]
+
+
+def _exact_face_points(probes, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
+    """One point of each face that the undilated probe disks leave
+    uncovered, the mean of the midpoints of the face's arcs, and its
+    distance outside the nearest undilated probe disk."""
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_TOL", 0.0)
+        faces = uncovered_faces(probes)[2]
+    z = np.array([complex(p.center.x, p.center.y) for p in probes])
+    rho = np.array([p.rho for p in probes])
+    # circle -1, the unit circle, is the last entry
+    zc, rc = np.append(z, 0j), np.append(rho, 1.0)
+    points = np.array([np.mean([zc[c] + rc[c] * np.exp(0.5j * (a + b))
+                                for c, a, b in face.arcs])
+                       for face in faces], dtype=complex)
+    return points, (np.abs(points[:, None] - z) - rho).min(axis=1)
+
+
+class TestCertifiedMeansSearchable:
+    """A certified layer covers the disk to within the coverage tolerance,
+    which is also the least slack of the search's rescue: a POI in a gap
+    that the exact probe disks leave, as the optimizer's chord probes do,
+    is found by both kernels at any resolvable n."""
+
+    @staticmethod
+    def _search_face_points(layer, points):
+        for n in (2.0 ** 20, 2.0 ** 40, 2.0 ** 52):
+            poi = np.stack([n * points.real, n * points.imag], axis=1)
+            out = run_batch(layer, n, poi)
+            assert out["success"].all() and not out["lost"].any(), n
+            for x, y in poi:
+                trace = run_single(layer, World(n, [Point2(x, y)]))
+                assert trace.success and not trace.containment_lost, (n, x, y)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_optimized_layers(self, seed, monkeypatch):
+        # alg7_layer(), or one generation of evolve_initial at the seed
+        layer = alg7_layer() if seed is None else evolve_initial(
+            OptimizerConfig(seed=seed, generations=1))
+        assert layer.certified
+        points, gap = _exact_face_points(layer.probes, monkeypatch)
+        # the fill leaves real gaps: every point lies in the disk and
+        # outside every exact probe disk, though within the coverage
+        # tolerance of one
+        assert points.size and (np.abs(points) <= 1.0).all()
+        assert (gap > 0.0).all() and (gap <= _TOL).all()
+        self._search_face_points(execution_layer(layer), points)
+
+    @pytest.mark.parametrize("aid", GOLDEN_DISK)
+    def test_golden_layers(self, placements_dir, aid, monkeypatch):
+        # the golden layers' exact disks leave no gap, at most tangencies:
+        # faces whose point lies on a probe circle up to rounding
+        layer = load_placement(placements_dir / f"{aid}.json")
+        points, gap = _exact_face_points(layer.probes, monkeypatch)
+        assert (np.abs(gap) <= 1e-15).all()
+        self._search_face_points(execution_layer(layer), points)
 
 
 class TestEscapeMargin:
