@@ -122,11 +122,11 @@ def _best_chord_probe(hull: np.ndarray, points: np.ndarray,
 
     A tile's bound, the number of its near points, caps every count in
     it, so within a block of pairs the tiles are scored in descending
-    order of bound, and a candidate is skipped when its tile's bound
-    does not exceed the best count of earlier blocks or the count of a
-    candidate before it in scan order: it cannot be the first with the
-    highest count.  A witness from later in scan order would not do: an
-    equal count after it does not displace an earlier candidate.
+    order of bound, up to the first whose bound is at most the best
+    count of earlier blocks or below the best count scored in this
+    block: no candidate there or in a later tile can be the first with
+    the highest count.  Counts are exact, so a tie is scored, and a
+    candidate beaten by a later one in scan order is rightly skipped.
     """
     pts = _densify_hull(hull, r / 2.0)
     # row-major points, as _face_targets gives them, are already in y order
@@ -181,27 +181,18 @@ def _best_chord_probe(hull: np.ndarray, points: np.ndarray,
             near = (bx[lo:hi] >= x_lo[t]) & (bx[lo:hi] < x_hi[t])
             spans.append((lo, hi, near))
             bound[t] = np.count_nonzero(near)
-        # skipped candidates score -inf; witness[0] is best_score and
-        # witness[c + 1] the count of a scored candidate c, so the running
-        # maximum at c covers just the earlier blocks and the candidates
-        # before c
+        # skipped candidates score -inf
         scores = np.full(cx.size, -np.inf)
-        witness = np.full(cx.size + 1, -np.inf)
-        witness[0] = best_score
-        ahead = None
+        top = -np.inf
         for t in np.argsort(-bound, kind="stable").tolist():
-            if ahead is None:
-                ahead = np.maximum.accumulate(witness)
+            if bound[t] <= best_score or bound[t] < top:
+                break
             group = order[first[t]:stop[t]]
-            group = group[ahead[group] < bound[t]]
-            if not group.size:
-                continue
             lo, hi, near = spans[t]
             got = _near_scores(bx[lo:hi][near], by[lo:hi][near],
                                cx[group], cy[group], r, buf)
             scores[group] = got
-            witness[group + 1] = got
-            ahead = None
+            top = max(top, got.max())
         # the first candidate with the highest count was never skipped,
         # and every candidate before it counts less
         k = int(np.argmax(scores))
@@ -318,7 +309,7 @@ def _face_targets(face: Face, probes: list[Probe],
                          base[probe] + first[probe]])
     hi = np.concatenate([d_base + d_first - 1, d_base + nx,
                          base[probe] + last[probe]])
-    # an empty run must not end before the column ahead of its start, or
+    # an empty run must not end before the column left of its start, or
     # the gaps on either side of it would overlap
     hi = np.maximum(hi, lo - 1)
     order = np.argsort(lo)

@@ -90,7 +90,9 @@ class LayerPlacement:
         if self.rho1 is not None and self.algorithm_id in PROGRESSIVE_IDS:
             for k, probe in enumerate(self.probes, start=1):
                 expected = self.rho1 ** k
-                if abs(probe.rho - expected) > 1e-12 * max(1.0, expected):
+                # a NaN or infinite base fails isclose
+                if not math.isclose(probe.rho, expected, rel_tol=1e-12,
+                                    abs_tol=1e-12):
                     raise ValueError(
                         f"probe {k} violates the geometric schedule: "
                         f"rho={probe.rho} expected {expected}"
@@ -390,8 +392,9 @@ class PlacementFile:
         for key in ("algorithm_id", "rho1", "probes", "provenance"):
             if key not in payload:
                 raise ValueError(f"placement file lacks {key!r}")
-        if payload["rho1"] is not None and not _is_number(payload["rho1"]):
-            raise ValueError("rho1 is neither a number nor null")
+        rho1 = payload["rho1"]
+        if rho1 is not None and not (_is_number(rho1) and math.isfinite(rho1)):
+            raise ValueError("rho1 is neither a finite number nor null")
         if not isinstance(payload["provenance"], dict):
             raise ValueError("provenance is not a JSON object")
         coverage = payload.get("coverage", "disk")

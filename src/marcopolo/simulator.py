@@ -413,8 +413,16 @@ def run_batch(placement: LayerPlacement, n: float,
     of a slice's descent pays a fixed NumPy cost however few rows it
     holds, so a short last slice would cost a whole descent for a few
     trials.  Trials are independent, so the slicing changes no output.
+    Rows a ``World`` would reject raise ValueError.
     """
     _check_radius(n)
+    if poi_xy.ndim != 2 or poi_xy.shape[1] != 2:
+        raise ValueError(f"POIs of shape {poi_xy.shape}, not (t, 2)")
+    bad = np.flatnonzero(~(np.hypot(poi_xy[:, 0], poi_xy[:, 1]) <= n + _EPS))
+    if bad.size:
+        x, y = poi_xy[bad[0]]
+        raise ValueError(f"POI ({x}, {y}) is not finite or lies outside "
+                         f"the search region of radius {n}")
     batch = _batch(_frame(placement))
     t = poi_xy.shape[0]
     out = {"P": np.zeros(t, dtype=np.int64), "D": np.zeros(t),

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import Probe, _probe_list
+from .geometry import Probe
 from . import placements as _placements
 
 _BISECT_TOL = 1e-4
@@ -38,6 +38,16 @@ class BoundsReport:
             raise ValueError("response coefficient cannot exceed probe coefficient")
 
 
+def _layer_probes(placement) -> Sequence[Probe]:
+    """The probes of ``placement``, a LayerPlacement or a probe sequence;
+    a layer needs two, as ``LayerPlacement`` requires: with one there is
+    no executed probe before the omitted last."""
+    probes = getattr(placement, "probes", placement)
+    if len(probes) < 2:
+        raise ValueError("a layer placement needs at least two probes")
+    return probes
+
+
 def probe_coefficient(placement) -> float:
     """Worst-case probe coefficient c with last-probe omission.
 
@@ -46,7 +56,7 @@ def probe_coefficient(placement) -> float:
     still shrinks by rho_m: c = max(max_{k<m} k/(-log2 rho_k),
     (m-1)/(-log2 rho_m)).
     """
-    return max(_probe_rates(_probe_list(placement)))
+    return max(_probe_rates(_layer_probes(placement)))
 
 
 def _probe_rates(probes: Sequence[Probe]) -> list[float]:
@@ -76,7 +86,7 @@ def distance_bound(placement) -> float:
     searcher, who walks only |gap - d1 * rho_m|.  So the level is charged
     its legs minus 2 * min(gap, d1 * rho_m), the walk the search makes.
     """
-    return max(_distance_rates(_probe_list(placement)))
+    return max(_distance_rates(_layer_probes(placement)))
 
 
 def _distance_rates(probes: Sequence[Probe]) -> list[float]:
@@ -102,14 +112,14 @@ def _distance_rates(probes: Sequence[Probe]) -> list[float]:
 def response_bound(placement) -> float:
     """Response coefficient c_R = -1/log2(rho_max): every response shrinks
     the area by at least the largest probe's factor."""
-    rho_max = max(p.rho for p in _probe_list(placement))
+    rho_max = max(p.rho for p in _layer_probes(placement))
     if rho_max >= 1.0:
         raise ValueError("probe of radius 1 gives an unbounded response count")
     return -1.0 / math.log2(rho_max)
 
 
 def bounds_report(placement) -> BoundsReport:
-    probes = _probe_list(placement)
+    probes = _layer_probes(placement)
     p_rates = _probe_rates(probes)
     d_rates = _distance_rates(probes)
     rhos = [p.rho for p in probes]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,9 +89,12 @@ class TestVerify:
         (lambda doc: {**doc, "coverage": "annulus"}, "unknown coverage"),
         (lambda doc: {**doc, "provenance": "constructed"},
          "provenance is not a JSON object"),
+        (lambda doc: {**doc, "rho1": math.nan}, "rho1 is neither"),
+        (lambda doc: {**doc, "rho1": math.inf}, "rho1 is neither"),
     ], ids=["not-object", "no-algorithm-id", "no-rho1", "no-probes",
             "no-provenance", "probe-without-rho", "string-coordinate",
-            "unknown-coverage", "string-provenance"])
+            "unknown-coverage", "string-provenance", "nan-rho1",
+            "infinite-rho1"])
     def test_malformed_file(self, alg3_file, tmp_path, capsys, change,
                             message):
         path = tmp_path / "bad.json"

@@ -317,11 +317,12 @@ class TestBestChordProbe:
                 assert _best_chord_probe(hull, points, r) == (cx, cy)
         assert boundary >= 4
 
-    def test_skips_only_candidates_an_earlier_one_beats(self, monkeypatch):
+    def test_skips_only_candidates_that_cannot_win(self, monkeypatch):
         # two blocks of pairs: in the first, tiles scored earlier let later
         # ones be skipped; in the second, so does the first block's best.
-        # A skipped candidate must hold no more points than an earlier
-        # candidate: one that only a later candidate reaches may still win
+        # A skipped candidate must count less than its block's best, or no
+        # more than the best of earlier blocks; counts are exact, so the
+        # candidate that beats it may come after it in scan order
         rng = np.random.default_rng(1)
         first = _blob(rng, 150, 0.1, -0.2, 2.0 ** -7)
         points = np.concatenate([first, _blob(rng, 60, 0.3, 0.1, 2.0 ** -8)])
@@ -338,19 +339,22 @@ class TestBestChordProbe:
             _reference_chord_probe(hull, points, r)
         blocks = _candidate_blocks(hull, r)
         assert max(blocks) == 1
-        lead, block_lead = -math.inf, [-math.inf, -math.inf]
-        witness_skips = floor_skips = 0
-        for (center, score), block in zip(
-                _reference_chord_scores(hull, points, r), blocks):
+        candidates = list(zip(_reference_chord_scores(hull, points, r),
+                              blocks))
+        block_best = [max(s for (_, s), b in candidates if b == block)
+                      for block in (0, 1)]
+        lead = -math.inf
+        later_skips = floor_skips = 0
+        for (center, score), block in candidates:
             if center not in scored:
-                assert score <= lead, center
-                if block == 0:
-                    witness_skips += 1  # the first block has no floor
-                elif score > block_lead[block]:
-                    floor_skips += 1  # nothing earlier in its block reaches it
+                floor = block_best[0] if block == 1 else -math.inf
+                assert score < block_best[block] or score <= floor, center
+                if score > lead:
+                    later_skips += 1  # only a later candidate beats it
+                if score >= block_best[block]:
+                    floor_skips += 1  # only an earlier block's best does
             lead = max(lead, score)
-            block_lead[block] = max(block_lead[block], score)
-        assert witness_skips > 0 and floor_skips > 0
+        assert later_skips > 0 and floor_skips > 0
 
     def test_exact_tie_across_tiles_keeps_first_candidate(self):
         # half the dozen candidates around one point hold it; the first

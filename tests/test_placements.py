@@ -75,6 +75,11 @@ class TestProgressiveLayers:
             for k, p in enumerate(layer.probes, start=1):
                 assert abs(p.rho - base ** k) < 1e-12
 
+    @pytest.mark.parametrize("rho1", [math.nan, math.inf])
+    def test_non_finite_schedule_base_rejected(self, layers, rho1):
+        with pytest.raises(ValueError, match="geometric schedule"):
+            LayerPlacement("ALG3", layers["ALG3"].probes, rho1, True)
+
     def test_alg3_chords_abut(self, layers):
         # consecutive chord arcs overlap on the perimeter by the margin
         layer = layers["ALG3"]

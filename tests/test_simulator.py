@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from marcopolo import geometry
+from marcopolo import geometry, optimizer
 from marcopolo.geometry import _TOL, Point2, Probe, uncovered_faces
 from marcopolo.optimizer import OptimizerConfig, alg7_layer, evolve_initial
 from marcopolo.placements import (
@@ -260,6 +260,19 @@ def _exact_face_points(probes, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
     return points, (np.abs(points[:, None] - z) - rho).min(axis=1)
 
 
+# structured individuals of the optimizer whose greedy fills cover the
+# disk with 14, 12, 9 and 17 probes, each other than evolve_initial's
+_FILLED = (0, 2, 3, 5)
+
+
+def _filled_individual(k: int) -> LayerPlacement:
+    """The optimizer's greedy fill of its structured individual k."""
+    vector = optimizer._structured_individuals()[k]
+    fitness, probes = optimizer._fitness(vector)
+    return LayerPlacement("ALG8", tuple(probes), float(vector[0]),
+                          fitness < optimizer._PENALTY)
+
+
 class TestCertifiedMeansSearchable:
     """A certified layer covers the disk to within the coverage tolerance,
     which is also the least slack of the search's rescue: a POI in a gap
@@ -276,11 +289,7 @@ class TestCertifiedMeansSearchable:
                 trace = run_single(layer, World(n, [Point2(x, y)]))
                 assert trace.success and not trace.containment_lost, (n, x, y)
 
-    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
-    def test_optimized_layers(self, seed, monkeypatch):
-        # alg7_layer(), or one generation of evolve_initial at the seed
-        layer = alg7_layer() if seed is None else evolve_initial(
-            OptimizerConfig(seed=seed, generations=1))
+    def _search_fill_gaps(self, layer, monkeypatch):
         assert layer.certified
         points, gap = _exact_face_points(layer.probes, monkeypatch)
         # the fill leaves real gaps: every point lies in the disk and
@@ -289,6 +298,25 @@ class TestCertifiedMeansSearchable:
         assert points.size and (np.abs(points) <= 1.0).all()
         assert (gap > 0.0).all() and (gap <= _TOL).all()
         self._search_face_points(execution_layer(layer), points)
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_optimized_layers(self, seed, monkeypatch):
+        # alg7_layer(), or one generation of evolve_initial at seed 0,
+        # whose layer the other seeds give too
+        layer = alg7_layer() if seed is None else evolve_initial(
+            OptimizerConfig(seed=seed, generations=1))
+        self._search_fill_gaps(layer, monkeypatch)
+
+    @pytest.mark.parametrize("k", _FILLED)
+    def test_filled_individuals(self, k, monkeypatch):
+        self._search_fill_gaps(_filled_individual(k), monkeypatch)
+
+    def test_optimized_layers_differ(self):
+        layers = [alg7_layer(),
+                  evolve_initial(OptimizerConfig(seed=0, generations=1))]
+        layers += [_filled_individual(k) for k in _FILLED]
+        probes = [layer.probes for layer in layers]
+        assert len(set(probes)) == len(probes)
 
     @pytest.mark.parametrize("aid", GOLDEN_DISK)
     def test_golden_layers(self, placements_dir, aid, monkeypatch):
@@ -790,6 +818,26 @@ class TestRunBatch:
             run_batch(execution_layer(layers["ALG1"]), n, poi)
         with pytest.raises(ValueError, match="search radius"):
             World(n, [Point2(0.2, 0.1)])
+
+    @pytest.mark.parametrize("x", [3000.0, 1024.0 + 2.0 * _EPS, -math.inf,
+                                   math.nan])
+    def test_rejects_poi_world_rejects(self, layers, monkeypatch, x):
+        # the rows a World rejects are refused before any descent
+        def descend(*args):
+            raise AssertionError("the descent ran")
+
+        monkeypatch.setattr(simulator, "_descend", descend)
+        poi = np.array([[0.2, 0.1], [x, 0.0]])
+        with pytest.raises(ValueError, match="not finite or lies outside"):
+            run_batch(execution_layer(layers["ALG1"]), 1024.0, poi)
+        with pytest.raises(ValueError):
+            World(1024.0, [Point2(0.2, 0.1), Point2(x, 0.0)])
+
+    @pytest.mark.parametrize("poi", [np.array([0.2, 0.1]),
+                                     np.zeros((1, 3))])
+    def test_rejects_poi_shape(self, layers, poi):
+        with pytest.raises(ValueError, match=r"not \(t, 2\)"):
+            run_batch(execution_layer(layers["ALG1"]), 1024.0, poi)
 
     def test_trivial_radius(self, layers):
         poi = np.array([[0.2, 0.1]])

@@ -73,9 +73,13 @@ class TestProbeCoefficient:
 
 class TestDistanceBound:
     def test_single_central_probe(self):
-        # the searcher never moves: zero distance coefficient
+        # a lone probe is the omitted last one, so no probe is executed:
+        # no layer, as LayerPlacement also holds
         probes = [Probe(Point2(0.0, 0.0), 0.5)]
-        assert distance_bound(probes) == pytest.approx(0.0, abs=1e-12)
+        for bound in (distance_bound, probe_coefficient, response_bound,
+                      bounds_report):
+            with pytest.raises(ValueError, match="at least two probes"):
+                bound(probes)
 
     def test_two_collinear_probes(self):
         probes = [Probe(Point2(0.5, 0.0), 0.5),
