@@ -27,8 +27,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"distance coeff:  {report.b_distance:.4f}")
     print(f"response coeff:  {report.c_responses:.4f}")
     print(f"worst probes:    {report.worst_probe_index}")
-    if not layer.certified and layer.coverage == "disk":
+    if not layer.certified:
         arcs = certify_coverage(layer.probes).uncovered_arcs
+        if layer.coverage == "perimeter":
+            # such a layer need cover only the unit circle (circle -1)
+            arcs = [arc for arc in arcs if arc[0] < 0]
         print(f"uncovered arcs:  {len(arcs)} (degrees counterclockwise "
               f"about each circle's center)")
         for circle, start, end in arcs:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -16,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .placements import LayerPlacement, execution_layer, generate_layer, load_placement
-from .simulator import _check_resolvable, run_batch
+from .simulator import _BATCH_CHUNK, _check_resolvable, run_batch
 from .verifier import distance_bound, probe_coefficient, response_bound
 
 __all__ = [
@@ -52,9 +55,11 @@ class ExperimentConfig:
             raise ValueError("n must be at least 2")
         if not self.algorithms:
             raise ValueError("no algorithms selected")
-        for a in self.algorithms:
+        for i, a in enumerate(self.algorithms):
             if a not in _KNOWN:
                 raise ValueError(f"unknown algorithm {a!r}")
+            if a in self.algorithms[:i]:
+                raise ValueError(f"algorithm {a!r} is selected twice")
         for a in self.placement_files:
             if a not in self.algorithms:
                 raise ValueError(
@@ -163,6 +168,113 @@ def _rows_for(algorithm: str, placement: LayerPlacement,
     return rows
 
 
+def _search(algorithm: str, config: ExperimentConfig, poi: np.ndarray
+            ) -> tuple[LayerPlacement, LayerPlacement, dict[str, np.ndarray]]:
+    """One algorithm's campaign: its placement, the layer as searched, and
+    the normalized per-trial samples keyed by metric."""
+    placement = _placement_for(algorithm, config)
+    if not placement.certified:
+        raise ValueError(f"placement for {algorithm} is not certified")
+    executed = execution_layer(placement)
+    out = run_batch(executed, config.n, poi)
+    if placement.coverage == "disk":
+        if out["lost"].any() or not out["success"].all():
+            raise RuntimeError(
+                f"{algorithm}: search failed on a certified placement")
+    logn = math.ceil(math.log2(config.n))
+    return placement, executed, {"P": out["P"] / logn,
+                                 "D": out["D"] / config.n,
+                                 "R": out["R"] / logn}
+
+
+def _search_share(algorithms: Sequence[str], config: ExperimentConfig,
+                  poi: np.ndarray) -> list:
+    """``_search`` of each algorithm in order, up to the first that
+    raises, whose exception ends the list in place of its result."""
+    outcomes: list = []
+    for algorithm in algorithms:
+        try:
+            outcomes.append(_search(algorithm, config, poi))
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _send_share(algorithms: Sequence[str], config: ExperimentConfig,
+                poi: np.ndarray, writer) -> None:
+    """A worker process's body: search its whole share first, so that no
+    send waits on the caller while searches remain, then send each
+    outcome as its own message."""
+    for outcome in _search_share(algorithms, config, poi):
+        writer.send(outcome)
+    writer.close()
+
+
+def _share_count(config: ExperimentConfig) -> int:
+    """How many processes search a campaign's algorithms: one per usable
+    CPU, at most one per algorithm.  The campaign stays in-process off
+    Linux, where fork is not a safe default; in a process with other
+    threads, whose locks a forked child could inherit held; and below
+    one ``run_batch`` slice of trials, where a fork costs about as much
+    as it saves."""
+    if (sys.platform != "linux" or threading.active_count() > 1
+            or config.trials < _BATCH_CHUNK):
+        return 1
+    return min(len(config.algorithms), len(os.sched_getaffinity(0)))
+
+
+def _search_all(config: ExperimentConfig, poi: np.ndarray) -> dict:
+    """Outcomes of ``_search_share`` keyed by algorithm.
+
+    With k > 1 processes, share w is ``algorithms[w::k]``: the calling
+    process searches share 0 while forked workers search the others and
+    then send their outcomes through a pipe; the workers inherit ``poi``
+    and ``config`` unpickled.  Every worker is joined before this returns
+    or raises.
+    """
+    algorithms = config.algorithms
+    k = _share_count(config)
+    if k == 1:
+        return dict(zip(algorithms, _search_share(algorithms, config, poi)))
+    import multiprocessing  # only a campaign that forks pays its import
+    context = multiprocessing.get_context("fork")
+    workers = []
+    complete = False
+    try:
+        for w in range(1, k):
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_send_share,
+                args=(algorithms[w::k], config, poi, writer))
+            process.start()
+            writer.close()
+            workers.append((algorithms[w::k], process, reader))
+        outcomes = dict(zip(algorithms[::k],
+                            _search_share(algorithms[::k], config, poi)))
+        for share, process, reader in workers:
+            for algorithm in share:
+                try:
+                    outcome = reader.recv()
+                except EOFError:
+                    process.join()
+                    outcome = RuntimeError(
+                        f"the worker process searching {', '.join(share)} "
+                        f"exited with code {process.exitcode} before "
+                        f"sending {algorithm}'s result")
+                outcomes[algorithm] = outcome
+                if isinstance(outcome, Exception):
+                    break
+        complete = True
+    finally:
+        for _, process, reader in workers:
+            if not complete:
+                process.terminate()
+            process.join()
+            reader.close()
+    return outcomes
+
+
 def monte_carlo(config: ExperimentConfig
                 ) -> tuple[list[StatsRow], dict[tuple[str, str], np.ndarray]]:
     """Summary rows for every configured algorithm, and the normalized
@@ -171,24 +283,27 @@ def monte_carlo(config: ExperimentConfig
     Each trial places one POI drawn by ``_poi_array`` and runs the
     single-POI search (vectorized); all algorithms see the same worlds.
     Placements must be certified.
+
+    The algorithms' searches are independent, so on Linux with several
+    usable CPUs and no other threads they run in up to one process per
+    CPU (``_search_all``); a campaign of one algorithm or of fewer trials
+    than one ``run_batch`` slice stays in-process.  Rows are built in ``config.algorithms``
+    order from the same per-algorithm results either way, so rows and
+    samples do not depend on the process count, and a failure raises the
+    exception of the first failing algorithm in that order, as a serial
+    loop would.
     """
     poi = _poi_array(config.seed, config.trials, config.n)
-    logn = math.ceil(math.log2(config.n))
+    outcomes = _search_all(config, poi)
     rows: list[StatsRow] = []
     samples: dict[tuple[str, str], np.ndarray] = {}
     for algorithm in config.algorithms:
-        placement = _placement_for(algorithm, config)
-        if not placement.certified:
-            raise ValueError(f"placement for {algorithm} is not certified")
-        executed = execution_layer(placement)
-        out = run_batch(executed, config.n, poi)
-        if placement.coverage == "disk":
-            if out["lost"].any() or not out["success"].all():
-                raise RuntimeError(
-                    f"{algorithm}: search failed on a certified placement")
-        samples.update({(algorithm, "P"): out["P"] / logn,
-                        (algorithm, "D"): out["D"] / config.n,
-                        (algorithm, "R"): out["R"] / logn})
+        outcome = outcomes[algorithm]
+        if isinstance(outcome, Exception):
+            raise outcome
+        placement, executed, normalized = outcome
+        samples.update({(algorithm, metric): values
+                        for metric, values in normalized.items()})
         rows.extend(_rows_for(algorithm, placement, executed, config.n,
                               samples))
     return rows, samples

@@ -70,6 +70,24 @@ class TestVerify:
             start, end = float(row[-3]), float(row[-1])
             assert 0.0 <= start < 360.0 and start < end <= start + 360.0
 
+    def test_uncovered_perimeter_arcs_listed(self, placements_dir, tmp_path,
+                                             capsys):
+        # ALG4 without its last probe leaves a gap on the unit circle
+        doc = json.loads((placements_dir / "alg4.json").read_text())
+        doc["probes"] = doc["probes"][:-1]
+        path = tmp_path / "alg4_short.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "certified:       False (perimeter)" in out
+        lines = out.splitlines()
+        head = next(i for i, line in enumerate(lines)
+                    if line.startswith("uncovered arcs:"))
+        rows = [line.split() for line in lines[head + 1:]]
+        assert int(lines[head].split()[2]) == len(rows) > 0
+        # only the unit circle, the region such a layer must cover
+        assert all(row[:2] == ["unit", "circle"] for row in rows)
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -221,6 +239,30 @@ class TestMontecarlo:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "ALG1" in err and "ALG3" in err
+        assert not (tmp_path / "table.csv").exists()
+
+    def test_first_failing_algorithm_reported(self, tmp_path, monkeypatch,
+                                              placements_dir, capsys):
+        # enough trials and CPUs for ALG2 to fail in a worker process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["montecarlo", "--n", "256", "--trials", "10000",
+                     "--algs", "1,2", "--out", str(tmp_path),
+                     "--placement-file",
+                     f"ALG1={placements_dir / 'alg3.json'}",
+                     "--placement-file",
+                     f"ALG2={placements_dir / 'alg4.json'}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "holds ALG3, not ALG1" in err
+        assert "ALG4" not in err
+        assert not (tmp_path / "table.csv").exists()
+
+    def test_repeated_algorithm(self, tmp_path, capsys):
+        assert main(["montecarlo", "--n", "256", "--trials", "5",
+                     "--algs", "1,1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'ALG1' is selected twice" in err
         assert not (tmp_path / "table.csv").exists()
 
     def test_placement_file_without_algorithm(self, tmp_path, capsys):

@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import csv
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from marcopolo import experiments
 from marcopolo.experiments import (
     _POI_BLOCK,
     ExperimentConfig,
@@ -45,6 +50,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="not among"):
             ExperimentConfig(algorithms=("ALG1",),
                              placement_files={"ALG3": "alg3.json"})
+
+    def test_rejects_repeated_algorithm(self):
+        # a repeated algorithm was searched twice for one table row
+        with pytest.raises(ValueError, match="'ALG1' is selected twice"):
+            ExperimentConfig(algorithms=("ALG1", "ALG3", "ALG1"))
 
 
 class TestStatsRow:
@@ -135,6 +145,120 @@ class TestMonteCarlo:
             assert arr.shape == (50,)
             row = next(r for r in rows if r.metric == metric)
             assert row.avg == pytest.approx(float(arr.mean()), abs=1e-12)
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make ``count`` CPUs look usable to a campaign."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="campaigns fork worker processes only on Linux")
+class TestParallelCampaign:
+    ALL = tuple(f"ALG{i}" for i in range(1, 7))
+
+    @pytest.mark.parametrize("seed, cpus", [(1, 2), (2, 2), (3, 2), (1, 4)])
+    def test_outputs_do_not_depend_on_cpu_count(self, monkeypatch, seed,
+                                                cpus):
+        config = ExperimentConfig(n=2.0 ** 20, trials=20_000, seed=seed)
+        _cpus(monkeypatch, cpus)
+        assert experiments._share_count(config) == cpus
+        threads = threading.active_count()
+        rows, samples = monte_carlo(config)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        _cpus(monkeypatch, 1)
+        assert experiments._share_count(config) == 1
+        serial_rows, serial_samples = monte_carlo(config)
+        assert rows == serial_rows
+        assert [r.algorithm for r in rows[::3]] == list(self.ALL)
+        assert list(samples) == list(serial_samples)
+        for key, values in samples.items():
+            assert values.dtype == serial_samples[key].dtype
+            assert np.array_equal(values, serial_samples[key])
+
+    def test_stays_in_process_when_a_fork_gains_nothing(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        big = ExperimentConfig(trials=experiments._BATCH_CHUNK)
+        assert experiments._share_count(big) == 2
+        assert experiments._share_count(ExperimentConfig(
+            trials=experiments._BATCH_CHUNK - 1)) == 1
+        assert experiments._share_count(ExperimentConfig(
+            algorithms=("ALG3",))) == 1
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert experiments._share_count(big) == 1
+        monkeypatch.undo()
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert experiments._share_count(big) == 1
+
+    @staticmethod
+    def _failing_search(monkeypatch, fail):
+        """Patch ``_search`` so that ``fail(algorithm)`` runs first; forked
+        workers inherit the patch."""
+        search = experiments._search
+
+        def patched(algorithm, config, poi):
+            fail(algorithm)
+            return search(algorithm, config, poi)
+
+        monkeypatch.setattr(experiments, "_search", patched)
+
+    def test_first_failure_in_algorithm_order_wins(self, monkeypatch):
+        # shares [ALG1, ALG3, ALG5] and [ALG2, ALG4, ALG6]: the calling
+        # process fails on ALG3, the worker on ALG4, and ALG3 comes first
+        def fail(algorithm):
+            if algorithm in ("ALG3", "ALG4"):
+                raise ValueError(f"{algorithm} refused")
+
+        self._failing_search(monkeypatch, fail)
+        _cpus(monkeypatch, 2)
+        config = ExperimentConfig(trials=10_000)
+        with pytest.raises(ValueError, match="^ALG3 refused$"):
+            monte_carlo(config)
+
+        def fail_early(algorithm):
+            if algorithm in ("ALG2", "ALG3"):
+                raise RuntimeError(f"{algorithm} refused")
+
+        self._failing_search(monkeypatch, fail_early)
+        with pytest.raises(RuntimeError, match="^ALG2 refused$"):
+            monte_carlo(config)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_a_failure(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(algorithm):
+            if algorithm == "ALG4" and os.getpid() != parent:
+                os._exit(3)
+
+        self._failing_search(monkeypatch, die)
+        _cpus(monkeypatch, 2)
+        # the worker sends nothing before its whole share is searched
+        with pytest.raises(RuntimeError, match="ALG2, ALG4, ALG6 exited "
+                           "with code 3 before sending ALG2's result"):
+            monte_carlo(ExperimentConfig(trials=10_000))
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_campaign_stops_its_workers(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        parent = os.getpid()
+
+        def interrupt(algorithm):
+            if algorithm == "ALG1" and os.getpid() == parent:
+                raise Interrupt
+
+        self._failing_search(monkeypatch, interrupt)
+        _cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        with pytest.raises(Interrupt):
+            monte_carlo(ExperimentConfig(trials=100_000))
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
 
 class TestBoldBest:
