@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import sys
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .placements import LayerPlacement, execution_layer, generate_layer, load_placement
+from ._fork import fork_map
+from .placements import (
+    LayerPlacement,
+    execution_layer,
+    generate_layer,
+    load_placement,
+)
 from .simulator import _BATCH_CHUNK, _check_resolvable, run_batch
 from .verifier import distance_bound, probe_coefficient, response_bound
 
@@ -187,94 +190,6 @@ def _search(algorithm: str, config: ExperimentConfig, poi: np.ndarray
                                  "R": out["R"] / logn}
 
 
-def _search_share(algorithms: Sequence[str], config: ExperimentConfig,
-                  poi: np.ndarray) -> list:
-    """``_search`` of each algorithm in order, up to the first that
-    raises, whose exception ends the list in place of its result."""
-    outcomes: list = []
-    for algorithm in algorithms:
-        try:
-            outcomes.append(_search(algorithm, config, poi))
-        except Exception as exc:
-            outcomes.append(exc)
-            break
-    return outcomes
-
-
-def _send_share(algorithms: Sequence[str], config: ExperimentConfig,
-                poi: np.ndarray, writer) -> None:
-    """A worker process's body: search its whole share first, so that no
-    send waits on the caller while searches remain, then send each
-    outcome as its own message."""
-    for outcome in _search_share(algorithms, config, poi):
-        writer.send(outcome)
-    writer.close()
-
-
-def _share_count(config: ExperimentConfig) -> int:
-    """How many processes search a campaign's algorithms: one per usable
-    CPU, at most one per algorithm.  The campaign stays in-process off
-    Linux, where fork is not a safe default; in a process with other
-    threads, whose locks a forked child could inherit held; and below
-    one ``run_batch`` slice of trials, where a fork costs about as much
-    as it saves."""
-    if (sys.platform != "linux" or threading.active_count() > 1
-            or config.trials < _BATCH_CHUNK):
-        return 1
-    return min(len(config.algorithms), len(os.sched_getaffinity(0)))
-
-
-def _search_all(config: ExperimentConfig, poi: np.ndarray) -> dict:
-    """Outcomes of ``_search_share`` keyed by algorithm.
-
-    With k > 1 processes, share w is ``algorithms[w::k]``: the calling
-    process searches share 0 while forked workers search the others and
-    then send their outcomes through a pipe; the workers inherit ``poi``
-    and ``config`` unpickled.  Every worker is joined before this returns
-    or raises.
-    """
-    algorithms = config.algorithms
-    k = _share_count(config)
-    if k == 1:
-        return dict(zip(algorithms, _search_share(algorithms, config, poi)))
-    import multiprocessing  # only a campaign that forks pays its import
-    context = multiprocessing.get_context("fork")
-    workers = []
-    complete = False
-    try:
-        for w in range(1, k):
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_send_share,
-                args=(algorithms[w::k], config, poi, writer))
-            process.start()
-            writer.close()
-            workers.append((algorithms[w::k], process, reader))
-        outcomes = dict(zip(algorithms[::k],
-                            _search_share(algorithms[::k], config, poi)))
-        for share, process, reader in workers:
-            for algorithm in share:
-                try:
-                    outcome = reader.recv()
-                except EOFError:
-                    process.join()
-                    outcome = RuntimeError(
-                        f"the worker process searching {', '.join(share)} "
-                        f"exited with code {process.exitcode} before "
-                        f"sending {algorithm}'s result")
-                outcomes[algorithm] = outcome
-                if isinstance(outcome, Exception):
-                    break
-        complete = True
-    finally:
-        for _, process, reader in workers:
-            if not complete:
-                process.terminate()
-            process.join()
-            reader.close()
-    return outcomes
-
-
 def monte_carlo(config: ExperimentConfig
                 ) -> tuple[list[StatsRow], dict[tuple[str, str], np.ndarray]]:
     """Summary rows for every configured algorithm, and the normalized
@@ -284,24 +199,24 @@ def monte_carlo(config: ExperimentConfig
     single-POI search (vectorized); all algorithms see the same worlds.
     Placements must be certified.
 
-    The algorithms' searches are independent, so on Linux with several
-    usable CPUs and no other threads they run in up to one process per
-    CPU (``_search_all``); a campaign of one algorithm or of fewer trials
-    than one ``run_batch`` slice stays in-process.  Rows are built in ``config.algorithms``
-    order from the same per-algorithm results either way, so rows and
-    samples do not depend on the process count, and a failure raises the
-    exception of the first failing algorithm in that order, as a serial
-    loop would.
+    The algorithms' searches (``_search``) are independent, so
+    ``_fork.fork_map`` runs them in up to one process per usable CPU,
+    and the workers inherit the POIs.  A campaign stays in-process with
+    one usable CPU or one algorithm, off Linux, in a process with other
+    threads, and below one ``run_batch`` slice of trials, where a fork
+    costs about as much as it saves.  Rows are built in ``config.algorithms`` order from the same
+    per-algorithm results either way, so rows and samples do not depend
+    on the process count, and a failure raises the exception of the
+    first failing algorithm in that order, as a serial loop would.
     """
     poi = _poi_array(config.seed, config.trials, config.n)
-    outcomes = _search_all(config, poi)
+    outcomes = fork_map(lambda algorithm: _search(algorithm, config, poi),
+                        config.algorithms, names=config.algorithms,
+                        small=config.trials < _BATCH_CHUNK)
     rows: list[StatsRow] = []
     samples: dict[tuple[str, str], np.ndarray] = {}
-    for algorithm in config.algorithms:
-        outcome = outcomes[algorithm]
-        if isinstance(outcome, Exception):
-            raise outcome
-        placement, executed, normalized = outcome
+    for algorithm, (placement, executed, normalized) in zip(
+            config.algorithms, outcomes):
         samples.update({(algorithm, metric): values
                         for metric, values in normalized.items()})
         rows.extend(_rows_for(algorithm, placement, executed, config.n,

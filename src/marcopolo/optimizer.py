@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fork import fork_map
 from .geometry import (
     Face,
     Point2,
@@ -493,6 +494,13 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
     them covering the disk.  The run is bit-reproducible for a fixed
     seed.  Raises :class:`CertificationError` with the best slot's
     placement attached as ``placement`` when no slot covers the disk.
+
+    The initial population is scored by ``_fork.fork_map``: in up to one
+    process per usable CPU, or in-process where a fork is not safe (off
+    Linux, or with other threads running).  ``_fitness`` draws no random
+    numbers, so the scores do not depend on the process count.  The
+    generations stay serial, as each trial reads slots that earlier
+    trials may have replaced.
     """
     config = config or OptimizerConfig()
     rng = np.random.default_rng(config.seed)
@@ -503,7 +511,7 @@ def evolve_initial(config: OptimizerConfig | None = None) -> LayerPlacement:
     population = [np.clip(s, lo, hi) for s in _structured_individuals()]
     while len(population) < _POPULATION:
         population.append(lo + (hi - lo) * rng.random(dim))
-    scored = [_fitness(ind) for ind in population]
+    scored = fork_map(_fitness, population)
     fitness = [fit for fit, _ in scored]
     filled = [probes for _, probes in scored]
 

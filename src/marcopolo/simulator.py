@@ -223,7 +223,7 @@ def run_single(placement: LayerPlacement, world: World,
 
     ``adversarial`` replaces the world's responses with a fixed sequence:
     the last issued probe always answers.  That is not the worst case; a
-    random campaign can cost more probes, distance and responses (item 3
+    random campaign can cost more probes, distance and responses (item 4
     of ROADMAP.md plans the exact worst case).
     Containment of the target POI is asserted at every step; placements
     that only certify perimeter coverage may lose containment through an

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from marcopolo import experiments
+from marcopolo._fork import share_count
 from marcopolo.experiments import (
     _POI_BLOCK,
     ExperimentConfig,
@@ -163,13 +164,13 @@ class TestParallelCampaign:
                                                 cpus):
         config = ExperimentConfig(n=2.0 ** 20, trials=20_000, seed=seed)
         _cpus(monkeypatch, cpus)
-        assert experiments._share_count(config) == cpus
+        assert share_count(len(config.algorithms)) == cpus
         threads = threading.active_count()
         rows, samples = monte_carlo(config)
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
         _cpus(monkeypatch, 1)
-        assert experiments._share_count(config) == 1
+        assert share_count(len(config.algorithms)) == 1
         serial_rows, serial_samples = monte_carlo(config)
         assert rows == serial_rows
         assert [r.algorithm for r in rows[::3]] == list(self.ALL)
@@ -180,18 +181,30 @@ class TestParallelCampaign:
 
     def test_stays_in_process_when_a_fork_gains_nothing(self, monkeypatch):
         _cpus(monkeypatch, 2)
-        big = ExperimentConfig(trials=experiments._BATCH_CHUNK)
-        assert experiments._share_count(big) == 2
-        assert experiments._share_count(ExperimentConfig(
-            trials=experiments._BATCH_CHUNK - 1)) == 1
-        assert experiments._share_count(ExperimentConfig(
-            algorithms=("ALG3",))) == 1
+        assert share_count(6) == 2
+        assert share_count(6, small=True) == 1
+        assert share_count(1) == 1
         monkeypatch.setattr(threading, "active_count", lambda: 2)
-        assert experiments._share_count(big) == 1
+        assert share_count(6) == 1
         monkeypatch.undo()
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(sys, "platform", "darwin")
-        assert experiments._share_count(big) == 1
+        assert share_count(6) == 1
+
+    def test_campaign_below_one_slice_is_small(self, monkeypatch):
+        flags = []
+        fork_map = experiments.fork_map
+
+        def spy(function, items, names=None, small=False):
+            flags.append(small)
+            return fork_map(function, items, names, small)
+
+        monkeypatch.setattr(experiments, "fork_map", spy)
+        for trials in (experiments._BATCH_CHUNK - 1,
+                       experiments._BATCH_CHUNK):
+            monte_carlo(ExperimentConfig(n=2.0 ** 8, trials=trials,
+                                         algorithms=("ALG1", "ALG3")))
+        assert flags == [True, False]
 
     @staticmethod
     def _failing_search(monkeypatch, fail):

@@ -5,6 +5,10 @@ tests here stay fast by using zero generations (warm starts only)."""
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -41,6 +45,12 @@ from marcopolo.optimizer import (
     _run_end,
 )
 from marcopolo.verifier import probe_coefficient
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make ``count`` CPUs look usable to the initial scoring."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
 
 
 class TestOptimizerConfig:
@@ -138,7 +148,10 @@ class TestEvolveInitial:
                 == layer.certified
 
     def test_returns_best_individuals_fill(self, monkeypatch):
-        # with no generations each individual is scored once, in slot order
+        # with no generations each individual is scored once, in slot
+        # order; one CPU keeps every call in this process, where the spy
+        # records it
+        _cpus(monkeypatch, 1)
         scored = []
         fitness = optimizer._fitness
 
@@ -154,6 +167,69 @@ class TestEvolveInitial:
         assert layer.probes == tuple(filled)
         assert certify_coverage(layer.probes).certified_covered
         assert probe_coefficient(layer) == pytest.approx(fit, abs=1e-12)
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="initial scoring forks worker processes only on "
+                    "Linux")
+class TestParallelScoring:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("generations", [0, 1])
+    def test_layer_does_not_depend_on_cpu_count(self, monkeypatch, seed,
+                                                generations):
+        config = OptimizerConfig(seed=seed, generations=generations)
+        threads = threading.active_count()
+        layers = []
+        for cpus in (1, 2, 4):
+            _cpus(monkeypatch, cpus)
+            layers.append(evolve_initial(config))
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        for layer in layers[1:]:
+            assert layer.probes == layers[0].probes
+            assert layer.rho1 == layers[0].rho1
+
+    @staticmethod
+    def _failing_fitness(monkeypatch, fail):
+        """Patch ``_fitness`` so that ``fail(vector)`` runs first; forked
+        workers inherit the patch."""
+        fitness = optimizer._fitness
+
+        def patched(vector):
+            fail(vector)
+            return fitness(vector)
+
+        monkeypatch.setattr(optimizer, "_fitness", patched)
+
+    def test_worker_error_is_raised_here(self, monkeypatch):
+        # on two CPUs the worker scores the odd slots: slot 1 is the warm
+        # start at rho1 = 0.772, the only individual at that base
+        parent = os.getpid()
+
+        def fail(vector):
+            if vector[0] == 0.772:
+                assert os.getpid() != parent
+                raise ValueError("slot 1 refused")
+
+        self._failing_fitness(monkeypatch, fail)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="^slot 1 refused$"):
+            evolve_initial(OptimizerConfig(generations=0))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_a_failure(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(vector):
+            if os.getpid() != parent:
+                os._exit(3)
+
+        self._failing_fitness(monkeypatch, die)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="exited with code 3 before "
+                           "sending item 1's result"):
+            evolve_initial(OptimizerConfig(generations=0))
+        assert multiprocessing.active_children() == []
 
 
 def _hull(points):
@@ -457,6 +533,7 @@ class TestFaceTargets:
             return _face_targets(face, probes, r)
 
         monkeypatch.setattr(optimizer, "_face_targets", spy)
+        _cpus(monkeypatch, 1)  # the spy records calls in this process only
         alg7_layer()
         evolve_initial(OptimizerConfig(generations=0))
         assert len(visited) > 20
