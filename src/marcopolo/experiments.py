@@ -204,10 +204,11 @@ def monte_carlo(config: ExperimentConfig
     and the workers inherit the POIs.  A campaign stays in-process with
     one usable CPU or one algorithm, off Linux, in a process with other
     threads, and below one ``run_batch`` slice of trials, where a fork
-    costs about as much as it saves.  Rows are built in ``config.algorithms`` order from the same
-    per-algorithm results either way, so rows and samples do not depend
-    on the process count, and a failure raises the exception of the
-    first failing algorithm in that order, as a serial loop would.
+    costs about as much as it saves.  Rows are built in
+    ``config.algorithms`` order from the same per-algorithm results
+    either way, so rows and samples do not depend on the process count,
+    and a failure raises the exception of the first failing algorithm in
+    that order, as a serial loop would.
     """
     poi = _poi_array(config.seed, config.trials, config.n)
     outcomes = fork_map(lambda algorithm: _search(algorithm, config, poi),

@@ -46,9 +46,7 @@ _PENALTY = 100.0
 _GREEDY_MAX_PROBES = 45
 # chord hull sampling: points r/2 apart, spread out to about this many
 _HULL_CAP = 96
-# chord search: hull-point pairs per block, and elements of each of the
-# two (candidates, points) scoring buffers
-_PAIR_BLOCK = 4096
+# chord search: elements of each (candidates, points) scoring buffer
 _SCORE_CHUNK = 1 << 16
 # scoring grid: about this many points in the largest face, and at most
 # this many in the box they are drawn from
@@ -122,12 +120,11 @@ def _best_chord_probe(hull: np.ndarray, points: np.ndarray,
     every point the exact test accepts.
 
     A tile's bound, the number of its near points, caps every count in
-    it, so within a block of pairs the tiles are scored in descending
-    order of bound, up to the first whose bound is at most the best
-    count of earlier blocks or below the best count scored in this
-    block: no candidate there or in a later tile can be the first with
-    the highest count.  Counts are exact, so a tie is scored, and a
-    candidate beaten by a later one in scan order is rightly skipped.
+    it, so the tiles are scored in descending order of bound, up to the
+    first whose bound is zero or below the best count scored so far: no
+    candidate there or in a later tile can be the first with the highest
+    count.  Counts are exact, so a tie is scored, and a candidate beaten
+    by a later one in scan order is rightly skipped.
     """
     pts = _densify_hull(hull, r / 2.0)
     # row-major points, as _face_targets gives them, are already in y order
@@ -139,68 +136,61 @@ def _best_chord_probe(hull: np.ndarray, points: np.ndarray,
     tile = 0.5 * r
     buf = tuple(np.empty(max(_SCORE_CHUNK, bx.size)) for _ in range(2))
 
-    best, best_score = None, 0.0
-    pair_i, pair_j = np.triu_indices(len(pts), 1)
-    for start in range(0, pair_i.size, _PAIR_BLOCK):
-        i = pair_i[start:start + _PAIR_BLOCK]
-        j = pair_j[start:start + _PAIR_BLOCK]
-        dx = pts[j, 0] - pts[i, 0]
-        dy = pts[j, 1] - pts[i, 1]
-        d2 = dx ** 2 + dy ** 2
-        ok = (d2 <= 4.0 * r * r) & (d2 >= 1e-18)
-        if not ok.any():
-            continue
-        i, j, dx, dy, d2 = i[ok], j[ok], dx[ok], dy[ok], d2[ok]
-        lift = np.sqrt(r * r - 0.25 * d2)
-        norm = np.sqrt(d2)
-        # rows are pairs, columns the two sides: raveling keeps scan order
-        side = np.array([1.0, -1.0]) * lift[:, None]
-        cx = ((0.5 * (pts[i, 0] + pts[j, 0]))[:, None]
-              - side * (dy / norm)[:, None]).ravel()
-        cy = ((0.5 * (pts[i, 1] + pts[j, 1]))[:, None]
-              + side * (dx / norm)[:, None]).ravel()
-        tx = np.floor(cx / tile)
-        ty = np.floor(cy / tile)
-        order = np.lexsort((ty, tx))
-        cut = np.flatnonzero((np.diff(tx[order]) != 0)
-                             | (np.diff(ty[order]) != 0)) + 1
-        # tile t holds the candidates order[first[t]:stop[t]]; its box of
-        # centers, widened by reach, bounds its near points: those with
-        # x_lo <= x < x_hi and y_lo <= y <= y_hi, taken from the slab of
-        # rows between y_lo and y_hi
-        first = np.concatenate([[0], cut])
-        stop = np.append(cut, order.size).tolist()
-        sx, sy = cx[order], cy[order]
-        x_lo = (np.minimum.reduceat(sx, first) - reach).tolist()
-        x_hi = (np.maximum.reduceat(sx, first) + reach).tolist()
-        y_lo = np.searchsorted(by, np.minimum.reduceat(sy, first) - reach)
-        y_hi = np.searchsorted(by, np.maximum.reduceat(sy, first) + reach,
-                               side="right")
-        spans = []
-        bound = np.empty(first.size)
-        for t, (lo, hi) in enumerate(zip(y_lo.tolist(), y_hi.tolist())):
-            near = (bx[lo:hi] >= x_lo[t]) & (bx[lo:hi] < x_hi[t])
-            spans.append((lo, hi, near))
-            bound[t] = np.count_nonzero(near)
-        # skipped candidates score -inf
-        scores = np.full(cx.size, -np.inf)
-        top = -np.inf
-        for t in np.argsort(-bound, kind="stable").tolist():
-            if bound[t] <= best_score or bound[t] < top:
-                break
-            group = order[first[t]:stop[t]]
-            lo, hi, near = spans[t]
-            got = _near_scores(bx[lo:hi][near], by[lo:hi][near],
-                               cx[group], cy[group], r, buf)
-            scores[group] = got
-            top = max(top, got.max())
-        # the first candidate with the highest count was never skipped,
-        # and every candidate before it counts less
-        k = int(np.argmax(scores))
-        if scores[k] > best_score:
-            best_score = float(scores[k])
-            best = (float(cx[k]), float(cy[k]))
-    return best
+    i, j = np.triu_indices(len(pts), 1)
+    dx = pts[j, 0] - pts[i, 0]
+    dy = pts[j, 1] - pts[i, 1]
+    d2 = dx ** 2 + dy ** 2
+    ok = (d2 <= 4.0 * r * r) & (d2 >= 1e-18)
+    if not ok.any():
+        return None
+    i, j, dx, dy, d2 = i[ok], j[ok], dx[ok], dy[ok], d2[ok]
+    lift = np.sqrt(r * r - 0.25 * d2)
+    norm = np.sqrt(d2)
+    # rows are pairs, columns the two sides: raveling keeps scan order
+    side = np.array([1.0, -1.0]) * lift[:, None]
+    cx = ((0.5 * (pts[i, 0] + pts[j, 0]))[:, None]
+          - side * (dy / norm)[:, None]).ravel()
+    cy = ((0.5 * (pts[i, 1] + pts[j, 1]))[:, None]
+          + side * (dx / norm)[:, None]).ravel()
+    tx = np.floor(cx / tile)
+    ty = np.floor(cy / tile)
+    order = np.lexsort((ty, tx))
+    cut = np.flatnonzero((np.diff(tx[order]) != 0)
+                         | (np.diff(ty[order]) != 0)) + 1
+    # tile t holds the candidates order[first[t]:stop[t]]; its box of
+    # centers, widened by reach, bounds its near points: those with x_lo
+    # <= x < x_hi and y_lo <= y <= y_hi, taken from the slab of rows
+    # between y_lo and y_hi
+    first = np.concatenate([[0], cut])
+    stop = np.append(cut, order.size).tolist()
+    sx, sy = cx[order], cy[order]
+    x_lo = (np.minimum.reduceat(sx, first) - reach).tolist()
+    x_hi = (np.maximum.reduceat(sx, first) + reach).tolist()
+    y_lo = np.searchsorted(by, np.minimum.reduceat(sy, first) - reach)
+    y_hi = np.searchsorted(by, np.maximum.reduceat(sy, first) + reach,
+                           side="right")
+    spans = []
+    bound = np.empty(first.size)
+    for t, (lo, hi) in enumerate(zip(y_lo.tolist(), y_hi.tolist())):
+        near = (bx[lo:hi] >= x_lo[t]) & (bx[lo:hi] < x_hi[t])
+        spans.append((lo, hi, near))
+        bound[t] = np.count_nonzero(near)
+    # skipped candidates score -inf
+    scores = np.full(cx.size, -np.inf)
+    top = -np.inf
+    for t in np.argsort(-bound, kind="stable").tolist():
+        if bound[t] <= 0 or bound[t] < top:
+            break
+        group = order[first[t]:stop[t]]
+        lo, hi, near = spans[t]
+        got = _near_scores(bx[lo:hi][near], by[lo:hi][near],
+                           cx[group], cy[group], r, buf)
+        scores[group] = got
+        top = max(top, got.max())
+    # the first candidate with the highest count was never skipped, and
+    # every candidate before it counts less
+    k = int(np.argmax(scores))
+    return (float(cx[k]), float(cy[k])) if scores[k] > 0 else None
 
 
 def _near_scores(sx: np.ndarray, sy: np.ndarray, cx: np.ndarray,

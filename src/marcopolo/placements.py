@@ -275,7 +275,8 @@ def execution_layer(placement: LayerPlacement) -> LayerPlacement:
                           placement.coverage)
 
 
-def construct_layer(algorithm_id: str, rho1: float | None = None) -> LayerPlacement:
+def construct_layer(algorithm_id: str,
+                    rho1: float | None = None) -> LayerPlacement:
     """Build a layer placement without certification (used by searches)."""
     if algorithm_id not in _CONSTRUCTIONS:
         raise ValueError(f"unknown construction {algorithm_id!r}")
@@ -299,7 +300,8 @@ def generate_layer(algorithm_id: str) -> LayerPlacement:
     """
     layer = construct_layer(algorithm_id)
     if not _covers(layer.probes, layer.coverage):
-        raise CertificationError(f"{algorithm_id} placement failed certification")
+        raise CertificationError(
+            f"{algorithm_id} placement failed certification")
     return LayerPlacement(layer.algorithm_id, layer.probes, layer.rho1,
                           certified=True, coverage=layer.coverage)
 
@@ -392,8 +394,10 @@ class PlacementFile:
         for key in ("algorithm_id", "rho1", "probes", "provenance"):
             if key not in payload:
                 raise ValueError(f"placement file lacks {key!r}")
+        if not isinstance(payload["algorithm_id"], str):
+            raise ValueError("algorithm_id is not a string")
         rho1 = payload["rho1"]
-        if rho1 is not None and not (_is_number(rho1) and math.isfinite(rho1)):
+        if rho1 is not None and not (_is_number(rho1) and _is_finite(rho1)):
             raise ValueError("rho1 is neither a finite number nor null")
         if not isinstance(payload["provenance"], dict):
             raise ValueError("provenance is not a JSON object")
@@ -407,6 +411,9 @@ class PlacementFile:
             if not (isinstance(p, dict)
                     and all(_is_number(p.get(c)) for c in ("x", "y", "rho"))):
                 raise ValueError(f"probe {k} lacks a numeric x, y or rho")
+            for c in ("x", "y", "rho"):
+                if not _is_finite(p[c]):
+                    raise ValueError(f"probe {k} {c} is not a finite number")
             probes.append(Probe(Point2(p["x"], p["y"]), p["rho"]))
         return cls(payload["algorithm_id"], payload["rho1"], tuple(probes),
                    coverage, payload["provenance"])
@@ -414,6 +421,14 @@ class PlacementFile:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(number) -> bool:
+    """Whether float64 holds ``number`` finitely."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an integer beyond float64's range
+        return False
 
 
 def save_placement(placement_file: PlacementFile, path: str | Path) -> None:

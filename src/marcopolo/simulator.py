@@ -11,8 +11,9 @@ and ``run_batch``, keep a search in the frame of its current area: the
 area scaled to the unit disk and turned so the first probe faces the
 searcher.  Positions stay relative to the area, so float64 resolves them
 up to n = 2**52.  The kernels read the same per-layer constants
-(``_frame``, built once per layer object) and round alike, so they agree
-trial for trial.
+(``_frame``, built once per layer object from the cost table ``_levels``
+that the verifier reads too) and round alike, so they agree trial for
+trial.
 
 A level's disk tests allow the absolute tolerance ``_EPS``.  In an area
 larger than about 1e7 that is below the rounding of frame coordinates, and
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Point2, _TOL
+from .geometry import Point2, Probe, _TOL
 from .placements import LayerPlacement
 
 _EPS = 1e-9
@@ -104,44 +105,61 @@ class SearchTrace:
     containment_lost: bool = False
 
 
-class _Frame(NamedTuple):
-    """Per-layer constants of the frame-relative descent.
-
-    A level ends in probe k, the first issued probe that holds the POI, or
-    the omitted last probe when none does; the next area is that probe's
-    disk.  ``mag``, ``turn`` and ``leg`` describe the searcher as the next
-    level finds it, indexed by k; their last entry, m, describes a searcher
-    at the area's center.  Both kernels read the same values, so they round
-    alike: ``run_single`` as Python lists, which are cheaper to index one
-    probe at a time, and ``run_batch`` as the NumPy tables of ``_Batch``,
-    among them the first-hit table that decides most of its levels with
-    neither disk tests nor an escape check.
-    """
+class _Levels(NamedTuple):
+    """Per-layer cost table of the descent, indexed by the probe k a level
+    ends in: the first issued probe that holds the POI, or the omitted
+    last probe when none does; the next area is that probe's disk.  A
+    level that ends in an issued probe leaves the searcher at its center,
+    the next area's; one that ends in the omitted probe leaves it at the
+    last issued probe, m - 2.  Both kernels read the table through
+    ``_Frame``, and the verifier's coefficients read it directly."""
 
     z: Sequence[complex]  # probe centers
-    rho: Sequence[float]  # probe radii
+    rho: Sequence[float]  # the shrink: probe k's radius
+    issued: Sequence[int]  # probes issued, min(k, m - 2) + 1
+    answered: Sequence[bool]  # whether a probe answered: k <= m - 2
+    walk: Sequence[float]  # from the first probe to the last issued
+    exit: Sequence[complex]  # the searcher in the next area's frame
+    mag: Sequence[float]  # its distance from the next area's center
+
+
+def _levels(probes: Sequence[Probe]) -> _Levels:
+    """The ``_Levels`` of a layer's probes, as Python lists."""
+    z = [complex(p.center.x, p.center.y) for p in probes]
+    rho = [p.rho for p in probes]
+    m = len(z)
+    cum = [0.0, *accumulate(abs(b - a) for a, b in zip(z, z[1:m - 1]))]
+    # where the omitted probe's level leaves the searcher; NumPy divides a
+    # complex by a real through the reciprocal, so we do too
+    w = (z[m - 2] - z[m - 1]) * (1.0 / rho[m - 1])
+    mag = math.sqrt(w.real * w.real + w.imag * w.imag)
+    return _Levels(z, rho, [*range(1, m), m - 1], [True] * (m - 1) + [False],
+                   cum + cum[-1:], [0j] * (m - 1) + [w],
+                   [0.0] * (m - 1) + [mag])
+
+
+class _Frame(NamedTuple):
+    """Per-layer constants of the frame-relative descent: the ``_Levels``
+    and, indexed as they are, the searcher as the next level finds it,
+    with a last entry, m, for a searcher at the area's center.  Both
+    kernels read the same values, so they round alike: ``run_single`` as
+    Python lists, which are cheaper to index one probe at a time, and
+    ``run_batch`` as the NumPy tables of ``_Batch``, among them the
+    first-hit table that decides most of its levels with neither disk
+    tests nor an escape check.
+    """
+
+    levels: _Levels  # the per-level costs, among them z and rho
     reach: Sequence[float]  # rho, with inf for the omitted last probe
     margin: Sequence[float]  # rho * (1 - _SURE), see _run_single
-    cum: Sequence[float]  # walk from the first issued probe to probe k
     face: complex | None  # the first probe's direction; None if centred
     mag: Sequence[float]  # the searcher's distance from the area's center
     turn: Sequence[complex]  # the frame turn that faces the first probe
     leg: Sequence[float]  # the turned searcher's walk to the first probe
-    # per k, all that run_single's level ending in probe k reads, with
-    # j = min(k, m - 2) its last issued probe: (z[k], 1 / rho[k], rho[k],
-    # cum[j], j + 1 probes, k <= m - 2 answered, mag[k], turn[k], leg[k],
-    # conj(turn[k]))
+    # per k, all that run_single's level ending in probe k reads: (z[k],
+    # 1 / rho[k], rho[k], walk[k], issued[k], answered[k], mag[k],
+    # turn[k], leg[k], conj(turn[k]))
     hits: Sequence[tuple]
-
-
-def _facing(face: complex | None, z0: complex,
-            w: complex) -> tuple[float, complex, float]:
-    """``(mag, turn, leg)`` of a searcher at ``w`` in an area's frame."""
-    mag = math.sqrt(w.real * w.real + w.imag * w.imag)
-    if face is None or mag == 0.0:
-        return mag, 1.0 + 0j, abs(z0 - w)
-    turn = face * w.conjugate() * (1.0 / mag)
-    return mag, turn, abs(z0 - w * turn)
 
 
 def _frame(placement: LayerPlacement) -> _Frame:
@@ -155,23 +173,23 @@ def _frame(placement: LayerPlacement) -> _Frame:
 
 
 def _build_frame(placement: LayerPlacement) -> _Frame:
-    z = [complex(p.center.x, p.center.y) for p in placement.probes]
-    rho = [p.rho for p in placement.probes]
-    m = len(z)
-    reach = rho[:m - 1] + [math.inf]
+    levels = _levels(placement.probes)
+    z, rho = levels.z, levels.rho
+    reach = rho[:-1] + [math.inf]
     margin = [r * (1.0 - _SURE) for r in rho]
-    cum = [0.0, *accumulate(abs(b - a) for a, b in zip(z, z[1:m - 1]))]
     d1 = abs(z[0])
     face = z[0] * (1.0 / d1) if d1 >= _EPS else None
-    # a level leaves the searcher at its last issued probe, z[min(k, m-2)];
-    # NumPy divides a complex by a real through the reciprocal, so we do too
-    exits = [(z[min(k, m - 2)] - z[k]) * (1.0 / rho[k]) for k in range(m)]
-    facing = [_facing(face, z[0], w) for w in exits + [0j]]
-    mag, turn, leg = map(list, zip(*facing))
-    hits = [(z[k], 1.0 / rho[k], rho[k], cum[j], j + 1, k <= m - 2,
-             mag[k], turn[k], leg[k], turn[k].conjugate())
-            for k, j in ((k, min(k, m - 2)) for k in range(m))]
-    return _Frame(z, rho, reach, margin, cum, face, mag, turn, leg, hits)
+    # the searcher as the next level finds it, the last entry at the
+    # center; the frame turns so the first probe faces the searcher, but
+    # not for a searcher at the center nor in a layer that does not turn
+    exits, mag = [*levels.exit, 0j], [*levels.mag, 0.0]
+    turn = [1.0 + 0j if face is None or g == 0.0
+            else face * w.conjugate() * (1.0 / g) for w, g in zip(exits, mag)]
+    leg = [abs(z[0] - w * t) for w, t in zip(exits, turn)]
+    hits = list(zip(z, [1.0 / r for r in rho], rho, levels.walk,
+                    levels.issued, levels.answered, mag, turn, leg,
+                    [t.conjugate() for t in turn]))
+    return _Frame(levels, reach, margin, face, mag, turn, leg, hits)
 
 
 def _rescue(z: Sequence[complex], rho: Sequence[float],
@@ -263,7 +281,7 @@ def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
     relative, so ``abs(q) <= (d / rho[k]) * (1 + 2**-50) < 1``.  A level
     whose check fires is decided by ``_rescue``.
     """
-    z, reach, margin, face, hits = (frame.z, frame.reach, frame.margin,
+    z, reach, margin, face, hits = (frame.levels.z, frame.reach, frame.margin,
                                     frame.face, frame.hits)
     last = len(z) - 2  # the last issued probe
     adversarial = poi is None
@@ -295,15 +313,15 @@ def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
             hit = 0
             while (d := abs(w := q - z[hit])) > reach[hit] + tol:
                 hit += 1
-        zk, inv_rho, rho_k, cum, issued, answered, mag, turn, next_leg, \
+        zk, inv_rho, rho_k, walk, issued, answered, mag, turn, next_leg, \
             turn_c = hits[hit]
         s_next = s * rho_k
         tol = _EPS / s_next
         q_next = w * inv_rho
         if d > margin[hit] and abs(q_next) > 1.0 + tol:
-            k = int(_rescue(z, frame.rho, np.array([q]))[0])
+            k = int(_rescue(z, frame.levels.rho, np.array([q]))[0])
             if k >= 0:
-                zk, inv_rho, rho_k, cum, issued, answered, mag, turn, \
+                zk, inv_rho, rho_k, walk, issued, answered, mag, turn, \
                     next_leg, turn_c = hits[k]
                 s_next = s * rho_k
                 tol = _EPS / s_next
@@ -312,7 +330,7 @@ def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
                 raise RuntimeError("POI escaped the search area: geometry bug")
             else:
                 lost = True
-        distance += s * (leg + cum)
+        distance += s * (leg + walk)
         leg = next_leg
         probes += issued
         responses += answered
@@ -454,20 +472,20 @@ class _Batch(NamedTuple):
     mag: np.ndarray  # per at
     turn: np.ndarray  # per at
     leg: np.ndarray  # per at
-    cum: np.ndarray  # per hit: the walk to its last issued probe
+    walk: np.ndarray  # per hit: the walk to its last issued probe
     counts: np.ndarray  # per hit: probes issued + (responses << 32)
 
 
 def _batch(frame: _Frame) -> _Batch:
-    z, rho, mag = np.array(frame.z), np.array(frame.rho), np.array(frame.mag)
-    m = z.size
-    stop = np.minimum(np.arange(m), m - 2)
-    counts = stop + 1 + ((np.arange(m) < m - 1).astype(np.int64) << 32)
+    levels = frame.levels
+    z, rho, mag = np.array(levels.z), np.array(levels.rho), np.array(frame.mag)
+    counts = (np.array(levels.issued, dtype=np.int64)
+              + (np.array(levels.answered, dtype=np.int64) << 32))
     exact = ((mag > 0.0) & (mag < _EPS)).any()
     return _Batch(_hit_table(z, rho), z, np.array(frame.reach), rho,
                   1.0 / rho, frame.face is not None,
                   None if exact else mag == 0.0, mag, np.array(frame.turn),
-                  np.array(frame.leg), np.array(frame.cum)[stop], counts)
+                  np.array(frame.leg), np.array(levels.walk), counts)
 
 
 def _hit_table(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -618,9 +636,9 @@ def _descend(batch: _Batch, n: float, poi: np.ndarray,
                 e, k = e[k >= 0], k[k >= 0]
                 hit[e] = k
                 q_next[e], s_next[e] = _into(batch, q[e], s[e], k)
-        # s * (leg + cum), bit for bit: IEEE products commute
+        # s * (leg + walk), bit for bit: IEEE products commute
         walk = batch.leg.take(at)
-        walk += batch.cum.take(hit)
+        walk += batch.walk.take(hit)
         walk *= s
         D += walk
         PR += batch.counts.take(hit)

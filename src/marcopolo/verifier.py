@@ -1,7 +1,8 @@
 """Worst-case analysis of layer placements.
 
 Computes the coefficients of the three search metrics for a placement that
-is reused recursively with shrink factors equal to the probe radii:
+is reused recursively with shrink factors equal to the probe radii, from
+the per-level cost table the search kernels read (``simulator._levels``):
 
 * ``probe_coefficient``   -- c in P(n) = c * ceil(log2 n)
 * ``distance_bound``      -- b in D(n) = b * n
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from .geometry import Probe
 from . import placements as _placements
+from .simulator import _levels
 
 _BISECT_TOL = 1e-4
 _LB_TOL = 1e-7
@@ -35,17 +36,35 @@ class BoundsReport:
         if min(self.c_probes, self.b_distance, self.c_responses) < 0:
             raise ValueError("coefficients must be non-negative")
         if self.c_responses > self.c_probes + 1e-12:
-            raise ValueError("response coefficient cannot exceed probe coefficient")
+            raise ValueError(
+                "response coefficient cannot exceed probe coefficient")
 
 
-def _layer_probes(placement) -> Sequence[Probe]:
-    """The probes of ``placement``, a LayerPlacement or a probe sequence;
-    a layer needs two, as ``LayerPlacement`` requires: with one there is
-    no executed probe before the omitted last."""
+def _level_rates(placement) -> tuple[list[float], list[float],
+                                      list[float]]:
+    """Per probe k that a level ends in, read from the layer's cost table
+    (``simulator._levels``): the probes the level pays per halving of the
+    area, the travel it pays per unit of remaining radius, and its shrink
+    rho_k.  ``placement`` is a LayerPlacement or a probe sequence; a layer
+    needs two probes, as ``LayerPlacement`` requires: with one there is no
+    executed probe before the omitted last."""
     probes = getattr(placement, "probes", placement)
     if len(probes) < 2:
         raise ValueError("a layer placement needs at least two probes")
-    return probes
+    table = _levels(probes)
+    if max(table.rho) >= 1.0:
+        raise ValueError("a probe of radius 1 gives unbounded coefficients")
+    d1 = abs(table.z[0])
+    rates = [n / -math.log2(r) for n, r in zip(table.issued, table.rho)]
+    # in this area's units the searcher ends gap = rho * mag from the next
+    # area's center, and the next first probe lies d1 * rho from it, toward
+    # the searcher: rho * (leg - d1) = gap - 2 * min(gap, d1 * rho)
+    travel = []
+    for w, r, g in zip(table.walk, table.rho, table.mag):
+        gap, near = r * g, d1 * r
+        travel.append((d1 + w + gap - 2.0 * (gap if gap <= near else near))
+                      / (1.0 - r))
+    return rates, travel, table.rho
 
 
 def probe_coefficient(placement) -> float:
@@ -56,83 +75,39 @@ def probe_coefficient(placement) -> float:
     still shrinks by rho_m: c = max(max_{k<m} k/(-log2 rho_k),
     (m-1)/(-log2 rho_m)).
     """
-    return max(_probe_rates(_layer_probes(placement)))
-
-
-def _probe_rates(probes: Sequence[Probe]) -> list[float]:
-    """Probes paid per halving of the area when the search ends at probe
-    k = 1..m; the last entry is the all-negative case."""
-    rhos = [p.rho for p in probes]
-    if any(r >= 1.0 for r in rhos):
-        raise ValueError("probe of radius 1 gives an infinite coefficient")
-    m = len(rhos)
-    rates = [k / -math.log2(rhos[k - 1]) for k in range(1, m)]
-    rates.append((m - 1) / -math.log2(rhos[m - 1]))
-    return rates
-
-
-def _worst_index(values: Sequence[float]) -> int:
-    return int(max(range(len(values)), key=values.__getitem__)) + 1
+    return bounds_report(placement).c_probes
 
 
 def distance_bound(placement) -> float:
-    """Distance coefficient b: travel legs accumulated from the area center
-    through the probe sequence, per unit of remaining radius.
+    """Distance coefficient b: the travel of a search whose every level
+    ends in the same probe k, per unit of starting radius, at its worst k.
 
-    A level that ends in the omitted last probe m leaves the searcher at
-    probe m - 1, ``gap`` from probe m's center.  The accumulated legs walk
-    on to that center, and the next level walks d1 * rho_m from it to its
-    first probe; but the next layer is rotated so that probe faces the
-    searcher, who walks only |gap - d1 * rho_m|.  So the level is charged
-    its legs minus 2 * min(gap, d1 * rho_m), the walk the search makes.
+    Its first level walks d1, the first probe's distance from the center,
+    and then ``walk_k`` to its last issued probe; a later level walks
+    ``leg_k`` to its first probe and ``walk_k``, in an area rho_k times
+    smaller.  A level that ends in the omitted last probe m leaves the
+    searcher ``mag_m`` from the next area's center, and the next layer is
+    rotated so its first probe faces the searcher, who walks only leg_m =
+    |d1 - mag_m|; a level that ends in an issued probe leaves the searcher
+    at the center, leg_k = d1.  Summed: b = max_k (d1 + walk_k + rho_k
+    (leg_k - d1)) / (1 - rho_k).
     """
-    return max(_distance_rates(_layer_probes(placement)))
-
-
-def _distance_rates(probes: Sequence[Probe]) -> list[float]:
-    """Travel paid per unit of remaining radius when the search ends at
-    probe k = 1..m: the accumulated legs over 1 - rho_k, the last level
-    charged as ``distance_bound`` says."""
-    d1 = math.hypot(probes[0].center.x, probes[0].center.y)
-    cum = 0.0
-    cx = cy = 0.0
-    rates = []
-    for i, p in enumerate(probes):
-        if p.rho >= 1.0:
-            raise ValueError("probe of radius 1 gives an unbounded distance")
-        leg = math.hypot(p.center.x - cx, p.center.y - cy)
-        cum += leg
-        if i == len(probes) - 1:
-            cum -= 2.0 * min(leg, d1 * p.rho)
-        rates.append(cum / (1.0 - p.rho))
-        cx, cy = p.center.x, p.center.y
-    return rates
+    return bounds_report(placement).b_distance
 
 
 def response_bound(placement) -> float:
     """Response coefficient c_R = -1/log2(rho_max): every response shrinks
     the area by at least the largest probe's factor."""
-    rho_max = max(p.rho for p in _layer_probes(placement))
-    if rho_max >= 1.0:
-        raise ValueError("probe of radius 1 gives an unbounded response count")
-    return -1.0 / math.log2(rho_max)
+    return bounds_report(placement).c_responses
 
 
 def bounds_report(placement) -> BoundsReport:
-    probes = _layer_probes(placement)
-    p_rates = _probe_rates(probes)
-    d_rates = _distance_rates(probes)
-    rhos = [p.rho for p in probes]
-    return BoundsReport(
-        c_probes=max(p_rates),
-        b_distance=max(d_rates),
-        c_responses=response_bound(placement),
-        worst_probe_index={
-            "probes": _worst_index(p_rates),
-            "distance": _worst_index(d_rates),
-            "responses": _worst_index(rhos),
-        },
-    )
+    """c, b and c_R, each with the first probe k that attains it."""
+    rates, travel, rhos = _level_rates(placement)
+    c, b, rho_max = max(rates), max(travel), max(rhos)
+    return BoundsReport(c, b, -1.0 / math.log2(rho_max), {
+        "probes": rates.index(c) + 1, "distance": travel.index(b) + 1,
+        "responses": rhos.index(rho_max) + 1})
 
 
 # ---------------------------------------------------------------------------

@@ -109,10 +109,18 @@ class TestVerify:
          "provenance is not a JSON object"),
         (lambda doc: {**doc, "rho1": math.nan}, "rho1 is neither"),
         (lambda doc: {**doc, "rho1": math.inf}, "rho1 is neither"),
+        # float64 cannot hold a 401-digit integer
+        (lambda doc: {**doc, "rho1": 10 ** 400}, "rho1 is neither"),
+        (lambda doc: {**doc, "probes": [{**doc["probes"][0], "x": 10 ** 400}]
+                      + doc["probes"][1:]},
+         "probe 1 x is not a finite number"),
+        (lambda doc: {**doc, "algorithm_id": []},
+         "algorithm_id is not a string"),
     ], ids=["not-object", "no-algorithm-id", "no-rho1", "no-probes",
             "no-provenance", "probe-without-rho", "string-coordinate",
             "unknown-coverage", "string-provenance", "nan-rho1",
-            "infinite-rho1"])
+            "infinite-rho1", "huge-rho1", "huge-coordinate",
+            "list-algorithm-id"])
     def test_malformed_file(self, alg3_file, tmp_path, capsys, change,
                             message):
         path = tmp_path / "bad.json"
@@ -165,6 +173,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "outside the search region" in err
+
+    def test_malformed_file(self, alg3_file, tmp_path, capsys):
+        # an id that is not a string is refused before any search
+        path = tmp_path / "bad.json"
+        doc = json.loads(alg3_file.read_text())
+        path.write_text(json.dumps({**doc, "algorithm_id": []}))
+        assert main(["simulate", "--placement", str(path),
+                     "--n", "1024", "--poi", "100,200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "algorithm_id is not a string" in err
 
     @pytest.mark.parametrize("poi", ["100", "a,b", "1,2,3"])
     def test_malformed_poi(self, alg3_file, capsys, poi):

@@ -38,7 +38,6 @@ from marcopolo.optimizer import (
 from marcopolo.optimizer import (
     _BOX_POINTS,
     _FACE_POINTS,
-    _PAIR_BLOCK,
     _best_chord_probe,
     _densify_hull,
     _face_targets,
@@ -299,17 +298,6 @@ def _reference_chord_probe(hull, points, r):
     return best
 
 
-def _candidate_blocks(hull, r):
-    """The block of pairs of each candidate of ``_reference_chord_scores``."""
-    pts = _densify_hull(hull, r / 2.0)
-    blocks = []
-    for k, (i, j) in enumerate(zip(*np.triu_indices(len(pts), 1))):
-        d2 = ((pts[j] - pts[i]) ** 2).sum()
-        if 1e-18 <= d2 <= 4.0 * r * r:
-            blocks += [k // _PAIR_BLOCK] * 2
-    return blocks
-
-
 def _blob(rng, count, x0, y0, half):
     """Points at the centers of grid cells of one size on a patch around
     (x0, y0)."""
@@ -394,11 +382,10 @@ class TestBestChordProbe:
         assert boundary >= 4
 
     def test_skips_only_candidates_that_cannot_win(self, monkeypatch):
-        # two blocks of pairs: in the first, tiles scored earlier let later
-        # ones be skipped; in the second, so does the first block's best.
-        # A skipped candidate must count less than its block's best, or no
-        # more than the best of earlier blocks; counts are exact, so the
-        # candidate that beats it may come after it in scan order
+        # tiles scored earlier let later ones be skipped.  A skipped
+        # candidate must count less than the best scored one; counts are
+        # exact, so the candidate that beats it may come after it in scan
+        # order
         rng = np.random.default_rng(1)
         first = _blob(rng, 150, 0.1, -0.2, 2.0 ** -7)
         points = np.concatenate([first, _blob(rng, 60, 0.3, 0.1, 2.0 ** -8)])
@@ -413,24 +400,17 @@ class TestBestChordProbe:
         monkeypatch.setattr(optimizer, "_near_scores", spy)
         assert _best_chord_probe(hull, points, r) == \
             _reference_chord_probe(hull, points, r)
-        blocks = _candidate_blocks(hull, r)
-        assert max(blocks) == 1
-        candidates = list(zip(_reference_chord_scores(hull, points, r),
-                              blocks))
-        block_best = [max(s for (_, s), b in candidates if b == block)
-                      for block in (0, 1)]
+        candidates = _reference_chord_scores(hull, points, r)
+        best = max(score for _, score in candidates)
         lead = -math.inf
-        later_skips = floor_skips = 0
-        for (center, score), block in candidates:
+        later_skips = 0
+        for center, score in candidates:
             if center not in scored:
-                floor = block_best[0] if block == 1 else -math.inf
-                assert score < block_best[block] or score <= floor, center
+                assert score < best, center
                 if score > lead:
                     later_skips += 1  # only a later candidate beats it
-                if score >= block_best[block]:
-                    floor_skips += 1  # only an earlier block's best does
             lead = max(lead, score)
-        assert later_skips > 0 and floor_skips > 0
+        assert later_skips > 0
 
     def test_exact_tie_across_tiles_keeps_first_candidate(self):
         # half the dozen candidates around one point hold it; the first

@@ -338,8 +338,8 @@ class TestEscapeMargin:
                                                       / f"{aid}.json")))
         rng = np.random.default_rng(7)
         skipped = checked = 0
-        for zk, rho, margin, hit in zip(frame.z, frame.rho, frame.margin,
-                                        frame.hits):
+        for zk, rho, margin, hit in zip(frame.levels.z, frame.levels.rho,
+                                        frame.margin, frame.hits):
             inv_rho = hit[1]
             angle = rng.uniform(0.0, 2.0 * math.pi, 96)
             # within 2^-40 of the circle, across the margin at 2^-45, and
@@ -565,7 +565,8 @@ def _reference_search(placement, poi, center, s):
     ``_frame`` lists by index and divides out the tolerance at each use,
     without ``_rescue``: the reference for the kernel's per-probe records
     wherever no level's tests leave the POI outside its area."""
-    z, rho, reach, _, cum, face, mags, turns, legs, _ = _frame(placement)
+    levels, reach, _, face, mags, turns, legs, _ = _frame(placement)
+    z, rho = levels.z, levels.rho
     m = len(z)
     adversarial = poi is None
     c = complex(center.x, center.y)
@@ -593,7 +594,7 @@ def _reference_search(placement, poi, center, s):
             while abs(q - z[hit]) > reach[hit] + tol:
                 hit += 1
         stop = hit if hit < last else last
-        distance += s * (leg + cum[stop])
+        distance += s * (leg + levels.walk[hit])
         probes += stop + 1
         responses += hit <= last
         c += s * o * z[hit]
@@ -999,7 +1000,7 @@ class TestFirstHitTable:
 
     def _check(self, placement):
         frame = _frame(placement)
-        z, rho = np.array(frame.z), np.array(frame.rho)
+        z, rho = np.array(frame.levels.z), np.array(frame.levels.rho)
         reach = np.array(frame.reach)
         side = _GRID + 2
         table = self._grid(_hit_table(z, rho))

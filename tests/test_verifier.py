@@ -3,6 +3,7 @@ lower-bound constant."""
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,10 @@ from marcopolo.placements import (
     execution_layer,
     load_placement,
 )
+from marcopolo.optimizer import alg7_layer
 from marcopolo.verifier import (
     BoundsReport,
-    _distance_rates,
-    _probe_rates,
+    _level_rates,
     bounds_report,
     distance_bound,
     lower_bound_constant,
@@ -29,7 +30,6 @@ from marcopolo.verifier import (
     probe_coefficient,
     response_bound,
 )
-from marcopolo.simulator import _frame
 
 
 def _chain(rhos, spacing=0.1):
@@ -67,8 +67,8 @@ class TestProbeCoefficient:
             probe_coefficient(_chain([1.0, 0.5]))
 
     def test_frozen_layer_values(self, layers):
-        assert probe_coefficient(layers["ALG1"]) == pytest.approx(6.0, abs=1e-9)
-        assert probe_coefficient(layers["ALG2"]) == pytest.approx(5.0, abs=1e-9)
+        for aid, c in (("ALG1", 6.0), ("ALG2", 5.0)):
+            assert probe_coefficient(layers[aid]) == pytest.approx(c, abs=1e-9)
 
 
 class TestDistanceBound:
@@ -170,29 +170,83 @@ def _random_probes(draw):
             for r, t in ((r, draw(angle)) for r in radii)]
 
 
+def _probe_rates(probes):
+    """Reference: probes paid per halving of the area when the search ends
+    at probe k = 1..m, walked over the probes; the last entry is the
+    all-negative case."""
+    rhos = [p.rho for p in probes]
+    m = len(rhos)
+    rates = [k / -math.log2(rhos[k - 1]) for k in range(1, m)]
+    rates.append((m - 1) / -math.log2(rhos[m - 1]))
+    return rates
+
+
+def _distance_rates(probes):
+    """Reference: travel paid per unit of remaining radius when the search
+    ends at probe k = 1..m, walked over the probes: the accumulated legs
+    from the center over 1 - rho_k.  The level that ends in the omitted
+    last probe walks on to its center, ``gap`` from the last issued one,
+    and the next layer's first probe lies d1 * rho_m from that center,
+    turned toward the searcher: the level is charged its legs minus
+    2 * min(gap, d1 * rho_m)."""
+    d1 = math.hypot(probes[0].center.x, probes[0].center.y)
+    cum = 0.0
+    cx = cy = 0.0
+    rates = []
+    for i, p in enumerate(probes):
+        leg = math.hypot(p.center.x - cx, p.center.y - cy)
+        cum += leg
+        if i == len(probes) - 1:
+            cum -= 2.0 * min(leg, d1 * p.rho)
+        rates.append(cum / (1.0 - p.rho))
+        cx, cy = p.center.x, p.center.y
+    return rates
+
+
+def _walked(probes):
+    """Per k, the reference's walk from the center to probe k over
+    1 - rho_k, before the last level's rebate: it bounds every term that
+    either sum adds or subtracts."""
+    points = [(0.0, 0.0)] + [(p.center.x, p.center.y) for p in probes]
+    legs = [math.hypot(bx - ax, by - ay)
+            for (ax, ay), (bx, by) in zip(points, points[1:])]
+    return [walk / (1.0 - p.rho) for walk, p in zip(accumulate(legs),
+                                                     probes)]
+
+
 class TestRatesMatchTheSearchFrame:
-    """Per k, the verifier's rates against the search frame of ``_frame``:
-    a search whose every level ends in probe k issues ``hits[k]``'s count
-    per level, and walks leg[m] + cum[j] + rho_k * (leg[k] - leg[m]) per
-    unit of starting radius over 1 - rho_k (its first level starts at the
-    center, leg[m]; every later one where level k leaves it, leg[k])."""
+    """The verifier's rates, read from the search's per-level cost table
+    (``simulator._levels``), against the reference walks over the probes
+    above, per probe k that a level ends in.  The probe rates are equal.
+    The travel rates agree within 4 ulps of the walk they are summed
+    from: the table sums a level's walk from the first probe and not from
+    the center, and charges the last level as rho_m * (leg_m - d1), the
+    reference's -2 * min(gap, d1 * rho_m) with gap = rho_m * mag_m, and
+    both cancel where the last level's rebate nears its walk.  The table
+    takes mag as the kernels do, from the squared coordinates of the
+    searcher's exit, so an exit shorter than 2^-511 reads mag = 0, and an
+    absolute 2^-500 bounds what that loses."""
 
     @staticmethod
     def _check(layer, name=""):
-        frame = _frame(layer)
-        m = layer.m
-        distance = _distance_rates(layer.probes)
-        probes = _probe_rates(layer.probes)
-        for k, (rho, hit) in enumerate(zip(frame.rho, frame.hits)):
-            walk = (frame.leg[m] + frame.cum[min(k, m - 2)]
-                    + rho * (frame.leg[k] - frame.leg[m]))
-            assert distance[k] == pytest.approx(
-                walk / (1.0 - rho), rel=0.0, abs=1e-12), (name, k)
-            assert probes[k] == hit[4] / -math.log2(rho), (name, k)
+        rates, travel, rhos = _level_rates(layer)
+        assert rates == _probe_rates(layer.probes), name
+        assert rhos == [p.rho for p in layer.probes], name
+        for k, (got, want, walked) in enumerate(zip(
+                travel, _distance_rates(layer.probes),
+                _walked(layer.probes))):
+            assert abs(got - want) <= 4 * math.ulp(walked) + 2.0 ** -500, \
+                (name, k)
 
     def test_golden_layers(self, placements_dir):
         for name, layer in _golden_orders(placements_dir):
             self._check(layer, name)
+
+    def test_built_layers(self, layers):
+        for aid, layer in layers.items():
+            self._check(layer, aid)
+            self._check(execution_layer(layer), f"{aid} executed")
+        self._check(alg7_layer(), "alg7_layer")
 
     @pytest.mark.parametrize("probes", [_NEAR_LAST, _COINCIDENT],
                              ids=["near-last", "coincident"])
