@@ -16,14 +16,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._fork import fork_map
+from .geometry import _check_resolvable
 from .placements import (
     LayerPlacement,
     execution_layer,
     generate_layer,
     load_placement,
 )
-from .simulator import _BATCH_CHUNK, _check_resolvable, run_batch
-from .verifier import distance_bound, probe_coefficient, response_bound
+from .simulator import _BATCH_CHUNK, run_batch
+from .verifier import bounds_report
 
 __all__ = [
     "ExperimentConfig",
@@ -141,16 +142,15 @@ def _rows_for(algorithm: str, placement: LayerPlacement,
               samples: Mapping[tuple[str, str], np.ndarray]) -> list[StatsRow]:
     """Summary rows of ``placement``, searched as ``executed``."""
     logn = math.ceil(math.log2(n))
-    c_table = probe_coefficient(placement)
-    c_exec = probe_coefficient(executed)
+    table, tour = bounds_report(placement), bounds_report(executed)
+    c_table, c_resp = table.c_probes, table.c_responses
     # finite-n allowance: every layer satisfies probes <= c * levels, and
     # the level total overshoots log2 n by at most one layer's largest
     # drop, so P <= c_eff * (log2 n + L_max) with c_eff the worse of the
     # analysis and executed-tour coefficients
-    c_eff = max(c_table, c_exec)
+    c_eff = max(c_table, tour.c_probes)
     l_max = max(-math.log2(p.rho) for p in executed.probes)
-    c_resp = response_bound(placement)
-    bounds = {"P": c_table, "D": distance_bound(executed), "R": c_resp}
+    bounds = {"P": c_table, "D": tour.b_distance, "R": c_resp}
     # responses overshoot the same way: the level total of the responding
     # layers can exceed log2 n by one layer's largest drop
     slacks = {"P": c_eff * (1.0 + l_max / logn) - c_table,
@@ -176,8 +176,6 @@ def _search(algorithm: str, config: ExperimentConfig, poi: np.ndarray
     """One algorithm's campaign: its placement, the layer as searched, and
     the normalized per-trial samples keyed by metric."""
     placement = _placement_for(algorithm, config)
-    if not placement.certified:
-        raise ValueError(f"placement for {algorithm} is not certified")
     executed = execution_layer(placement)
     out = run_batch(executed, config.n, poi)
     if placement.coverage == "disk":

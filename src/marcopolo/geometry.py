@@ -40,6 +40,24 @@ _RING_ANGLES = [math.radians(30 + 60 * i) for i in range(6)]
 # stored probes.
 _TOL = 2.0 ** -40
 _TWO_PI = 2.0 * math.pi
+# largest search radius: above 2**52 adjacent float64 values lie more than
+# 1 apart, the unit localization radius
+_MAX_N = 2.0 ** 52
+
+
+def _check_resolvable(n: float) -> None:
+    """Reject a search radius float64 cannot resolve to unit distances."""
+    if not math.isfinite(n) or n > _MAX_N:
+        raise ValueError(f"search radius {n} is not finite or exceeds "
+                         f"2**52, beyond unit float64 resolution")
+
+
+def _check_radius(n: float) -> None:
+    """Reject a search radius no search can run at: the one rule of
+    ``World``, ``run_batch`` and ``hexfam_layer``."""
+    _check_resolvable(n)
+    if n < 1:
+        raise ValueError(f"search radius {n} must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import numpy as np
 from .geometry import (
     Point2,
     Probe,
+    _check_radius,
     certify_coverage,
     chord_probe,
     hex_lattice,
@@ -326,8 +327,10 @@ def hexfam_layer(r_max: int, n: float) -> LayerPlacement:
     lattice over the unit disk (``hex_lattice``), ring by ring
     counterclockwise with the center hexagon last; the per-layer shrink
     factor is (3L - 2) / 2.  A lattice of more than ``_HEXFAM_MAX``
-    hexagons is rejected before it is built.
+    hexagons is rejected before it is built, as is an ``n`` no search
+    can run at (``geometry._check_radius``).
     """
+    _check_radius(n)
     if r_max < 1 or (n > 1 and r_max > math.ceil(math.log2(n))):
         raise ValueError(f"R_max={r_max} outside [1, ceil(log2 n)]")
     big_l = hexfam_layers(r_max, n)
@@ -406,6 +409,9 @@ class PlacementFile:
             raise ValueError(f"unknown coverage {coverage!r}")
         if not isinstance(payload["probes"], list):
             raise ValueError("probes is not a list")
+        if len(payload["probes"]) < 2:
+            raise ValueError(f"a layer placement needs at least two probes; "
+                             f"the file has {len(payload['probes'])}")
         probes = []
         for k, p in enumerate(payload["probes"], start=1):
             if not (isinstance(p, dict)
@@ -414,7 +420,10 @@ class PlacementFile:
             for c in ("x", "y", "rho"):
                 if not _is_finite(p[c]):
                     raise ValueError(f"probe {k} {c} is not a finite number")
-            probes.append(Probe(Point2(p["x"], p["y"]), p["rho"]))
+            try:
+                probes.append(Probe(Point2(p["x"], p["y"]), p["rho"]))
+            except ValueError as exc:
+                raise ValueError(f"probe {k}: {exc}") from None
         return cls(payload["algorithm_id"], payload["rho1"], tuple(probes),
                    coverage, payload["provenance"])
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Point2, Probe, _TOL
+from .geometry import Point2, Probe, _TOL, _check_radius
 from .placements import LayerPlacement
 
 _EPS = 1e-9
@@ -57,9 +57,6 @@ _MARGIN = 1e-7
 # the table's cell (i, j) is entry i + _ROW * j: read as a little-endian
 # uint16, the bytes i and j of _cells are that index (so _GRID + 1 < _ROW)
 _ROW = 256
-# largest search radius: above 2**52 adjacent float64 values lie more than
-# 1 apart, the unit localization radius
-_MAX_N = 2.0 ** 52
 
 
 @dataclass
@@ -78,20 +75,6 @@ class World:
             if math.hypot(p.x, p.y) > self.n + _EPS:
                 raise ValueError(f"POI ({p.x}, {p.y}) lies outside the "
                                  f"search region of radius {self.n}")
-
-
-def _check_resolvable(n: float) -> None:
-    """Reject a search radius float64 cannot resolve to unit distances."""
-    if not math.isfinite(n) or n > _MAX_N:
-        raise ValueError(f"search radius {n} is not finite or exceeds "
-                         f"2**52, beyond unit float64 resolution")
-
-
-def _check_radius(n: float) -> None:
-    """Reject a search radius no search can run at."""
-    _check_resolvable(n)
-    if n < 1:
-        raise ValueError("search radius must be at least 1")
 
 
 @dataclass
@@ -243,27 +226,27 @@ def run_single(placement: LayerPlacement, world: World,
     the last issued probe always answers.  That is not the worst case; a
     random campaign can cost more probes, distance and responses (item 4
     of ROADMAP.md plans the exact worst case).
-    Containment of the target POI is asserted at every step; placements
-    that only certify perimeter coverage may lose containment through an
-    interior gap, which is reported via ``containment_lost`` instead.
+    A POI that no probe of a level holds, even within ``_rescue``'s slack,
+    is reported lost (``containment_lost``), as ``run_batch`` reports it;
+    a certified layer never loses one.
     """
     origin = Point2(0.0, 0.0)
     frame = _frame(placement)
     if adversarial:
-        return _run_single(placement, frame, None, origin, world.n)
+        return _run_single(frame, None, origin, world.n)
     target = _nearest(world.pois, range(len(world.pois)), origin)[1]
-    trace = _run_single(placement, frame, world.pois[target], origin, world.n)
+    trace = _run_single(frame, world.pois[target], origin, world.n)
     if trace.success:
         trace.found_poi = target
     return trace
 
 
-def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
-                center: Point2, s: float) -> SearchTrace:
-    """The descent of ``run_single`` on the ``_frame`` of ``placement``,
-    for ``poi`` (None for the adversarial responses), in the area of
-    radius ``s`` about ``center`` with the searcher at its center.  The
-    trace leaves ``found_poi`` to the caller.
+def _run_single(frame: _Frame, poi: Point2 | None, center: Point2,
+                s: float) -> SearchTrace:
+    """The descent of ``run_single`` on a layer's ``_frame``, for ``poi``
+    (None for the adversarial responses), in the area of radius ``s``
+    about ``center`` with the searcher at its center.  The trace leaves
+    ``found_poi`` to the caller.
 
     The search lives in the frame of its current area, as in
     ``_descend``: ``q`` is the POI in that frame, ``s`` the area's
@@ -279,7 +262,8 @@ def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
     where ``d`` exceeds ``margin[k] = rho[k] * (1 - 2**-45)``.  Below it
     the check cannot fire: the move and ``abs`` round by less than 2**-50,
     relative, so ``abs(q) <= (d / rho[k]) * (1 + 2**-50) < 1``.  A level
-    whose check fires is decided by ``_rescue``.
+    whose check fires is decided by ``_rescue``, or lost where it finds
+    no probe, as in ``_descend``.
     """
     z, reach, margin, face, hits = (frame.levels.z, frame.reach, frame.margin,
                                     frame.face, frame.hits)
@@ -326,8 +310,6 @@ def _run_single(placement: LayerPlacement, frame: _Frame, poi: Point2 | None,
                 s_next = s * rho_k
                 tol = _EPS / s_next
                 q_next = (q - zk) * inv_rho
-            elif placement.coverage != "perimeter":
-                raise RuntimeError("POI escaped the search area: geometry bug")
             else:
                 lost = True
         distance += s * (leg + walk)
@@ -403,8 +385,7 @@ def find_all(placement: LayerPlacement, world: World) -> FindAllResult:
                 return result
             result.p_tot += rungs  # the failed rungs and the positive one
             result.gaps.append(radius)
-        trace = _run_single(placement, frame, world.pois[target], delta,
-                            radius)
+        trace = _run_single(frame, world.pois[target], delta, radius)
         if not trace.success:
             raise RuntimeError("single-POI search failed")
         trace.found_poi = target

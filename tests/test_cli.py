@@ -1,5 +1,5 @@
-"""Command-line entry points (the optimizer subcommand is covered by the
-acceptance suite; everything here is fast)."""
+"""Command-line entry points (of the optimizer subcommand, only the
+deterministic ALG7 layer runs here; the acceptance suite builds ALG8)."""
 from __future__ import annotations
 
 import csv
@@ -19,6 +19,7 @@ from marcopolo.geometry import Point2, Probe
 from marcopolo.placements import (
     PlacementFile,
     construct_layer,
+    load_placement,
     save_placement,
 )
 
@@ -116,11 +117,23 @@ class TestVerify:
          "probe 1 x is not a finite number"),
         (lambda doc: {**doc, "algorithm_id": []},
          "algorithm_id is not a string"),
+        (lambda doc: {**doc, "probes": {}}, "probes is not a list"),
+        (lambda doc: {**doc, "probes": []},
+         "needs at least two probes; the file has 0"),
+        (lambda doc: {**doc, "probes": doc["probes"][:1]},
+         "needs at least two probes; the file has 1"),
+        (lambda doc: {**doc, "probes": [{**doc["probes"][0], "rho": 0}]
+                      + doc["probes"][1:]},
+         "probe 1: probe radius 0 outside (0, 1]"),
+        (lambda doc: {**doc, "probes": doc["probes"][:1]
+                      + [{"x": 3.0, "y": 0.0, "rho": 0.5}]},
+         "probe 2: probe disk does not intersect the unit disk"),
     ], ids=["not-object", "no-algorithm-id", "no-rho1", "no-probes",
             "no-provenance", "probe-without-rho", "string-coordinate",
             "unknown-coverage", "string-provenance", "nan-rho1",
             "infinite-rho1", "huge-rho1", "huge-coordinate",
-            "list-algorithm-id"])
+            "list-algorithm-id", "probes-not-a-list", "no-probe",
+            "one-probe", "zero-radius", "probe-off-the-disk"])
     def test_malformed_file(self, alg3_file, tmp_path, capsys, change,
                             message):
         path = tmp_path / "bad.json"
@@ -141,6 +154,19 @@ class TestLowerbound:
         out = capsys.readouterr().out
         assert "2.40001" in out
         assert "0.74915" in out
+
+
+class TestOptimize:
+    def test_alg7_layer_written(self, tmp_path, capsys):
+        path = tmp_path / "alg7.json"
+        assert main(["optimize", "--algorithm", "7", "--out",
+                     str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"ALG7: 18 probes, rho1 = 0.789, c = 2.9248 -> {path}\n")
+        assert load_placement(path).certified
+        provenance = json.loads(path.read_text())["provenance"]
+        assert {k: provenance[k] for k in ("kind", "seed")} == {
+            "kind": "optimized", "seed": None}
 
 
 class TestSimulate:
@@ -184,6 +210,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "algorithm_id is not a string" in err
+
+    def test_one_probe_file(self, alg3_file, tmp_path, capsys):
+        # refused as malformed, as verify refuses it, not as uncertified
+        path = tmp_path / "one.json"
+        doc = json.loads(alg3_file.read_text())
+        path.write_text(json.dumps({**doc, "probes": doc["probes"][:1]}))
+        assert main(["simulate", "--placement", str(path),
+                     "--n", "1024", "--poi", "100,200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "needs at least two probes" in err
+        assert "certification" not in err
 
     @pytest.mark.parametrize("poi", ["100", "a,b", "1,2,3"])
     def test_malformed_poi(self, alg3_file, capsys, poi):

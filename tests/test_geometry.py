@@ -149,6 +149,13 @@ class TestCertifyCoverage:
         arcs = certify_coverage(layer.probes).uncovered_arcs
         assert arcs[0][0] == -1
 
+    @pytest.mark.parametrize("probes", [[], ()])
+    def test_empty_placement_rejected(self, probes):
+        with pytest.raises(ValueError, match="empty placement"):
+            certify_coverage(probes)
+        with pytest.raises(ValueError, match="empty placement"):
+            uncovered_faces(probes)
+
     def test_verdict_is_read_from_the_arcs(self):
         assert CoverageReport([]).certified_covered
         assert not CoverageReport([(-1, 0.0, 1.0)]).certified_covered

@@ -75,6 +75,11 @@ class TestProgressiveLayers:
             for k, p in enumerate(layer.probes, start=1):
                 assert abs(p.rho - base ** k) < 1e-12
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_probes_rejected(self, layers, count):
+        with pytest.raises(ValueError, match="at least two probes"):
+            LayerPlacement("ALG3", layers["ALG3"].probes[:count], None, True)
+
     @pytest.mark.parametrize("rho1", [math.nan, math.inf])
     def test_non_finite_schedule_base_rejected(self, layers, rho1):
         with pytest.raises(ValueError, match="geometric schedule"):

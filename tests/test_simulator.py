@@ -5,15 +5,23 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from marcopolo import geometry, optimizer
-from marcopolo.geometry import _TOL, Point2, Probe, uncovered_faces
+from marcopolo.geometry import (
+    _TOL,
+    Point2,
+    Probe,
+    certify_coverage,
+    uncovered_faces,
+)
 from marcopolo.optimizer import OptimizerConfig, alg7_layer, evolve_initial
 from marcopolo.placements import (
     LayerPlacement,
+    construct_layer,
     execution_layer,
     hexfam_layer,
     hexfam_layers,
@@ -806,19 +814,27 @@ class TestRunBatch:
                                         trace.distance, trace.success,
                                         trace.containment_lost), i
 
-    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.0 ** 60, 0.5])
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.0 ** 60, 0.5,
+                                   -4.0])
     def test_rejects_radius_world_rejects(self, layers, monkeypatch, n):
         # nan and inf never finished the descent; 2^60 answered beyond
-        # float64 resolution
+        # float64 resolution; hexfam_layer applies the same rule, with the
+        # same message naming n
         def descend(*args):
             raise AssertionError("the descent ran")
 
         monkeypatch.setattr(simulator, "_descend", descend)
         poi = np.array([[0.2, 0.1]])
-        with pytest.raises(ValueError, match="search radius"):
-            run_batch(execution_layer(layers["ALG1"]), n, poi)
-        with pytest.raises(ValueError, match="search radius"):
-            World(n, [Point2(0.2, 0.1)])
+        messages = set()
+        for call in (
+                lambda: run_batch(execution_layer(layers["ALG1"]), n, poi),
+                lambda: World(n, [Point2(0.2, 0.1)]),
+                lambda: hexfam_layer(1, n), lambda: hexfam_layer(2, n)):
+            with pytest.raises(ValueError, match="search radius "
+                               + re.escape(str(n))) as error:
+                call()
+            messages.add(str(error.value))
+        assert len(messages) == 1
 
     @pytest.mark.parametrize("x", [3000.0, 1024.0 + 2.0 * _EPS, -math.inf,
                                    math.nan])
@@ -962,6 +978,35 @@ class TestRunBatch:
             assert (out["P"][i], out["R"][i], out["D"][i], out["lost"][i]) == (
                 trace.probes, trace.responses, trace.distance,
                 trace.containment_lost), i
+
+    @pytest.mark.parametrize("log2_n", [10, 20, 40, 52])
+    def test_uncertified_layers_lose_alike(self, log2_n):
+        # ALG3 below its minimal base and ALG4 below its own leave gaps in
+        # the disk: both kernels report a POI in one as lost, whatever the
+        # layer's coverage label
+        layers = [construct_layer("ALG3", r) for r in (0.80, 0.83, 0.843)]
+        layers.append(construct_layer("ALG4", 0.78))
+        n = 2.0 ** log2_n
+        rng = np.random.default_rng(log2_n)
+        lost = 0
+        for layer in layers:
+            assert not certify_coverage(layer.probes).certified_covered
+            angle = rng.uniform(0.0, 2.0 * math.pi, 300)
+            dist = n * np.sqrt(rng.uniform(0.0, 1.0, 300))
+            poi = np.stack([dist * np.cos(angle), dist * np.sin(angle)],
+                           axis=1)
+            out = run_batch(layer, n, poi)
+            for i, (x, y) in enumerate(poi):
+                trace = run_single(layer, World(n, [Point2(x, y)]))
+                where = (layer.rho1, i)
+                assert (trace.probes, trace.responses, trace.success,
+                        trace.containment_lost) == (
+                    out["P"][i], out["R"][i], out["success"][i],
+                    out["lost"][i]), where
+                assert trace.distance == pytest.approx(out["D"][i],
+                                                       rel=1e-12), where
+            lost += int(out["lost"].sum())
+        assert lost > 0
 
     @pytest.mark.parametrize("log2_n", [50, 52])
     def test_large_n_keeps_the_poi(self, layers, log2_n):
