@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import experiments, optimizer, placements, simulator, verifier
-from .geometry import Point2, certify_coverage
+from .geometry import Point2
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -28,10 +28,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"response coeff:  {report.c_responses:.4f}")
     print(f"worst probes:    {report.worst_probe_index}")
     if not layer.certified:
-        arcs = certify_coverage(layer.probes).uncovered_arcs
-        if layer.coverage == "perimeter":
-            # such a layer need cover only the unit circle (circle -1)
-            arcs = [arc for arc in arcs if arc[0] < 0]
+        arcs = placements.uncovered_arcs(layer.probes, layer.coverage)
         print(f"uncovered arcs:  {len(arcs)} (degrees counterclockwise "
               f"about each circle's center)")
         for circle, start, end in arcs:

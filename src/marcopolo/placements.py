@@ -105,26 +105,27 @@ class LayerPlacement:
 
 
 # ---------------------------------------------------------------------------
-# Perimeter (boundary arc) certification
+# Coverage of the region a coverage label names
 # ---------------------------------------------------------------------------
 
-def perimeter_covered(probes: Sequence[Probe]) -> bool:
-    """Exact test that the union of probes, each dilated by the coverage
-    tolerance ``geometry._TOL``, covers the unit circle boundary: the
-    coverage certifier finds no uncovered arc on the unit circle (circle
-    -1).  A perimeter-covering layer thus covers the circle to within
-    ``_TOL``; its interior may keep gaps, where a search loses its POI
-    (``SearchTrace.containment_lost``) rather than failing."""
-    return all(circle >= 0 for circle, _, _
-               in certify_coverage(probes).uncovered_arcs)
-
-
-def _covers(probes: Sequence[Probe], coverage: str) -> bool:
-    """Whether ``probes`` cover the region ``coverage`` names: the unit
-    circle for ``"perimeter"``, the closed unit disk otherwise."""
+def uncovered_arcs(probes: Sequence[Probe], coverage: str) -> list:
+    """The uncovered arcs of ``certify_coverage`` that lie in the region
+    ``coverage`` names: those of the unit circle (circle -1) for
+    ``"perimeter"``, all of them for the closed unit disk otherwise.  The
+    list is empty iff the probes, each dilated by the coverage tolerance
+    ``geometry._TOL``, cover that region."""
+    arcs = certify_coverage(probes).uncovered_arcs
     if coverage == "perimeter":
-        return perimeter_covered(probes)
-    return certify_coverage(probes).certified_covered
+        return [arc for arc in arcs if arc[0] < 0]
+    return arcs
+
+
+def perimeter_covered(probes: Sequence[Probe]) -> bool:
+    """Exact test that the probes cover the unit circle boundary to within
+    ``_TOL`` (``uncovered_arcs``).  The interior of a perimeter-covering
+    layer may keep gaps, where a search loses its POI
+    (``SearchTrace.containment_lost``) rather than failing."""
+    return not uncovered_arcs(probes, "perimeter")
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +301,7 @@ def generate_layer(algorithm_id: str) -> LayerPlacement:
     below 3e-4).
     """
     layer = construct_layer(algorithm_id)
-    if not _covers(layer.probes, layer.coverage):
+    if uncovered_arcs(layer.probes, layer.coverage):
         raise CertificationError(
             f"{algorithm_id} placement failed certification")
     return LayerPlacement(layer.algorithm_id, layer.probes, layer.rho1,
@@ -392,7 +393,8 @@ class PlacementFile:
         if not isinstance(payload, dict):
             raise ValueError("placement file is not a JSON object")
         version = payload.get("schema_version")
-        if version != SCHEMA_VERSION:
+        # true and 1.0 equal 1 in Python, but neither is schema version 1
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {version!r}")
         for key in ("algorithm_id", "rho1", "probes", "provenance"):
             if key not in payload:
@@ -452,7 +454,7 @@ def load_placement(path: str | Path,
     returned placement then carries ``certified=False``).
     """
     pf = PlacementFile.from_json(Path(path).read_text())
-    ok = _covers(pf.probes, pf.coverage)
+    ok = not uncovered_arcs(pf.probes, pf.coverage)
     if not ok and not allow_uncertified:
         raise CertificationError(f"placement {path} failed certification")
     return pf.to_layer(certified=ok)

@@ -10,23 +10,23 @@ Each layer placement lives on the unit disk.  Both kernels, ``run_single``
 and ``run_batch``, keep a search in the frame of its current area: the
 area scaled to the unit disk and turned so the first probe faces the
 searcher.  Positions stay relative to the area, so float64 resolves them
-up to n = 2**52.  The kernels read the same per-layer constants
-(``_frame``, built once per layer object from the cost table ``_levels``
-that the verifier reads too) and round alike, so they agree trial for
-trial.
+up to n = 2**52.  The kernels read one per-layer table, ``_levels``,
+which the verifier's coefficients read too, and round alike, so they
+agree trial for trial.  The table holds each level's turn and the
+searcher's leg to the next first probe.  A layer whose first probe lies
+within ``_EPS`` of the center does not turn, and a searcher at its
+area's center whose frame is not turned (rotation exactly 1) is not
+turned again, in either kernel.
 
 A level's disk tests allow the absolute tolerance ``_EPS``.  In an area
 larger than about 1e7 that is below the rounding of frame coordinates, and
 a POI on a probe junction can test outside every probe; such a level is
 decided again with a slack floored at the coverage tolerance that certifies
-the layer, ``geometry._TOL`` (``_rescue``).
-Each kernel skips that escape check where it cannot fire.  ``run_batch``
-skips it for a POI in a decided cell of its first-hit table.
-``run_single`` skips it where the POI lies no farther than ``rho * (1 -
-2**-45)`` from its probe's center: the move into the probe's disk and its
-length round by less than 2**-50, relative, so the POI stays inside.  A
-searcher at its area's center whose frame is not turned (rotation exactly
-1) is not turned again, in either kernel.
+the layer, ``geometry._TOL`` (``_rescue``).  Both kernels follow one rule:
+every level whose probe the disk tests chose runs this escape check.
+Only ``run_batch`` decides some levels without disk tests, for a POI in a
+decided cell of its first-hit table, which lies inside its probe's disk
+by ``_MARGIN``; a POI there cannot escape.
 """
 from __future__ import annotations
 
@@ -42,9 +42,6 @@ from .geometry import Point2, Probe, _TOL, _check_radius
 from .placements import LayerPlacement
 
 _EPS = 1e-9
-# relative margin under a probe's radius within which run_single's escape
-# check cannot fire (see _run_single)
-_SURE = 2.0 ** -45
 # run_batch's slices hold about this many POIs: t POIs go in k = max(1,
 # round(t / _BATCH_CHUNK)) slices of ceil(t / k) rows, as each level of a
 # slice's descent pays a fixed NumPy cost however few rows it holds
@@ -89,21 +86,30 @@ class SearchTrace:
 
 
 class _Levels(NamedTuple):
-    """Per-layer cost table of the descent, indexed by the probe k a level
-    ends in: the first issued probe that holds the POI, or the omitted
-    last probe when none does; the next area is that probe's disk.  A
-    level that ends in an issued probe leaves the searcher at its center,
-    the next area's; one that ends in the omitted probe leaves it at the
-    last issued probe, m - 2.  Both kernels read the table through
-    ``_Frame``, and the verifier's coefficients read it directly."""
+    """Per-layer table of the descent, indexed by the probe k a level ends
+    in: the first issued probe that holds the POI, or the omitted last
+    probe when none does; the next area is that probe's disk.  A level
+    that ends in an issued probe leaves the searcher at its center, the
+    next area's; one that ends in the omitted probe leaves it at the last
+    issued probe, m - 2.  The searcher columns ``mag``, ``turn`` and
+    ``leg`` describe the searcher as the next level finds it, with a last
+    entry, m, for a searcher at the area's center, whom no frame turns
+    toward.  Both kernels read this table, ``run_single`` through
+    ``_Frame`` and ``run_batch`` through ``_Batch``, and the verifier's
+    coefficients read it directly."""
 
     z: Sequence[complex]  # probe centers
     rho: Sequence[float]  # the shrink: probe k's radius
+    reach: Sequence[float]  # rho, with inf for the omitted last probe
     issued: Sequence[int]  # probes issued, min(k, m - 2) + 1
     answered: Sequence[bool]  # whether a probe answered: k <= m - 2
     walk: Sequence[float]  # from the first probe to the last issued
-    exit: Sequence[complex]  # the searcher in the next area's frame
-    mag: Sequence[float]  # its distance from the next area's center
+    # the first probe's direction; None where it lies within _EPS of the
+    # center, and then the layer never turns
+    face: complex | None
+    mag: Sequence[float]  # the searcher's distance from the area's center
+    turn: Sequence[complex]  # the frame turn that faces the first probe
+    leg: Sequence[float]  # the searcher's walk to the first probe, turned
 
 
 def _levels(probes: Sequence[Probe]) -> _Levels:
@@ -112,67 +118,47 @@ def _levels(probes: Sequence[Probe]) -> _Levels:
     rho = [p.rho for p in probes]
     m = len(z)
     cum = [0.0, *accumulate(abs(b - a) for a, b in zip(z, z[1:m - 1]))]
-    # where the omitted probe's level leaves the searcher; NumPy divides a
-    # complex by a real through the reciprocal, so we do too
+    d1 = abs(z[0])
+    face = z[0] * (1.0 / d1) if d1 >= _EPS else None
+    # where the omitted probe's level leaves the searcher, in the next
+    # area's frame; NumPy divides a complex by a real through the
+    # reciprocal, so we do too
     w = (z[m - 2] - z[m - 1]) * (1.0 / rho[m - 1])
-    mag = math.sqrt(w.real * w.real + w.imag * w.imag)
-    return _Levels(z, rho, [*range(1, m), m - 1], [True] * (m - 1) + [False],
-                   cum + cum[-1:], [0j] * (m - 1) + [w],
-                   [0.0] * (m - 1) + [mag])
+    g = math.sqrt(w.real * w.real + w.imag * w.imag)
+    turn = 1.0 + 0j if face is None or g == 0.0 else (
+        face * w.conjugate() * (1.0 / g))
+    # every other entry leaves the searcher at the center: no turn, and
+    # the leg is d1
+    return _Levels(z, rho, rho[:-1] + [math.inf], [*range(1, m), m - 1],
+                   [True] * (m - 1) + [False], cum + cum[-1:], face,
+                   [0.0] * (m - 1) + [g, 0.0],
+                   [1.0 + 0j] * (m - 1) + [turn, 1.0 + 0j],
+                   [d1] * (m - 1) + [abs(z[0] - w * turn), d1])
 
 
 class _Frame(NamedTuple):
-    """Per-layer constants of the frame-relative descent: the ``_Levels``
-    and, indexed as they are, the searcher as the next level finds it,
-    with a last entry, m, for a searcher at the area's center.  Both
-    kernels read the same values, so they round alike: ``run_single`` as
-    Python lists, which are cheaper to index one probe at a time, and
-    ``run_batch`` as the NumPy tables of ``_Batch``, among them the
-    first-hit table that decides most of its levels with neither disk
-    tests nor an escape check.
-    """
+    """What ``run_single`` reads of a layer: its ``_Levels`` and, per
+    probe k, all that a level ending in k reads, as Python lists, which
+    are cheaper to index one probe at a time."""
 
-    levels: _Levels  # the per-level costs, among them z and rho
-    reach: Sequence[float]  # rho, with inf for the omitted last probe
-    margin: Sequence[float]  # rho * (1 - _SURE), see _run_single
-    face: complex | None  # the first probe's direction; None if centred
-    mag: Sequence[float]  # the searcher's distance from the area's center
-    turn: Sequence[complex]  # the frame turn that faces the first probe
-    leg: Sequence[float]  # the turned searcher's walk to the first probe
-    # per k, all that run_single's level ending in probe k reads: (z[k],
-    # 1 / rho[k], rho[k], walk[k], issued[k], answered[k], mag[k],
+    levels: _Levels
+    # (z[k], 1 / rho[k], rho[k], walk[k], issued[k], answered[k], mag[k],
     # turn[k], leg[k], conj(turn[k]))
     hits: Sequence[tuple]
 
 
 def _frame(placement: LayerPlacement) -> _Frame:
-    """The ``_Frame`` of a layer, as Python lists, built on first use and
-    kept on the placement object for its lifetime."""
+    """The ``_Frame`` of a layer, built on first use and kept on the
+    placement object for its lifetime."""
     frame = placement._frame
     if frame is None:
-        frame = _build_frame(placement)
+        lv = _levels(placement.probes)
+        frame = _Frame(lv, list(zip(
+            lv.z, [1.0 / r for r in lv.rho], lv.rho, lv.walk, lv.issued,
+            lv.answered, lv.mag, lv.turn, lv.leg,
+            [t.conjugate() for t in lv.turn])))
         object.__setattr__(placement, "_frame", frame)
     return frame
-
-
-def _build_frame(placement: LayerPlacement) -> _Frame:
-    levels = _levels(placement.probes)
-    z, rho = levels.z, levels.rho
-    reach = rho[:-1] + [math.inf]
-    margin = [r * (1.0 - _SURE) for r in rho]
-    d1 = abs(z[0])
-    face = z[0] * (1.0 / d1) if d1 >= _EPS else None
-    # the searcher as the next level finds it, the last entry at the
-    # center; the frame turns so the first probe faces the searcher, but
-    # not for a searcher at the center nor in a layer that does not turn
-    exits, mag = [*levels.exit, 0j], [*levels.mag, 0.0]
-    turn = [1.0 + 0j if face is None or g == 0.0
-            else face * w.conjugate() * (1.0 / g) for w, g in zip(exits, mag)]
-    leg = [abs(z[0] - w * t) for w, t in zip(exits, turn)]
-    hits = list(zip(z, [1.0 / r for r in rho], rho, levels.walk,
-                    levels.issued, levels.answered, mag, turn, leg,
-                    [t.conjugate() for t in turn]))
-    return _Frame(levels, reach, margin, face, mag, turn, leg, hits)
 
 
 def _rescue(z: Sequence[complex], rho: Sequence[float],
@@ -256,24 +242,20 @@ def _run_single(frame: _Frame, poi: Point2 | None, center: Point2,
     area's center with ``o`` exactly 1 is not turned: ``q * 1`` could
     differ from ``q`` only in the sign of a zero part, which no test sees.
 
-    A level moves into probe k as ``q <- w / rho[k]``, with ``w = q -
-    z[k]`` and its length ``d`` kept from the last disk test.  The escape
-    check, whether the move left the POI outside the next area, runs only
-    where ``d`` exceeds ``margin[k] = rho[k] * (1 - 2**-45)``.  Below it
-    the check cannot fire: the move and ``abs`` round by less than 2**-50,
-    relative, so ``abs(q) <= (d / rho[k]) * (1 + 2**-50) < 1``.  A level
-    whose check fires is decided by ``_rescue``, or lost where it finds
-    no probe, as in ``_descend``.
+    A level moves into probe k as ``q <- (q - z[k]) / rho[k]``.  Every
+    level then runs the escape check, whether the move left the POI
+    outside the next area; a level whose check fires is decided by
+    ``_rescue``, or lost where it finds no probe, as in ``_descend``.
     """
-    z, reach, margin, face, hits = (frame.levels.z, frame.reach, frame.margin,
-                                    frame.face, frame.hits)
+    levels, hits = frame
+    z, reach, face = levels.z, levels.reach, levels.face
     last = len(z) - 2  # the last issued probe
     adversarial = poi is None
     c = complex(center.x, center.y)
-    # divide as NumPy does, see _frame
+    # divide as NumPy does, see _levels
     q = 0j if adversarial else (complex(poi.x, poi.y) - c) * (1.0 / s)
-    # the searcher starts at the area's center: the frame's last entry
-    mag, turn, leg = frame.mag[-1], frame.turn[-1], frame.leg[-1]
+    # the searcher starts at the area's center: the table's last entry
+    mag, turn, leg = levels.mag[-1], levels.turn[-1], levels.leg[-1]
     turn_c = turn.conjugate()
     o = 1.0 + 0j
     probes = responses = 0
@@ -291,19 +273,19 @@ def _run_single(frame: _Frame, poi: Point2 | None, center: Point2,
                 q = q * o
                 o = 1.0 + 0j
         if adversarial:
-            # the POI is never read: d = 0 skips the escape check
-            hit, w, d = last, 0j, 0.0
+            # the POI is never read: w = 0 keeps it at the next center
+            hit, w = last, 0j
         else:
             hit = 0
-            while (d := abs(w := q - z[hit])) > reach[hit] + tol:
+            while abs(w := q - z[hit]) > reach[hit] + tol:
                 hit += 1
         zk, inv_rho, rho_k, walk, issued, answered, mag, turn, next_leg, \
             turn_c = hits[hit]
         s_next = s * rho_k
         tol = _EPS / s_next
         q_next = w * inv_rho
-        if d > margin[hit] and abs(q_next) > 1.0 + tol:
-            k = int(_rescue(z, frame.levels.rho, np.array([q]))[0])
+        if abs(q_next) > 1.0 + tol:
+            k = int(_rescue(z, levels.rho, np.array([q]))[0])
             if k >= 0:
                 zk, inv_rho, rho_k, walk, issued, answered, mag, turn, \
                     next_leg, turn_c = hits[k]
@@ -422,7 +404,7 @@ def run_batch(placement: LayerPlacement, n: float,
         x, y = poi_xy[bad[0]]
         raise ValueError(f"POI ({x}, {y}) is not finite or lies outside "
                          f"the search region of radius {n}")
-    batch = _batch(_frame(placement))
+    batch = _batch(_frame(placement).levels)
     t = poi_xy.shape[0]
     out = {"P": np.zeros(t, dtype=np.int64), "D": np.zeros(t),
            "R": np.zeros(t, dtype=np.int64),
@@ -438,8 +420,8 @@ def run_batch(placement: LayerPlacement, n: float,
 
 class _Batch(NamedTuple):
     """Per-layer arrays of ``_descend``, built by ``_batch`` from a layer's
-    ``_Frame`` once per ``run_batch`` call.  ``at`` indexes the searcher
-    as in ``_Frame``: the previous level's probe, or m at the center."""
+    ``_Levels`` once per ``run_batch`` call.  ``at`` indexes the searcher
+    as in ``_Levels``: the previous level's probe, or m at the center."""
 
     table: np.ndarray  # the first-hit table of the probes' disks
     z: np.ndarray  # probe centers
@@ -457,16 +439,16 @@ class _Batch(NamedTuple):
     counts: np.ndarray  # per hit: probes issued + (responses << 32)
 
 
-def _batch(frame: _Frame) -> _Batch:
-    levels = frame.levels
-    z, rho, mag = np.array(levels.z), np.array(levels.rho), np.array(frame.mag)
+def _batch(levels: _Levels) -> _Batch:
+    z, rho = np.array(levels.z), np.array(levels.rho)
+    mag = np.array(levels.mag)
     counts = (np.array(levels.issued, dtype=np.int64)
               + (np.array(levels.answered, dtype=np.int64) << 32))
     exact = ((mag > 0.0) & (mag < _EPS)).any()
-    return _Batch(_hit_table(z, rho), z, np.array(frame.reach), rho,
-                  1.0 / rho, frame.face is not None,
-                  None if exact else mag == 0.0, mag, np.array(frame.turn),
-                  np.array(frame.leg), np.array(levels.walk), counts)
+    return _Batch(_hit_table(z, rho), z, np.array(levels.reach), rho,
+                  1.0 / rho, levels.face is not None,
+                  None if exact else mag == 0.0, mag, np.array(levels.turn),
+                  np.array(levels.leg), np.array(levels.walk), counts)
 
 
 def _hit_table(z: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -56,14 +56,8 @@ def _level_rates(placement) -> tuple[list[float], list[float],
         raise ValueError("a probe of radius 1 gives unbounded coefficients")
     d1 = abs(table.z[0])
     rates = [n / -math.log2(r) for n, r in zip(table.issued, table.rho)]
-    # in this area's units the searcher ends gap = rho * mag from the next
-    # area's center, and the next first probe lies d1 * rho from it, toward
-    # the searcher: rho * (leg - d1) = gap - 2 * min(gap, d1 * rho)
-    travel = []
-    for w, r, g in zip(table.walk, table.rho, table.mag):
-        gap, near = r * g, d1 * r
-        travel.append((d1 + w + gap - 2.0 * (gap if gap <= near else near))
-                      / (1.0 - r))
+    travel = [(d1 + w + r * (leg - d1)) / (1.0 - r)
+              for w, r, leg in zip(table.walk, table.rho, table.leg)]
     return rates, travel, table.rho
 
 
@@ -85,12 +79,15 @@ def distance_bound(placement) -> float:
     Its first level walks d1, the first probe's distance from the center,
     and then ``walk_k`` to its last issued probe; a later level walks
     ``leg_k`` to its first probe and ``walk_k``, in an area rho_k times
-    smaller.  A level that ends in the omitted last probe m leaves the
-    searcher ``mag_m`` from the next area's center, and the next layer is
-    rotated so its first probe faces the searcher, who walks only leg_m =
-    |d1 - mag_m|; a level that ends in an issued probe leaves the searcher
-    at the center, leg_k = d1.  Summed: b = max_k (d1 + walk_k + rho_k
-    (leg_k - d1)) / (1 - rho_k).
+    smaller.  A level that ends in an issued probe leaves the searcher at
+    the center, leg_k = d1.  One that ends in the omitted last probe m
+    leaves the searcher off the next area's center, and ``leg_m`` is its
+    walk to the next first probe as the search kernels make it: |d1 -
+    mag_m| where the next layer turns its first probe toward the
+    searcher, and the plain distance in a layer whose first probe lies
+    within ``simulator._EPS`` of the center, which does not turn.  Each
+    leg_k is read from the kernels' table (``simulator._levels``).
+    Summed: b = max_k (d1 + walk_k + rho_k (leg_k - d1)) / (1 - rho_k).
     """
     return bounds_report(placement).b_distance
 
@@ -148,7 +145,8 @@ def minimal_rho1(scheme: str, tol: float = _BISECT_TOL) -> float:
                 layer = _placements.construct_layer(scheme, rho1)
             except (_placements.CertificationError, ValueError):
                 return False
-            return _placements._covers(layer.probes, layer.coverage)
+            return not _placements.uncovered_arcs(layer.probes,
+                                                  layer.coverage)
 
         lo, hi = 0.5, 0.99
     else:

@@ -23,6 +23,9 @@ from marcopolo.placements import (
     save_placement,
 )
 
+# the full output of ``marcopolo verify`` on each golden placement
+TRANSCRIPTS = Path(__file__).resolve().parent / "data" / "verify"
+
 
 @pytest.fixture()
 def alg3_file(tmp_path, layers):
@@ -89,6 +92,13 @@ class TestVerify:
         # only the unit circle, the region such a layer must cover
         assert all(row[:2] == ["unit", "circle"] for row in rows)
 
+    @pytest.mark.parametrize("name", [f"alg{k}" for k in range(1, 9)])
+    def test_golden_transcript(self, placements_dir, name, capsys):
+        # the transcripts CI diffs the installed entry point against
+        assert main(["verify", str(placements_dir / f"{name}.json")]) == 0
+        assert capsys.readouterr().out == (TRANSCRIPTS
+                                           / f"{name}.txt").read_text()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -128,12 +138,18 @@ class TestVerify:
         (lambda doc: {**doc, "probes": doc["probes"][:1]
                       + [{"x": 3.0, "y": 0.0, "rho": 0.5}]},
          "probe 2: probe disk does not intersect the unit disk"),
+        # both equal 1 in Python
+        (lambda doc: {**doc, "schema_version": True},
+         "unsupported schema version True"),
+        (lambda doc: {**doc, "schema_version": 1.0},
+         "unsupported schema version 1.0"),
     ], ids=["not-object", "no-algorithm-id", "no-rho1", "no-probes",
             "no-provenance", "probe-without-rho", "string-coordinate",
             "unknown-coverage", "string-provenance", "nan-rho1",
             "infinite-rho1", "huge-rho1", "huge-coordinate",
             "list-algorithm-id", "probes-not-a-list", "no-probe",
-            "one-probe", "zero-radius", "probe-off-the-disk"])
+            "one-probe", "zero-radius", "probe-off-the-disk",
+            "bool-schema-version", "float-schema-version"])
     def test_malformed_file(self, alg3_file, tmp_path, capsys, change,
                             message):
         path = tmp_path / "bad.json"

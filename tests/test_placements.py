@@ -25,6 +25,7 @@ from marcopolo.placements import (
     load_placement,
     perimeter_covered,
     save_placement,
+    uncovered_arcs,
 )
 from marcopolo.verifier import probe_coefficient
 
@@ -101,6 +102,10 @@ class TestProgressiveLayers:
         assert layer.coverage == "perimeter"
         assert layer.rho1 == ALG4_RHO1
         assert perimeter_covered(layer.probes)
+        # the interior pinholes leave arcs of probe circles uncovered,
+        # which the perimeter label does not count
+        assert uncovered_arcs(layer.probes, "disk")
+        assert uncovered_arcs(layer.probes, "perimeter") == []
 
     def test_alg6_free_distances(self, layers):
         layer = layers["ALG6"]

@@ -250,6 +250,24 @@ class TestRescue:
         ])
         assert _rescue(z, rho, q).tolist() == [1, -1, 0, 0, -1]
 
+    def test_escape_check_fires_on_a_junction(self, placements_dir,
+                                              monkeypatch):
+        # ALG2's junction POI at 2^52 tests outside both touching probes:
+        # its level's escape check fires and calls _rescue
+        calls = []
+
+        def rescue(*args):
+            calls.append(args)
+            return _rescue(*args)
+
+        monkeypatch.setattr(simulator, "_rescue", rescue)
+        placement = execution_layer(load_placement(placements_dir
+                                                   / "alg2.json"))
+        n = 2.0 ** 52
+        trace = run_single(placement, World(n, [Point2(n / 2.0, 0.0)]))
+        assert trace.success and not trace.containment_lost
+        assert calls
+
 
 def _exact_face_points(probes, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
     """One point of each face that the undilated probe disks leave
@@ -334,59 +352,6 @@ class TestCertifiedMeansSearchable:
         points, gap = _exact_face_points(layer.probes, monkeypatch)
         assert (np.abs(gap) <= 1e-15).all()
         self._search_face_points(execution_layer(layer), points)
-
-
-class TestEscapeMargin:
-    """``_run_single`` skips the escape check where the POI lies within
-    ``margin[k]`` of probe k's center; there the check cannot fire."""
-
-    @pytest.mark.parametrize("aid", GOLDEN)
-    def test_skipped_check_cannot_fire(self, placements_dir, aid):
-        frame = _frame(execution_layer(load_placement(placements_dir
-                                                      / f"{aid}.json")))
-        rng = np.random.default_rng(7)
-        skipped = checked = 0
-        for zk, rho, margin, hit in zip(frame.levels.z, frame.levels.rho,
-                                        frame.margin, frame.hits):
-            inv_rho = hit[1]
-            angle = rng.uniform(0.0, 2.0 * math.pi, 96)
-            # within 2^-40 of the circle, across the margin at 2^-45, and
-            # just inside, 2^-52 to 2^-20 of the radius
-            r = np.concatenate([
-                1.0 + rng.uniform(-1.0, 1.0, 32) * 2.0 ** -40,
-                1.0 - rng.uniform(0.5, 2.0, 32) * 2.0 ** -45,
-                1.0 - rng.uniform(0.0, 1.0, 32)
-                * 2.0 ** -rng.integers(20, 53, 32).astype(float)])
-            for a, t in zip(angle, r):
-                q = zk + rho * t * complex(math.cos(a), math.sin(a))
-                w = q - zk
-                if abs(w) > margin:
-                    checked += 1
-                    continue
-                skipped += 1
-                moved = abs(w * inv_rho)
-                for log2_n in (1, 10, 20, 40, 52):
-                    tol = _EPS / (2.0 ** log2_n * rho)
-                    assert moved <= 1.0 + tol, (aid, q, log2_n)
-        assert skipped > 0 and checked > 0
-
-    def test_check_runs_beyond_the_margin(self, placements_dir,
-                                          monkeypatch):
-        # ALG2's junction POI at 2^52 tests outside both touching probes:
-        # its level runs the check, which fires and calls _rescue
-        calls = []
-
-        def rescue(*args):
-            calls.append(args)
-            return _rescue(*args)
-
-        monkeypatch.setattr(simulator, "_rescue", rescue)
-        placement = execution_layer(load_placement(placements_dir
-                                                   / "alg2.json"))
-        n = 2.0 ** 52
-        trace = run_single(placement, World(n, [Point2(n / 2.0, 0.0)]))
-        assert trace.success and not trace.containment_lost
-        assert calls
 
 
 class TestHexfamSearch:
@@ -569,12 +534,13 @@ def _reference_run_single(placement, world, adversarial=False):
 def _reference_search(placement, poi, center, s):
     """The descent of ``run_single`` for ``poi`` (None for the adversarial
     worst case) in the area of radius ``s`` about ``center``, the searcher
-    at its center, as one level loop that reads each constant of the
-    ``_frame`` lists by index and divides out the tolerance at each use,
+    at its center, as one level loop that reads each column of the
+    ``_levels`` table by index and divides out the tolerance at each use,
     without ``_rescue``: the reference for the kernel's per-probe records
     wherever no level's tests leave the POI outside its area."""
-    levels, reach, _, face, mags, turns, legs, _ = _frame(placement)
-    z, rho = levels.z, levels.rho
+    levels = _frame(placement).levels
+    z, rho, reach, face = levels.z, levels.rho, levels.reach, levels.face
+    mags, turns, legs = levels.mag, levels.turn, levels.leg
     m = len(z)
     adversarial = poi is None
     c = complex(center.x, center.y)
@@ -798,8 +764,8 @@ class TestRunBatch:
         last = issued[-1].center
         probes = (*issued, Probe(Point2(last.x + 1e-10, last.y), omitted.rho))
         placement = LayerPlacement("near", probes, None, False, "perimeter")
-        frame = _frame(placement)
-        assert frame.face is not None and 0.0 < frame.mag[-2] < _EPS
+        levels = _frame(placement).levels
+        assert levels.face is not None and 0.0 < levels.mag[-2] < _EPS
         n = 2.0 ** log2_n
         rng = np.random.default_rng(log2_n)
         angle = rng.uniform(0.0, 2.0 * math.pi, 400)
@@ -1044,9 +1010,9 @@ class TestFirstHitTable:
         return rows[:, :side].T
 
     def _check(self, placement):
-        frame = _frame(placement)
-        z, rho = np.array(frame.levels.z), np.array(frame.levels.rho)
-        reach = np.array(frame.reach)
+        levels = _frame(placement).levels
+        z, rho = np.array(levels.z), np.array(levels.rho)
+        reach = np.array(levels.reach)
         side = _GRID + 2
         table = self._grid(_hit_table(z, rho))
         ring = np.ones((side, side), dtype=bool)

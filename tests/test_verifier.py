@@ -20,6 +20,7 @@ from marcopolo.placements import (
     load_placement,
 )
 from marcopolo.optimizer import alg7_layer
+from marcopolo.simulator import World, run_single
 from marcopolo.verifier import (
     BoundsReport,
     _level_rates,
@@ -93,6 +94,20 @@ class TestDistanceBound:
         # the level ending in probe 2 walks 0.6 + 0.1 to probe 2's center,
         # less the 2 * 0.1 it overcounts, over 1 - 0.8
         assert distance_bound(_NEAR_LAST) == pytest.approx(2.5, abs=1e-12)
+
+    @pytest.mark.parametrize("log2_n", [40, 52])
+    def test_bounds_the_walk_of_a_layer_that_does_not_turn(self, log2_n):
+        # the first probe lies within _EPS of the center, so the search
+        # frame never turns; a POI at (-0.75 n, 0) stays in the omitted
+        # probe's disk on every level, whose leg from the last issued
+        # probe the bound must charge as the kernel walks it
+        layer = LayerPlacement("TEST", (
+            Probe(Point2(1e-10, 0.0), 0.5), Probe(Point2(0.0, 0.7), 0.5),
+            Probe(Point2(-0.3, 0.0), 0.6)), None, False)
+        n = 2.0 ** log2_n
+        trace = run_single(layer, World(n, [Point2(-0.75 * n, 0.0)]))
+        assert trace.success
+        assert trace.distance / n <= distance_bound(layer) + 1e-12
 
     def test_execution_tours(self, layers):
         assert distance_bound(execution_layer(layers["ALG1"])) == \
@@ -220,12 +235,13 @@ class TestRatesMatchTheSearchFrame:
     above, per probe k that a level ends in.  The probe rates are equal.
     The travel rates agree within 4 ulps of the walk they are summed
     from: the table sums a level's walk from the first probe and not from
-    the center, and charges the last level as rho_m * (leg_m - d1), the
+    the center, and charges the last level as rho_m * (leg_m - d1) with
+    the leg the kernels walk, which in a layer that turns is the
     reference's -2 * min(gap, d1 * rho_m) with gap = rho_m * mag_m, and
     both cancel where the last level's rebate nears its walk.  The table
     takes mag as the kernels do, from the squared coordinates of the
-    searcher's exit, so an exit shorter than 2^-511 reads mag = 0, and an
-    absolute 2^-500 bounds what that loses."""
+    searcher's exit, so an exit shorter than 2^-511 reads mag = 0 and is
+    not turned toward, and an absolute 2^-500 bounds what that loses."""
 
     @staticmethod
     def _check(layer, name=""):
