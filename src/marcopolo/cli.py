@@ -17,8 +17,7 @@ from .geometry import Point2
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    layer = placements.load_placement(args.placement_file,
-                                      allow_uncertified=True)
+    layer, arcs = placements.load_placement_arcs(args.placement_file)
     report = verifier.bounds_report(layer)
     print(f"algorithm:       {layer.algorithm_id}")
     print(f"probes:          {layer.m}")
@@ -28,7 +27,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"response coeff:  {report.c_responses:.4f}")
     print(f"worst probes:    {report.worst_probe_index}")
     if not layer.certified:
-        arcs = placements.uncovered_arcs(layer.probes, layer.coverage)
         print(f"uncovered arcs:  {len(arcs)} (degrees counterclockwise "
               f"about each circle's center)")
         for circle, start, end in arcs:

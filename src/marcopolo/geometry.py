@@ -162,10 +162,16 @@ def chord_probe(rho_k: float, angle: float = 0.0) -> Probe:
 
 
 def _probe_arrays(probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    px = np.array([p.center.x for p in probes])
-    py = np.array([p.center.y for p in probes])
-    pr = np.array([p.rho for p in probes])
-    return px, py, pr
+    """The x, y and radius of the circles and disks the arc test compares,
+    each as one array of m + 2 entries: the unit circle, the m probes with
+    their radii dilated by ``_TOL``, and the unit circle again.  ``[:-1]``
+    are the circles to cover, unit circle first, and ``[1:]`` the disks
+    that cover them, unit disk last."""
+    unit = (0.0, 0.0, 1.0)
+    x, y, r = np.array([unit, *((p.center.x, p.center.y, p.rho)
+                                for p in probes), unit]).T
+    r[1:-1] += _TOL
+    return x, y, r
 
 
 def certify_coverage(placement, min_cell: float = 1e-4) -> CoverageReport:
@@ -211,11 +217,12 @@ def uncovered_faces(placement) -> tuple[bool, float, list[Face]]:
     is a hole, a probe disk inside a face, which counts in the total but
     is not a face.
     """
-    px, py, pr = _probe_arrays(_probe_list(placement))
-    arcs = _uncovered_arcs(px, py, pr)
+    probes = _probe_list(placement)
+    cx, cy, cr = _probe_arrays(probes)
+    arcs = _uncovered_arcs(cx, cy, cr)
     if not arcs:
         return True, 0.0, []
-    keys = list(zip(px.tolist(), py.tolist(), pr.tolist()))
+    keys = [(p.center.x, p.center.y, p.rho) for p in probes]
     first: dict[tuple[float, float, float], int] = {}
     for k, key in enumerate(keys):
         first.setdefault(key, k)
@@ -225,9 +232,10 @@ def uncovered_faces(placement) -> tuple[bool, float, list[Face]]:
     a = np.array([arc[1] for arc in arcs])
     b = np.array([arc[2] for arc in arcs])
     unit = circle < 0
-    x = np.where(unit, 0.0, px[circle])
-    y = np.where(unit, 0.0, py[circle])
-    r = np.where(unit, 1.0, pr[circle] + _TOL)
+    # entry 0 of the circle arrays is the unit circle, circle -1
+    x = cx[circle + 1]
+    y = cy[circle + 1]
+    r = cr[circle + 1]
     sign = np.where(unit, 0.5, -0.5)
     area = sign * (r * r * (b - a) + r * (x * (np.sin(b) - np.sin(a))
                                           - y * (np.cos(b) - np.cos(a))))
@@ -261,105 +269,99 @@ def _probe_list(placement):
     return probes
 
 
-def _uncovered_arcs(px: np.ndarray, py: np.ndarray,
-                    pr: np.ndarray) -> list[tuple[int, float, float]]:
+def _uncovered_arcs(x: np.ndarray, y: np.ndarray,
+                    r: np.ndarray) -> list[tuple[int, float, float]]:
     """Arcs that break the Huang-Tseng coverage criterion for the probe
     disks dilated by ``_TOL``, as (circle, start, end) in the convention
     of ``CoverageReport.uncovered_arcs``; empty iff they cover the closed
-    unit disk.
+    unit disk.  ``x``, ``y`` and ``r`` are the arrays of ``_probe_arrays``.
 
     All m + 1 circles go through one pass: row 0 is the unit circle, which
     the probe disks must cover, and row k + 1 the dilated circle of probe
     k, which the other probe disks must cover inside the open unit disk.
+    Column k is the disk of probe k and column m the unit disk; row i,
+    column j holds the arc of circle i that disk j covers, as its center
+    angle and half-width, where a half-width of 0 means no arc and pi the
+    whole circle.
     """
-    r = pr + _TOL
-    cx = np.concatenate(([0.0], px))
-    cy = np.concatenate(([0.0], py))
-    cr = np.concatenate(([1.0], r))
-    # the last column is the unit disk itself
-    center, half = _covered_arcs(cx, cy, cr, np.append(px, 0.0),
-                                 np.append(py, 0.0), np.append(r, 1.0))
+    dx = x[1:] - x[:-1, None]
+    dy = y[1:] - y[:-1, None]
+    d = np.hypot(dx, dy)
+    rc = r[:-1, None]
+    rd = r[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_half = (rc * rc + d * d - rd * rd) / (2.0 * rc * d)
+    half = np.arccos(np.maximum(np.minimum(cos_half, 1.0), -1.0))
+    half[d + rc <= rd] = math.pi
     # a probe covers neither its own circle nor an identical probe's
-    same = (px == cx[:, None]) & (py == cy[:, None]) & (r == cr[:, None])
-    same[0] = False
-    half[:, :-1][same] = 0.0
+    half[1:, :-1][(d[1:, :-1] == 0.0) & (rd[:-1] == rc[1:])] = 0.0
     # the part of a probe circle outside the open unit disk needs no
     # cover: the complement of the arc the unit disk covers, which is
     # empty for the unit circle
     half[:, -1] = math.pi - half[:, -1]
+    center = np.arctan2(dy, dx)
     center[:, -1] += math.pi
-    row, col = np.nonzero(half > 0.0)
-    h = half[row, col]
-    circle, start, end = _circle_gaps(
-        row, (center[row, col] - h) % _TWO_PI, 2.0 * h, half.shape[0])
-    begin = start % _TWO_PI
-    return sorted((c - 1, a0, a0 + (b - a)) for c, a0, a, b in
-                  zip(circle.tolist(), begin.tolist(), start.tolist(),
-                      end.tolist()))
-
-
-def _covered_arcs(cx: np.ndarray, cy: np.ndarray, cr: np.ndarray,
-                  px: np.ndarray, py: np.ndarray,
-                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The arc of each circle (cx, cy, cr) that each closed disk
-    (px, py, r) covers, as (circles, disks) arrays of the arc's center
-    angle and half-width; a half-width of 0 means no arc, pi the whole
-    circle."""
-    dx = px - cx[:, None]
-    dy = py - cy[:, None]
-    d = np.hypot(dx, dy)
-    rc = cr[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_half = (rc * rc + d * d - r * r) / (2.0 * rc * d)
-    half = np.arccos(np.maximum(np.minimum(cos_half, 1.0), -1.0))
-    half[d + rc <= r] = math.pi
-    return np.arctan2(dy, dx), half
+    arc = half > 0.0
+    h = half[arc]
+    arcs = []
+    for c, a, b in _circle_gaps(arc.nonzero()[0], (center[arc] - h)
+                                % _TWO_PI, 2.0 * h, half.shape[0]):
+        a0 = a % _TWO_PI
+        arcs.append((c - 1, a0, a0 + (b - a)))
+    arcs.sort()
+    return arcs
 
 
 def _circle_gaps(circle: np.ndarray, start: np.ndarray, length: np.ndarray,
-                 n_circles: int) -> tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]:
+                 n_circles: int) -> list[tuple[int, float, float]]:
     """Uncovered parts of circles 0 .. n_circles - 1, given closed arcs.
 
     Arc k covers the angles start[k] .. start[k] + length[k] of circle
     circle[k], with 0 <= start <= 2*pi and 0 <= length <= 2*pi.  Returns
-    the open gaps as arrays (circle, from, to), ordered by circle and,
-    within a circle, counterclockwise from its first arc start, so the
-    last gap of a circle may end past 2*pi; a circle without arcs is one
-    gap (c, 0, 2*pi).
+    the open gaps as (circle, from, to) tuples in no particular order.  A
+    circle's gaps run counterclockwise from its first arc start, so its
+    last gap may end past 2*pi; a circle without arcs is one gap
+    (c, 0, 2*pi).
 
     One sort by (circle, start) and one running maximum do the whole
     merge: offsetting circle c by c * 8*pi keeps the ends of earlier
     circles below the starts of later ones.  An arc that ends past 2*pi
     also covers its circle's first angles again, up to its end - 2*pi.
     """
-    bare = np.flatnonzero(np.bincount(circle, minlength=n_circles) == 0)
     if circle.size == 0:
-        return bare, np.zeros(bare.size), np.full(bare.size, _TWO_PI)
+        return [(c, 0.0, _TWO_PI) for c in range(n_circles)]
     order = np.lexsort((start, circle))
     c = circle[order]
     s = start[order]
     span = length[order]
     offset = c * (4.0 * _TWO_PI)
     reach = np.maximum.accumulate(offset + s + span) - offset
-    new = np.ones(c.size, dtype=bool)
+    new = np.empty(c.size, dtype=bool)  # an arc that starts its circle
+    new[0] = True
     np.not_equal(c[1:], c[:-1], out=new[1:])
-    first = np.flatnonzero(new)
-    own = np.cumsum(new) - 1  # position of each arc's circle in ``first``
+    first = new.nonzero()[0]
+    c_first = c[first]
+    s_first = s[first]
     top = np.maximum.reduceat(reach, first)
-    before = np.concatenate(([-np.inf], reach[:-1]))
-    np.maximum(before, top[own] - _TWO_PI, out=before)
     # a circle with a whole-circle arc has no gap, rounding aside
     open_circle = np.maximum.reduceat(span, first) < _TWO_PI
-    inner = (s > before) & ~new & open_circle[own]
-    closing = (top < s[first] + _TWO_PI) & open_circle
-    gap_c = np.concatenate([c[inner], c[first][closing], bare])
-    gap_a = np.concatenate([before[inner], top[closing],
-                            np.zeros(bare.size)])
-    gap_b = np.concatenate([s[inner], s[first][closing] + _TWO_PI,
-                            np.full(bare.size, _TWO_PI)])
-    by_circle = np.argsort(gap_c, kind="stable")
-    return gap_c[by_circle], gap_a[by_circle], gap_b[by_circle]
+    # per circle, how far past 2*pi its arcs reach, wrapping around over
+    # its first angles, or +inf, which leaves a closed circle no gap
+    wrap = np.empty(n_circles)
+    wrap[c_first] = np.where(open_circle, top - _TWO_PI, np.inf)
+    before = np.empty_like(reach)
+    np.maximum(reach[:-1], wrap[c[1:]], out=before[1:])
+    before[first] = np.inf  # no gap before a circle's first arc
+    inner = s > before
+    closing = (top < s_first + _TWO_PI) & open_circle
+    bare = np.ones(n_circles, dtype=bool)
+    bare[c_first] = False
+    gaps = list(zip(c[inner].tolist(), before[inner].tolist(),
+                    s[inner].tolist()))
+    gaps += zip(c_first[closing].tolist(), top[closing].tolist(),
+                (s_first[closing] + _TWO_PI).tolist())
+    gaps += [(k, 0.0, _TWO_PI) for k in bare.nonzero()[0].tolist()]
+    return gaps
 
 
 def _convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:

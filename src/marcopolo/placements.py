@@ -453,8 +453,16 @@ def load_placement(path: str | Path,
     Uncertified files are refused unless ``allow_uncertified`` is set (the
     returned placement then carries ``certified=False``).
     """
-    pf = PlacementFile.from_json(Path(path).read_text())
-    ok = not uncovered_arcs(pf.probes, pf.coverage)
-    if not ok and not allow_uncertified:
+    layer, arcs = load_placement_arcs(path)
+    if arcs and not allow_uncertified:
         raise CertificationError(f"placement {path} failed certification")
-    return pf.to_layer(certified=ok)
+    return layer
+
+
+def load_placement_arcs(path: str | Path) -> tuple[LayerPlacement, list]:
+    """Load a placement and certify it once: the layer, certified iff its
+    probes leave no arc of its coverage region uncovered, and those arcs
+    (``uncovered_arcs``)."""
+    pf = PlacementFile.from_json(Path(path).read_text())
+    arcs = uncovered_arcs(pf.probes, pf.coverage)
+    return pf.to_layer(certified=not arcs), arcs

@@ -14,8 +14,9 @@ import pytest
 
 import marcopolo
 
+from marcopolo import placements
 from marcopolo.cli import main
-from marcopolo.geometry import Point2, Probe
+from marcopolo.geometry import Point2, Probe, certify_coverage
 from marcopolo.placements import (
     PlacementFile,
     construct_layer,
@@ -23,7 +24,8 @@ from marcopolo.placements import (
     save_placement,
 )
 
-# the full output of ``marcopolo verify`` on each golden placement
+# the full output of ``marcopolo verify`` on each golden placement, and
+# an uncertified placement with its transcript
 TRANSCRIPTS = Path(__file__).resolve().parent / "data" / "verify"
 
 
@@ -55,11 +57,12 @@ class TestVerify:
         assert "distance coeff:  2.5000" in out
         assert "warning" not in out
 
-    def test_uncovered_arcs_listed(self, tmp_path, capsys):
-        # ALG3 below its minimal base leaves arcs uncovered
-        path = tmp_path / "alg3_082.json"
-        save_placement(PlacementFile.from_layer(
-            construct_layer("ALG3", rho1=0.82)), path)
+    def test_uncovered_arcs_listed(self, capsys):
+        # ALG3 below its minimal base leaves arcs uncovered; the committed
+        # file is that layer
+        path = TRANSCRIPTS / "alg3_082.json"
+        assert PlacementFile.from_json(path.read_text()) == \
+            PlacementFile.from_layer(construct_layer("ALG3", rho1=0.82))
         assert main(["verify", str(path)]) == 0
         out = capsys.readouterr().out
         assert "certified:       False (disk)" in out
@@ -98,6 +101,25 @@ class TestVerify:
         assert main(["verify", str(placements_dir / f"{name}.json")]) == 0
         assert capsys.readouterr().out == (TRANSCRIPTS
                                            / f"{name}.txt").read_text()
+
+    def test_uncertified_transcript(self, capsys):
+        # an uncertified file lists its arcs; CI diffs this one too
+        assert main(["verify", str(TRANSCRIPTS / "alg3_082.json")]) == 0
+        assert capsys.readouterr().out == (TRANSCRIPTS
+                                           / "alg3_082.txt").read_text()
+
+    def test_uncertified_file_certified_once(self, monkeypatch, capsys):
+        # the arcs the file is certified by are the arcs listed
+        calls = []
+
+        def spy(probes, *args):
+            calls.append(probes)
+            return certify_coverage(probes, *args)
+
+        monkeypatch.setattr(placements, "certify_coverage", spy)
+        assert main(["verify", str(TRANSCRIPTS / "alg3_082.json")]) == 0
+        assert "uncovered arcs:  8" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json")]) == 1

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from marcopolo.geometry import (
     CoverageReport,
+    Face,
     Point2,
     Probe,
     certify_coverage,
@@ -245,18 +246,17 @@ class TestCircleGaps:
         # the last arc runs past 2*pi and covers the gap after the first
         start = np.array([0.1, 0.3, 0.7])
         end = np.array([0.2, 0.8, 6.6])
-        c, a, b = _circle_gaps(np.zeros(3, dtype=np.int64), start,
-                               end - start, 1)
-        assert c.size == 0
+        assert _circle_gaps(np.zeros(3, dtype=np.int64), start,
+                            end - start, 1) == []
 
     def test_gaps_per_circle(self):
+        # the gaps come in no particular order
         circle = np.array([2, 0, 0, 2])
         start = np.array([1.0, 0.5, 3.0, 0.0])
         length = np.array([2.0 * math.pi, 1.0, 1.0, 0.5])
-        c, a, b = _circle_gaps(circle, start, length, 3)
-        assert c.tolist() == [0, 0, 1]
-        assert a.tolist() == [1.5, 4.0, 0.0]
-        assert b.tolist() == [3.0, 0.5 + 2.0 * math.pi, 2.0 * math.pi]
+        assert sorted(_circle_gaps(circle, start, length, 3)) == [
+            (0, 1.5, 3.0), (0, 4.0, 0.5 + 2.0 * math.pi),
+            (1, 0.0, 2.0 * math.pi)]
 
 
 def _golden_probes() -> list[tuple]:
@@ -385,6 +385,179 @@ class TestArcCertifierOracle:
                 y = p.center.y + (p.rho + _TOL) * math.sin(mid)
             assert math.hypot(x, y) <= 1.0 + 1e-15
             assert not _covered(probes, np.array([[x, y]]), 0.0).any()
+
+
+# ---------------------------------------------------------------------------
+# The arc certifier and the faces against their reference: the passes as
+# they ran before they were merged, which must give the same arcs bit for
+# bit, and so the same faces
+# ---------------------------------------------------------------------------
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _reference_probe_arrays(probes):
+    px = np.array([p.center.x for p in probes])
+    py = np.array([p.center.y for p in probes])
+    pr = np.array([p.rho for p in probes])
+    return px, py, pr
+
+
+def _reference_arcs(probes) -> list[tuple[int, float, float]]:
+    """``certify_coverage(probes).uncovered_arcs`` by the reference."""
+    return _reference_uncovered_arcs(*_reference_probe_arrays(probes))
+
+
+def _reference_uncovered_arcs(px, py, pr):
+    r = pr + _TOL
+    cx = np.concatenate(([0.0], px))
+    cy = np.concatenate(([0.0], py))
+    cr = np.concatenate(([1.0], r))
+    # the last column is the unit disk itself
+    center, half = _reference_covered_arcs(
+        cx, cy, cr, np.append(px, 0.0), np.append(py, 0.0),
+        np.append(r, 1.0))
+    # a probe covers neither its own circle nor an identical probe's
+    same = (px == cx[:, None]) & (py == cy[:, None]) & (r == cr[:, None])
+    same[0] = False
+    half[:, :-1][same] = 0.0
+    # the part of a probe circle outside the open unit disk needs no cover
+    half[:, -1] = math.pi - half[:, -1]
+    center[:, -1] += math.pi
+    row, col = np.nonzero(half > 0.0)
+    h = half[row, col]
+    circle, start, end = _reference_circle_gaps(
+        row, (center[row, col] - h) % _TWO_PI, 2.0 * h, half.shape[0])
+    begin = start % _TWO_PI
+    return sorted((c - 1, a0, a0 + (b - a)) for c, a0, a, b in
+                  zip(circle.tolist(), begin.tolist(), start.tolist(),
+                      end.tolist()))
+
+
+def _reference_covered_arcs(cx, cy, cr, px, py, r):
+    dx = px - cx[:, None]
+    dy = py - cy[:, None]
+    d = np.hypot(dx, dy)
+    rc = cr[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_half = (rc * rc + d * d - r * r) / (2.0 * rc * d)
+    half = np.arccos(np.maximum(np.minimum(cos_half, 1.0), -1.0))
+    half[d + rc <= r] = math.pi
+    return np.arctan2(dy, dx), half
+
+
+def _reference_circle_gaps(circle, start, length, n_circles):
+    bare = np.flatnonzero(np.bincount(circle, minlength=n_circles) == 0)
+    if circle.size == 0:
+        return bare, np.zeros(bare.size), np.full(bare.size, _TWO_PI)
+    order = np.lexsort((start, circle))
+    c = circle[order]
+    s = start[order]
+    span = length[order]
+    offset = c * (4.0 * _TWO_PI)
+    reach = np.maximum.accumulate(offset + s + span) - offset
+    new = np.ones(c.size, dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    own = np.cumsum(new) - 1
+    top = np.maximum.reduceat(reach, first)
+    before = np.concatenate(([-np.inf], reach[:-1]))
+    np.maximum(before, top[own] - _TWO_PI, out=before)
+    open_circle = np.maximum.reduceat(span, first) < _TWO_PI
+    inner = (s > before) & ~new & open_circle[own]
+    closing = (top < s[first] + _TWO_PI) & open_circle
+    gap_c = np.concatenate([c[inner], c[first][closing], bare])
+    gap_a = np.concatenate([before[inner], top[closing],
+                            np.zeros(bare.size)])
+    gap_b = np.concatenate([s[inner], s[first][closing] + _TWO_PI,
+                            np.full(bare.size, _TWO_PI)])
+    by_circle = np.argsort(gap_c, kind="stable")
+    return gap_c[by_circle], gap_a[by_circle], gap_b[by_circle]
+
+
+def _reference_faces(probes):
+    """``uncovered_faces(probes)`` by the reference."""
+    px, py, pr = _reference_probe_arrays(probes)
+    arcs = _reference_uncovered_arcs(px, py, pr)
+    if not arcs:
+        return True, 0.0, []
+    keys = list(zip(px.tolist(), py.tolist(), pr.tolist()))
+    first = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
+    arcs = [arc for arc in arcs
+            if arc[0] < 0 or first[keys[arc[0]]] == arc[0]]
+    circle = np.array([arc[0] for arc in arcs])
+    a = np.array([arc[1] for arc in arcs])
+    b = np.array([arc[2] for arc in arcs])
+    unit = circle < 0
+    x = np.where(unit, 0.0, px[circle])
+    y = np.where(unit, 0.0, py[circle])
+    r = np.where(unit, 1.0, pr[circle] + _TOL)
+    sign = np.where(unit, 0.5, -0.5)
+    area = sign * (r * r * (b - a) + r * (x * (np.sin(b) - np.sin(a))
+                                          - y * (np.cos(b) - np.cos(a))))
+    begin = np.where(unit, a, b)
+    finish = np.where(unit, b, a)
+    ends = np.column_stack([x + r * np.cos(finish), y + r * np.sin(finish)])
+    starts = np.column_stack([x + r * np.cos(begin), y + r * np.sin(begin)])
+    gap = ((ends[:, None, :] - starts[None, :, :]) ** 2).sum(axis=2)
+    following = np.argmin(gap, axis=1).tolist()
+    faces = []
+    seen = [False] * len(arcs)
+    for start in range(len(arcs)):
+        if seen[start]:
+            continue
+        loop, k = [], start
+        while not seen[k]:
+            seen[k] = True
+            loop.append(k)
+            k = following[k]
+        loop_area = float(area[loop].sum())
+        if loop_area > 0.0:
+            faces.append(Face(loop_area, [arcs[i] for i in loop]))
+    faces.sort(key=lambda face: -face.area)
+    return False, float(area.sum()), faces
+
+
+_EDGE_LAYERS = {
+    # no arc on any circle: both are uncovered whole
+    "lone-probe-at-origin": [Probe(Point2(0.0, 0.0), 0.6)],
+    "radius-1-probe-at-origin": [Probe(Point2(0.0, 0.0), 1.0)],
+    # the big probe's dilated circle lies wholly outside the disk
+    "circle-outside-the-disk": [Probe(Point2(0.0, 0.0), 1.0),
+                                Probe(Point2(0.5, 0.0), 0.3)],
+    "disk-touching-from-outside": [Probe(Point2(0.0, 0.0), 0.6),
+                                   Probe(Point2(1.5, 0.0), 0.5)],
+    "two-identical-probes": [Probe(Point2(0.3, -0.2), 0.7)] * 2,
+    # a disk covers the whole circle of a smaller concentric probe
+    "concentric-probes": [Probe(Point2(0.3, -0.2), 0.7),
+                          Probe(Point2(0.3, -0.2), 0.4)],
+    "tangent-ALG1": list(construct_layer("ALG1").probes),
+    "tangent-ALG2": list(construct_layer("ALG2").probes),
+    "ALG3-below-its-base": list(construct_layer("ALG3", 0.82).probes),
+    "hexfam-2-1024": list(hexfam_layer(2, 2 ** 10).probes),
+}
+
+
+class TestCertifierMatchesReference:
+    """The certifier's arcs equal the reference's under ==, with no
+    tolerance, and so do the faces taken from them."""
+
+    @staticmethod
+    def _check(probes):
+        assert certify_coverage(probes).uncovered_arcs == \
+            _reference_arcs(probes)
+        assert uncovered_faces(probes) == _reference_faces(probes)
+
+    @given(_oracle_placements())
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_placements(self, probes):
+        self._check(probes)
+
+    @pytest.mark.parametrize("name", list(_EDGE_LAYERS))
+    def test_edge_cases(self, name):
+        self._check(_EDGE_LAYERS[name])
 
 
 class TestUncoveredRegions:
