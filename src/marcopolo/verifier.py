@@ -47,13 +47,11 @@ def _level_rates(placement) -> tuple[list[float], list[float],
     area, the travel it pays per unit of remaining radius, and its shrink
     rho_k.  ``placement`` is a LayerPlacement or a probe sequence; a layer
     needs two probes, as ``LayerPlacement`` requires: with one there is no
-    executed probe before the omitted last.  A LayerPlacement whose search
-    frame is built (``simulator._frame``) lends the table it holds."""
+    executed probe before the omitted last."""
     probes = getattr(placement, "probes", placement)
     if len(probes) < 2:
         raise ValueError("a layer placement needs at least two probes")
-    frame = getattr(placement, "_frame", None)
-    table = _levels(probes) if frame is None else frame.levels
+    table = _levels(probes)
     if max(table.rho) >= 1.0:
         raise ValueError("a probe of radius 1 gives unbounded coefficients")
     d1 = abs(table.z[0])

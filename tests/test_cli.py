@@ -59,23 +59,13 @@ class TestVerify:
 
     def test_uncovered_arcs_listed(self, capsys):
         # ALG3 below its minimal base leaves arcs uncovered; the committed
-        # file is that layer
+        # file is that layer, and CI diffs its transcript too
         path = TRANSCRIPTS / "alg3_082.json"
         assert PlacementFile.from_json(path.read_text()) == \
             PlacementFile.from_layer(construct_layer("ALG3", rho1=0.82))
         assert main(["verify", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "certified:       False (disk)" in out
-        lines = out.splitlines()
-        head = next(i for i, line in enumerate(lines)
-                    if line.startswith("uncovered arcs:"))
-        count = int(lines[head].split()[2])
-        rows = [line.split() for line in lines[head + 1:]]
-        assert count == len(rows) > 0
-        assert rows[0][:2] == ["unit", "circle"]
-        for row in rows:
-            start, end = float(row[-3]), float(row[-1])
-            assert 0.0 <= start < 360.0 and start < end <= start + 360.0
+        assert capsys.readouterr().out == (TRANSCRIPTS
+                                           / "alg3_082.txt").read_text()
 
     def test_uncovered_perimeter_arcs_listed(self, placements_dir, tmp_path,
                                              capsys):
@@ -101,12 +91,6 @@ class TestVerify:
         assert main(["verify", str(placements_dir / f"{name}.json")]) == 0
         assert capsys.readouterr().out == (TRANSCRIPTS
                                            / f"{name}.txt").read_text()
-
-    def test_uncertified_transcript(self, capsys):
-        # an uncertified file lists its arcs; CI diffs this one too
-        assert main(["verify", str(TRANSCRIPTS / "alg3_082.json")]) == 0
-        assert capsys.readouterr().out == (TRANSCRIPTS
-                                           / "alg3_082.txt").read_text()
 
     def test_uncertified_file_certified_once(self, monkeypatch, capsys):
         # the arcs the file is certified by are the arcs listed

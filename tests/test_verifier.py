@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marcopolo import simulator, verifier
 from marcopolo.geometry import Point2, Probe
 from marcopolo.placements import (
     ALG3_RHO1,
@@ -157,24 +156,6 @@ class TestBoundsReport:
             assert report.c_probes == probe_coefficient(layer)
             assert report.b_distance == distance_bound(layer)
             assert report.c_responses == response_bound(layer)
-
-    def test_reads_the_table_of_a_built_frame(self, placements_dir,
-                                              monkeypatch):
-        # a layer whose search frame is built lends its table; one without
-        # builds the table again
-        calls = []
-
-        def spy(probes):
-            calls.append(probes)
-            return simulator._levels(probes)
-
-        monkeypatch.setattr(verifier, "_levels", spy)
-        layer = load_placement(placements_dir / "alg8.json")
-        expected = bounds_report(layer)
-        assert len(calls) == 1
-        simulator._frame(layer)
-        assert bounds_report(layer) == expected
-        assert len(calls) == 1
 
     def test_invalid_report_rejected(self):
         with pytest.raises(ValueError):
