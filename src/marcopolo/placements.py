@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import __version__
 from .geometry import (
     Point2,
     Probe,
@@ -31,7 +32,7 @@ from .geometry import (
 )
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "marcopolo 0.1.0"
+TOOL_VERSION = f"marcopolo {__version__}"
 
 # Frozen schedule bases.  Each value is the minimal rho1 (to the 1e-4
 # bisection tolerance of verifier.minimal_rho1) at which the corresponding

@@ -9,8 +9,9 @@ the per-level cost table the search kernels read (``simulator._levels``):
 * ``response_bound``      -- c_R in R_max = c_R * ceil(log2 n)
 
 plus the minimal-schedule-base search for the progressive constructions and
-the analytic lower-bound constant for progressive-shrinking strategies.
-All logarithms are base 2.
+the lower-bound constant for progressive-shrinking strategies, which is the
+perimeter-only schedule base rho read as c = -1/log2 rho.  All logarithms
+are base 2.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from . import placements as _placements
 from .simulator import _levels
 
 _BISECT_TOL = 1e-4
-_LB_TOL = 1e-7
+# rho tolerance of the lower bound; keeps c_lb within about 1e-8
+_LB_RHO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,10 @@ def bounds_report(placement) -> BoundsReport:
 # Minimal schedule base
 # ---------------------------------------------------------------------------
 
-def _chord_arcs_close(rho: float, term_tol: float = 5e-15) -> bool:
+def _chord_arcs_close(rho: float) -> bool:
     """Whether the infinite chord schedule rho^k, k = 1, 2, ..., covers the
     perimeter: its arc half-widths asin(rho^k) sum to pi.  The series is
-    cut at the first term below ``term_tol``."""
+    cut at the first term below 5e-15."""
     total = 0.0
     rk = rho
     while True:
@@ -122,7 +124,7 @@ def _chord_arcs_close(rho: float, term_tol: float = 5e-15) -> bool:
         total += term
         if total >= math.pi:
             return True
-        if term < term_tol:
+        if term < 5e-15:
             return False
         rk *= rho
 
@@ -166,20 +168,14 @@ def minimal_rho1(scheme: str, tol: float = _BISECT_TOL) -> float:
 # Lower bound for progressive-shrinking strategies
 # ---------------------------------------------------------------------------
 
-def lower_bound_constant(term_threshold: float = 1e-12) -> tuple[float, float]:
+def lower_bound_constant() -> tuple[float, float]:
     """Constant c_lb solving sum_k asin(2^(-k/c)) = pi, with the matching
     first-probe radius rho_lb = 2^(-1/c_lb).
 
     Any progressive-shrinking strategy needs at least c_lb * ceil(log2 n)
     probes: the chord arcs of the schedule must cover the perimeter.
+    rho_lb is the perimeter-only schedule base, ``minimal_rho1`` to within
+    ``_LB_RHO_TOL``, read as c_lb = -1/log2 rho_lb.
     """
-
-    lo, hi = 1.0, 4.0
-    while hi - lo > _LB_TOL:
-        mid = 0.5 * (lo + hi)
-        if _chord_arcs_close(2.0 ** (-1.0 / mid), term_threshold):
-            hi = mid
-        else:
-            lo = mid
-    c_lb = 0.5 * (lo + hi)
-    return c_lb, 2.0 ** (-1.0 / c_lb)
+    rho = minimal_rho1("PERIMETER_ONLY", tol=_LB_RHO_TOL)
+    return -1.0 / math.log2(rho), rho

@@ -203,8 +203,12 @@ class TestArcCertifier:
         assert report.certified_covered
         assert report.uncovered_arcs == []
 
-    @pytest.mark.parametrize("r_max, n", [(10, 2 ** 10), (5, 2 ** 10),
-                                          (3, 2 ** 10)])
+    # L = 2, 4 and 8 layers, then L = 9-13 through n = (3L - 2) / 2 at
+    # R_max = 1: lattices of 211-451 probes, pruned at the corners from
+    # L = 8 on, which hexfam_layer returns as certified unchecked
+    @pytest.mark.parametrize("r_max, n", [
+        (10, 2 ** 10), (5, 2 ** 10), (3, 2 ** 10),
+        *((1, (3 * big_l - 2) / 2) for big_l in range(9, 14))])
     def test_deeper_hexagonal_lattices_certify(self, r_max, n):
         assert certify_coverage(hexfam_layer(r_max, n).probes) \
             .certified_covered

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+import marcopolo
 from marcopolo import placements
 from marcopolo.geometry import Point2, Probe
 from marcopolo.placements import (
@@ -297,6 +300,15 @@ class TestPlacementFiles:
                                              '"schema_version": 99'))
         with pytest.raises(ValueError):
             load_placement(path)
+
+    def test_one_version_string(self):
+        # pyproject.toml's version is the package's, which every saved
+        # file records; read by a regex, as tomllib needs Python 3.11
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        match = re.search(r'^version = "([^"]*)"$', pyproject.read_text(),
+                          re.MULTILINE)
+        assert match[1] == marcopolo.__version__
+        assert placements.TOOL_VERSION == f"marcopolo {match[1]}"
 
 
 class TestGenerateLayer:

@@ -22,7 +22,9 @@ from marcopolo.placements import (
 from marcopolo.optimizer import alg7_layer
 from marcopolo.simulator import World, run_single
 from marcopolo.verifier import (
+    _LB_RHO_TOL,
     BoundsReport,
+    _chord_arcs_close,
     _level_rates,
     bounds_report,
     distance_bound,
@@ -309,12 +311,16 @@ class TestLowerBound:
         assert rho_lb == pytest.approx(0.74915, abs=1e-4)
         assert rho_lb == pytest.approx(2.0 ** (-1.0 / c_lb), abs=1e-12)
 
-    def test_truncation_stability(self):
-        loose = lower_bound_constant(term_threshold=1e-10)
-        tight = lower_bound_constant(term_threshold=1e-12)
-        assert loose[0] == pytest.approx(tight[0], abs=1e-6)
+    def test_threshold_is_a_bracket(self):
+        # the chord series grows with rho, so the bisection's result
+        # closes the circle and a base one tolerance below it does not
+        _, rho_lb = lower_bound_constant()
+        assert _chord_arcs_close(rho_lb)
+        assert not _chord_arcs_close(rho_lb - _LB_RHO_TOL)
 
-    def test_below_every_achieved_coefficient(self, layers):
+    def test_below_every_achieved_coefficient(self, layers, placements_dir):
         c_lb, _ = lower_bound_constant()
-        for layer in layers.values():
+        golden = sorted(placements_dir.glob("alg*.json"))
+        assert len(golden) == 8
+        for layer in [*layers.values(), *map(load_placement, golden)]:
             assert c_lb < probe_coefficient(layer)
